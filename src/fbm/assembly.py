@@ -116,12 +116,19 @@ def boundary_data_from_weighted(weighted: np.ndarray,
 def assemble_operator(problem: WaveProblem,
                       rule: QuadratureRule) -> DiscreteTraceOperator:
     """Assemble the weighted collocation matrix of i k phi_n + dphi_n/dnu."""
+    values, grads = basis_matrix(problem.basis, problem.N, rule.points)
+    return trace_operator(problem, rule, values, grads)
+
+
+def trace_operator(problem: WaveProblem, rule: QuadratureRule,
+                   values: np.ndarray, grads: np.ndarray) -> DiscreteTraceOperator:
+    """The operator of assemble_operator from basis values and gradients
+    already evaluated at the quadrature nodes (basis_matrix output)."""
     cols = 2 * problem.N + 1
     if cols > rule.size:
         raise ValidationError(
             "system_not_tall",
             f"need 2N+1={cols} <= node count {rule.size}")
-    values, grads = basis_matrix(problem.basis, problem.N, rule.points)
     normal_deriv = (rule.normals[:, None, 0] * grads[:, :, 0]
                     + rule.normals[:, None, 1] * grads[:, :, 1])
     trace = 1j * problem.k * values + normal_deriv          # (M_q, 2N+1)

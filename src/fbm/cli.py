@@ -4,6 +4,12 @@ The driver executes the three-step algorithm behind every case:
 measure the domain radii, select (N, alpha) from (k, delta), then solve
 the regularized normal equation and report relative errors.
 
+solve, sweep and plot all run one ``Cell`` per (k, delta). A cell holds
+everything that does not depend on the noise seed: the plan, problem,
+quadrature rule, SVD, exact data and the basis values and gradients on
+the interior grid and on the boundary, each evaluated once. A seed then
+costs noise, a Tikhonov solve and matrix-vector products.
+
 Configuration is a single JSON document::
 
     {
@@ -22,9 +28,9 @@ Configuration is a single JSON document::
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 failure. On failure a machine-readable record {"error": code, ...} is
-printed to stderr. With a single thread, identical configs produce
-byte-identical outputs; FBM_THREADS or --threads enables parallel sweep
-cells (results are still written in deterministic order).
+printed to stderr. Identical configs produce byte-identical outputs;
+FBM_THREADS or --threads runs sweep cells in parallel, one cell per
+thread, and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -41,16 +47,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .assembly import (WaveProblem, add_noise, assemble_operator, make_problem,
-                       plane_wave_data)
+from .assembly import (BoundaryData, WaveProblem, add_noise, make_problem,
+                       plane_wave_data, trace_operator)
 from .errors import FbmError, NumericalError, ValidationError
 from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
-                     error_report, evaluate_field)
+                     error_norms, evaluate_field)
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
                        default_node_count, named_curve)
-from .tikhonov import (CoefficientVector, RegularizationPlan, select_parameters,
-                       svd, svd_decay_study, tikhonov_solve)
+from .special import N_MAX, basis_matrix
+from .tikhonov import (CoefficientVector, RegularizationPlan, SingularSystem,
+                       select_parameters, svd, svd_decay_study, tikhonov_solve)
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +84,16 @@ class ExperimentConfig:
     output_dir: str = "fbm_out"
 
 
+def _as_number(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("bad_field", f"{name} must be numeric") from exc
+    if not math.isfinite(x):
+        raise ValidationError("bad_field", f"{name} must be finite, got {x}")
+    return x
+
+
 def _as_number_list(value, name: str, *, lower=None, upper=None,
                     lower_open=False, upper_open=False) -> list:
     items = value if isinstance(value, list) else [value]
@@ -84,10 +101,7 @@ def _as_number_list(value, name: str, *, lower=None, upper=None,
         raise ValidationError("empty_list", f"{name} must not be empty")
     out = []
     for item in items:
-        try:
-            x = float(item)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("bad_field", f"{name} must be numeric") from exc
+        x = _as_number(item, name)
         if lower is not None and (x <= lower if lower_open else x < lower):
             raise ValidationError("bad_field", f"{name}={x} below allowed range")
         if upper is not None and (x >= upper if upper_open else x > upper):
@@ -125,16 +139,13 @@ def build_config(raw: dict) -> ExperimentConfig:
     delta_list = _as_number_list(raw["delta"], "delta", lower=0.0,
                                  upper=1.0, upper_open=True)
 
-    eta = float(raw.get("eta", 5.0))
+    eta = _as_number(raw.get("eta", 5.0), "eta")
     if eta <= 1.0:
         raise ValidationError("eta_too_small", f"eta must exceed 1, got {eta}")
 
     tau0 = raw.get("tau0", "auto")
     if tau0 != "auto":
-        try:
-            tau0 = float(tau0)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("bad_field", "tau0 must be a number or 'auto'") from exc
+        tau0 = _as_number(tau0, "tau0")
 
     seeds = raw.get("seeds", list(_DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds:
@@ -143,6 +154,8 @@ def build_config(raw: dict) -> ExperimentConfig:
         seeds = [int(s) for s in seeds]
     except (TypeError, ValueError) as exc:
         raise ValidationError("bad_field", "seeds must be integers") from exc
+    if min(seeds) < 0:
+        raise ValidationError("bad_field", f"seeds must be non-negative, got {seeds}")
 
     node_count = raw.get("M_q", "auto")
     if node_count != "auto":
@@ -244,36 +257,58 @@ def case_metadata(result: CaseResult, grid: InteriorGrid,
     }
 
 
-def solve_case(curve: BoundaryCurve, radii: DomainRadii, k: float,
-               delta: float, seed: int, *, eta: float, tau0: float,
-               direction: np.ndarray, grid: InteriorGrid,
-               node_count: int | None = None,
-               n_override: int | None = None,
-               alpha_override: float | None = None) -> CaseResult:
-    """Run plan -> assemble -> data -> noise -> solve -> report once.
+@dataclass(frozen=True)
+class Cell:
+    """The seed-independent half of one (k, delta) case.
 
-    ``n_override``/``alpha_override`` bypass the selection rule (used by
-    convergence studies); everything else follows the standard pipeline.
+    The basis values and gradients on the interior grid and on the
+    boundary are evaluated once, by one basis_matrix call each; the
+    boundary pair also forms the trace operator. Each seed then costs
+    noise, a Tikhonov solve and matrix-vector products with them.
     """
-    plan = select_parameters(k, delta, eta, radii, tau0)
-    if n_override is not None or alpha_override is not None:
-        plan = RegularizationPlan(
-            delta=plan.delta, delta_eff=plan.delta_eff, eta=plan.eta,
-            tau0=plan.tau0, tau_min=plan.tau_min, branch=plan.branch,
-            N=plan.N if n_override is None else int(n_override),
-            alpha=plan.alpha if alpha_override is None else float(alpha_override))
-    problem = make_problem(curve, radii, k, tau0, plan.N)
-    rule = build_quadrature(curve, node_count or default_node_count(plan.N))
-    operator = assemble_operator(problem, rule)
-    system = svd(operator)
-    data = plane_wave_data(problem, rule, direction)
-    noisy = add_noise(data, delta, seed, rule)
-    coeffs = tikhonov_solve(system, noisy, plan.alpha)
-    exact = PlaneWave(k=k, direction=direction)
-    report = error_report(problem, coeffs, exact, grid, rule)
-    return CaseResult(plan=plan, problem=problem, rule=rule,
-                      coefficients=coeffs, report=report,
-                      mu_min=system.mu_min, seed=seed)
+
+    plan: RegularizationPlan
+    problem: WaveProblem
+    rule: QuadratureRule
+    system: SingularSystem
+    data: BoundaryData
+    exact: PlaneWave
+    grid: InteriorGrid
+    grid_basis: tuple                # (values, gradients) at grid.points
+    boundary_basis: tuple            # (values, gradients) at rule.points
+
+    def solve(self, seed: int) -> CaseResult:
+        """Noise -> Tikhonov solve -> error report for one seed."""
+        noisy = add_noise(self.data, self.plan.delta, seed, self.rule)
+        coeffs = tikhonov_solve(self.system, noisy, self.plan.alpha)
+        report = error_norms(coeffs, self.exact, self.grid, self.rule,
+                             self.grid_basis, self.boundary_basis)
+        return CaseResult(plan=self.plan, problem=self.problem, rule=self.rule,
+                          coefficients=coeffs, report=report,
+                          mu_min=self.system.mu_min, seed=seed)
+
+
+def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
+              grid: InteriorGrid, node_count: int | None, k: float,
+              delta: float) -> Cell:
+    """Plan -> problem -> quadrature -> bases -> operator -> SVD -> data."""
+    plan = select_parameters(k, delta, config.eta, radii, tau0)
+    if plan.N >= N_MAX:
+        raise ValidationError(
+            "order_cap_reached",
+            f"k={k}, delta={delta} selects N >= N_MAX={N_MAX}, "
+            "beyond what the basis can resolve")
+    problem = make_problem(config.curve, radii, k, tau0, plan.N)
+    rule = build_quadrature(config.curve,
+                            node_count or default_node_count(plan.N))
+    boundary_basis = basis_matrix(problem.basis, plan.N, rule.points)
+    system = svd(trace_operator(problem, rule, *boundary_basis))
+    data = plane_wave_data(problem, rule, config.direction)
+    grid_basis = basis_matrix(problem.basis, plan.N, grid.points)
+    return Cell(plan=plan, problem=problem, rule=rule, system=system,
+                data=data, exact=PlaneWave(k=k, direction=config.direction),
+                grid=grid, grid_basis=grid_basis,
+                boundary_basis=boundary_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +399,8 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     k = _single(config.k_list, "k")
     delta = _single(config.delta_list, "delta")
     radii, tau0, grid, node_count = _prepare(config)
-    result = solve_case(config.curve, radii, k, delta, config.seeds[0],
-                        eta=config.eta, tau0=tau0,
-                        direction=config.direction, grid=grid,
-                        node_count=node_count)
+    cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
+    result = cell.solve(config.seeds[0])
     meta = case_metadata(result, grid, config)
     report = ErrorReport(**{**result.report.as_dict(), "metadata": meta})
     write_report_json(os.path.join(out_dir, "report.json"), report)
@@ -379,30 +412,20 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     return report.as_dict()
 
 
-def _sweep_pair(config: ExperimentConfig, radii, tau0, grid, node_count,
+def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
                 k: float, delta: float):
-    """All seeds of one (k, delta) cell; assembly and SVD are shared."""
+    """All seeds of one (k, delta) cell. The cell is dropped on return,
+    so each thread holds one cell's bases at a time."""
     rows: list[str] = []
     group: list[CaseResult] = []
     try:
-        plan = select_parameters(k, delta, config.eta, radii, tau0)
-        problem = make_problem(config.curve, radii, k, tau0, plan.N)
-        rule = build_quadrature(config.curve,
-                                node_count or default_node_count(plan.N))
-        system = svd(assemble_operator(problem, rule))
-        data = plane_wave_data(problem, rule, config.direction)
-        exact = PlaneWave(k=k, direction=config.direction)
+        cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     except FbmError as exc:
         logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
         return [_failed_row(k, delta, seed, exc.code) for seed in config.seeds], []
     for seed in config.seeds:
         try:
-            noisy = add_noise(data, delta, seed, rule)
-            coeffs = tikhonov_solve(system, noisy, plan.alpha)
-            report = error_report(problem, coeffs, exact, grid, rule)
-            result = CaseResult(plan=plan, problem=problem, rule=rule,
-                                coefficients=coeffs, report=report,
-                                mu_min=system.mu_min, seed=seed)
+            result = cell.solve(seed)
             rows.append(_sweep_row(result))
             group.append(result)
         except FbmError as exc:
@@ -421,10 +444,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(
-                lambda pair: _sweep_pair(config, radii, tau0, grid, node_count,
+                lambda pair: _sweep_cell(config, radii, tau0, grid, node_count,
                                          *pair), pairs))
     else:
-        outcomes = [_sweep_pair(config, radii, tau0, grid, node_count, k, delta)
+        outcomes = [_sweep_cell(config, radii, tau0, grid, node_count, k, delta)
                     for k, delta in pairs]
 
     all_rows = [row for rows, _ in outcomes for row in rows]
@@ -476,14 +499,11 @@ def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
                    delta: float, seed: int, samples: int = 512) -> tuple[str, str]:
     """Write Re u and Re u_N sampled on the boundary as (t, value) files."""
     radii, tau0, grid, node_count = _prepare(config)
-    result = solve_case(config.curve, radii, k, delta, seed,
-                        eta=config.eta, tau0=tau0,
-                        direction=config.direction, grid=grid,
-                        node_count=node_count)
+    cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
+    result = cell.solve(seed)
     t = 2.0 * np.pi * np.arange(samples) / samples
     points = curve_point(config.curve, t)
-    exact = PlaneWave(k=k, direction=config.direction)
-    u_exact = np.real(exact.value(points))
+    u_exact = np.real(cell.exact.value(points))
     u_numeric = np.real(evaluate_field(result.problem, result.coefficients,
                                        points))
     meta = case_metadata(result, grid, config)

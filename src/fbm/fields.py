@@ -124,6 +124,11 @@ def _relative(num: float, den: float, what: str) -> float:
     return float(num / den)
 
 
+def _field_and_gradient(basis: tuple, c: CoefficientVector):
+    values, grads = basis
+    return values @ c.coeffs, np.einsum("pnd,n->pd", grads, c.coeffs)
+
+
 def error_report(problem: WaveProblem, c: CoefficientVector, exact,
                  grid: InteriorGrid, rule: QuadratureRule,
                  metadata: dict | None = None) -> ErrorReport:
@@ -131,8 +136,23 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
 
     ``exact`` must provide vectorized value(points) and gradient(points).
     """
-    u_num = evaluate_field(problem, c, grid.points)
-    g_num = evaluate_gradient(problem, c, grid.points)
+    return error_norms(c, exact, grid, rule,
+                       basis_matrix(problem.basis, c.order, grid.points),
+                       basis_matrix(problem.basis, c.order, rule.points),
+                       metadata)
+
+
+def error_norms(c: CoefficientVector, exact, grid: InteriorGrid,
+                rule: QuadratureRule, grid_basis: tuple, boundary_basis: tuple,
+                metadata: dict | None = None) -> ErrorReport:
+    """The report of error_report from bases already evaluated.
+
+    ``grid_basis`` and ``boundary_basis`` are the (values, gradients)
+    pairs basis_matrix returns at grid.points and rule.points for the
+    order of ``c``. They do not depend on the data, so every solve on one
+    problem can share them.
+    """
+    u_num, g_num = _field_and_gradient(grid_basis, c)
     u_ex = exact.value(grid.points)
     g_ex = exact.gradient(grid.points)
 
@@ -142,9 +162,8 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
     h1_num = root_area * np.linalg.norm(g_num - g_ex)
     h1_den = root_area * np.linalg.norm(g_ex)
 
-    ub_num = evaluate_field(problem, c, rule.points)
+    ub_num, gb_num = _field_and_gradient(boundary_basis, c)
     ub_ex = exact.value(rule.points)
-    gb_num = evaluate_gradient(problem, c, rule.points)
     gb_ex = exact.gradient(rule.points)
     dn_num = np.sum(rule.normals * gb_num, axis=1)
     dn_ex = np.sum(rule.normals * gb_ex, axis=1)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      _parse_order_list)
 from fbm.errors import ValidationError
 from fbm.geometry import compute_radii
+from fbm.special import basis_matrix
 
 
 def _write_config(path, **overrides):
@@ -139,6 +142,65 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config_not_json"
+
+
+class TestConfigValidationExit:
+    @pytest.mark.parametrize("override", [
+        {"k": math.nan}, {"eta": math.nan}, {"k": 1e308}, {"seeds": [-1]},
+        {"tau0": math.nan}, {"eta": "five"},
+    ], ids=["k_nan", "eta_nan", "k_huge", "seed_negative", "tau0_nan",
+            "eta_text"])
+    def test_exits_2_with_one_record(self, tmp_path, capsys, override):
+        path = _write_config(tmp_path / "cfg.json", grid_resolution=64,
+                             **override)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        records = [json.loads(ln) for ln in err.splitlines() if ln.startswith("{")]
+        assert code == 2
+        assert len(records) == 1 and "error" in records[0]
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """Count basis_matrix calls through every fbm module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return basis_matrix(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "fbm" or name.startswith("fbm.")) and \
+                getattr(module, "basis_matrix", None) is basis_matrix:
+            monkeypatch.setattr(module, "basis_matrix", counted)
+    return calls
+
+
+class TestCellPipeline:
+    def test_each_basis_evaluated_once_per_cell(self, tmp_path, basis_calls):
+        path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], delta=[0.01],
+                             seeds=[1, 2, 3], grid_resolution=64)
+        run_sweep(load_config(path), str(tmp_path / "sweep"))
+        assert len(basis_calls) == 4          # grid + boundary, per cell
+        basis_calls.clear()
+        run_solve(load_config(_write_config(tmp_path / "one.json",
+                                            grid_resolution=64)),
+                  str(tmp_path / "solve"))
+        assert len(basis_calls) == 2
+
+    def test_sweep_row_matches_single_solve(self, tmp_path):
+        path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],
+                             seeds=[1, 2, 3], grid_resolution=96)
+        out = run_sweep(load_config(path), str(tmp_path / "sweep"))
+        with open(out, encoding="utf-8") as handle:
+            row = [ln.split(",") for ln in handle if ln.startswith("cell,")][1]
+        assert row[3] == "2"
+        single = run_solve(load_config(_write_config(
+            tmp_path / "one.json", k=1.0, delta=0.01, seeds=[2],
+            grid_resolution=96)), str(tmp_path / "solve"))
+        assert [float(v) for v in row[9:13]] == [
+            single["rel_l2_interior"], single["rel_h1semi_interior"],
+            single["rel_l2_boundary"], single["rel_l2_normal_derivative"]]
 
 
 class TestRunSweep:

@@ -7,44 +7,26 @@ on the boundary, and solving the resulting ill-conditioned least-squares
 system with Tikhonov regularization. Truncation order and regularization
 weight are chosen from the noise level and the domain's inscribed and
 circumscribed radii.
+
+The package re-exports the error classes and the names of the README's
+library example; everything else is imported from its own module
+(fbm.special, fbm.geometry, fbm.assembly, fbm.tikhonov, fbm.fields).
 """
 
 __version__ = "0.1.0"
 
 from .errors import FbmError, NumericalError, ValidationError
-from .special import (N_MAX, BasisContext, basis_gradient, basis_matrix,
-                      basis_value, bessel_j, bessel_j_prime)
-from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
-                       boundary_distance, build_quadrature, circle_curve,
-                       compute_radii, curve_derivative, curve_point,
-                       default_node_count, ellipse_curve, is_interior,
-                       kite_curve, named_curve, outward_normal)
-from .assembly import (BoundaryData, DiscreteTraceOperator, WaveProblem,
-                       add_noise, assemble_operator, boundary_data,
-                       boundary_data_from_weighted, make_problem,
-                       plane_wave_data)
-from .tikhonov import (CoefficientVector, DecayStudy, RegularizationPlan,
-                       SingularSystem, mu_min_bound, select_parameters, svd,
-                       svd_decay_study, tikhonov_solve)
-from .fields import (ErrorReport, InteriorGrid, PlaneWave,
-                     build_interior_grid, error_report, evaluate_field,
-                     evaluate_gradient)
+from .geometry import (build_quadrature, compute_radii, default_node_count,
+                       kite_curve)
+from .assembly import add_noise, assemble_operator, make_problem, plane_wave_data
+from .tikhonov import select_parameters, svd, tikhonov_solve
+from .fields import PlaneWave, build_interior_grid, error_report
 
 __all__ = [
-    "N_MAX", "__version__",
+    "__version__",
     "FbmError", "NumericalError", "ValidationError",
-    "BasisContext", "bessel_j", "bessel_j_prime", "basis_value",
-    "basis_gradient", "basis_matrix",
-    "BoundaryCurve", "DomainRadii", "QuadratureRule", "kite_curve",
-    "circle_curve", "ellipse_curve", "named_curve", "curve_point",
-    "curve_derivative", "outward_normal", "compute_radii", "build_quadrature",
-    "default_node_count", "is_interior", "boundary_distance",
-    "WaveProblem", "DiscreteTraceOperator", "BoundaryData", "make_problem",
-    "assemble_operator", "plane_wave_data", "add_noise", "boundary_data",
-    "boundary_data_from_weighted",
-    "SingularSystem", "CoefficientVector", "RegularizationPlan", "DecayStudy",
-    "svd", "tikhonov_solve", "select_parameters", "mu_min_bound",
-    "svd_decay_study",
-    "InteriorGrid", "ErrorReport", "PlaneWave", "build_interior_grid",
-    "evaluate_field", "evaluate_gradient", "error_report",
+    "kite_curve", "compute_radii", "build_quadrature", "default_node_count",
+    "make_problem", "assemble_operator", "plane_wave_data", "add_noise",
+    "select_parameters", "svd", "tikhonov_solve",
+    "PlaneWave", "build_interior_grid", "error_report",
 ]

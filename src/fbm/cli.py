@@ -20,8 +20,8 @@ Configuration is a single JSON document::
       "eta": 5.0,
       "tau0": "auto",                   // number, or auto from tau_min
       "seeds": [1, 2, ..., 10],
-      "M_q": "auto",                    // quadrature size, even
-      "grid_resolution": 200,
+      "M_q": "auto",                    // quadrature size, even, 8..65536
+      "grid_resolution": 200,           // 32..2048
       "direction": [0.5, 0.8660254037844386],
       "output_dir": "fbm_out"
     }
@@ -63,6 +63,14 @@ logger = logging.getLogger(__name__)
 
 _DEFAULT_DIRECTION = (0.5, math.sqrt(3.0) / 2.0)
 _DEFAULT_SEEDS = tuple(range(1, 11))
+
+# Input ceilings: "auto" picks M_q <= 16 N_MAX + 64 = 2112 and the
+# reference grid is 200, so these leave wide headroom.
+MAX_NODE_COUNT = 65536
+MAX_GRID_RESOLUTION = 2048
+# Memory a cell may spend on its basis values and gradients (complex,
+# 16 + 32 bytes per point and order) on the grid and the boundary.
+BASIS_BUDGET_BYTES = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +170,18 @@ def build_config(raw: dict) -> ExperimentConfig:
         if not isinstance(node_count, int) or node_count < 8 or node_count % 2:
             raise ValidationError("bad_quadrature_size",
                                   f"M_q must be an even integer >= 8, got {node_count}")
+        if node_count > MAX_NODE_COUNT:
+            raise ValidationError("bad_quadrature_size",
+                                  f"M_q must not exceed {MAX_NODE_COUNT}, got {node_count}")
 
     grid_resolution = raw.get("grid_resolution", 200)
     if not isinstance(grid_resolution, int) or grid_resolution < 32:
         raise ValidationError("grid_too_coarse",
                               f"grid_resolution must be an integer >= 32, got {grid_resolution}")
+    if grid_resolution > MAX_GRID_RESOLUTION:
+        raise ValidationError("grid_too_fine",
+                              f"grid_resolution must not exceed {MAX_GRID_RESOLUTION}, "
+                              f"got {grid_resolution}")
 
     direction = np.asarray(raw.get("direction", _DEFAULT_DIRECTION), dtype=float)
     if direction.shape != (2,):
@@ -298,9 +313,16 @@ def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
             "order_cap_reached",
             f"k={k}, delta={delta} selects N >= N_MAX={N_MAX}, "
             "beyond what the basis can resolve")
+    nodes = node_count or default_node_count(plan.N)
+    basis_bytes = 48 * (2 * plan.N + 1) * (grid.points.shape[0] + nodes)
+    if basis_bytes > BASIS_BUDGET_BYTES:
+        raise ValidationError(
+            "problem_too_large",
+            f"k={k}, delta={delta} (N={plan.N}, M_q={nodes}, "
+            f"{grid.points.shape[0]} grid points) needs {basis_bytes} bytes "
+            f"of basis values and gradients, above {BASIS_BUDGET_BYTES}")
     problem = make_problem(config.curve, radii, k, tau0, plan.N)
-    rule = build_quadrature(config.curve,
-                            node_count or default_node_count(plan.N))
+    rule = build_quadrature(config.curve, nodes)
     boundary_basis = basis_matrix(problem.basis, plan.N, rule.points)
     system = svd(trace_operator(problem, rule, *boundary_basis))
     data = plane_wave_data(problem, rule, config.direction)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from fbm import cli
 from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      run_solve, run_sweep, run_svd_study, run_trace_plot,
                      _parse_order_list)
@@ -147,17 +148,31 @@ class TestExitCodes:
 class TestConfigValidationExit:
     @pytest.mark.parametrize("override", [
         {"k": math.nan}, {"eta": math.nan}, {"k": 1e308}, {"seeds": [-1]},
-        {"tau0": math.nan}, {"eta": "five"},
+        {"tau0": math.nan}, {"eta": "five"}, {"M_q": 10 ** 8},
+        {"grid_resolution": 10 ** 6},
     ], ids=["k_nan", "eta_nan", "k_huge", "seed_negative", "tau0_nan",
-            "eta_text"])
+            "eta_text", "m_q_huge", "grid_huge"])
     def test_exits_2_with_one_record(self, tmp_path, capsys, override):
-        path = _write_config(tmp_path / "cfg.json", grid_resolution=64,
-                             **override)
+        path = _write_config(tmp_path / "cfg.json",
+                             **{"grid_resolution": 64, **override})
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         records = [json.loads(ln) for ln in err.splitlines() if ln.startswith("{")]
         assert code == 2
         assert len(records) == 1 and "error" in records[0]
+
+    def test_basis_over_budget_rejected_before_evaluation(
+            self, tmp_path, capsys, monkeypatch, basis_calls):
+        # k=1, delta=1e-16 selects N=8 on the kite: 17 orders at 1022
+        # grid points and 256 quadrature nodes need about 1 MB
+        monkeypatch.setattr(cli, "BASIS_BUDGET_BYTES", 10 ** 5)
+        path = _write_config(tmp_path / "cfg.json", grid_resolution=64)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 2
+        assert [r["error"] for r in records] == ["problem_too_large"]
+        assert basis_calls == []
 
 
 @pytest.fixture

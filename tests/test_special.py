@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -46,6 +47,33 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(N_MAX + 1, 1.0)
         bessel_j(N_MAX, 1.0)  # at the cap is fine
+
+
+def _envelope(n: int, t: float, j_n: float) -> float:
+    """Scale of J_n near t: |J_n| for t <= n, and sqrt(J_n^2 + Y_n^2),
+    the envelope of its oscillation, beyond the turning point."""
+    if t <= n:
+        return abs(j_n)
+    return math.hypot(j_n, float(mp.bessely(n, t)))
+
+
+class TestKernelAccuracy:
+    def test_oracle_envelope_around_kr_12(self):
+        # by t = 12 the terms of the power series of J_0 reach ~4e3
+        # against |J_0| ~ 0.05, so summing it in doubles loses ~5 digits
+        ts = list(np.linspace(11.0, 13.0, 9)) + [16.0, 32.0, 48.0, 64.0]
+        for t in ts:
+            for n in range(0, 65):
+                ref = bessel_j_oracle(n, t)
+                assert abs(bessel_j(n, t) - ref) <= 1e-14 * _envelope(n, t, ref)
+        # kr = 11.5 + 0.1 j stays >= 0.025 from the zeros of these J_n
+        ctx = BasisContext(k=5.0, M=2.6)
+        for kr in np.linspace(11.5, 12.5, 11):
+            rad = kr / ctx.k
+            p = [rad * np.cos(0.7), rad * np.sin(0.7)]
+            for n in (0, 1, 2, 5, 8, 13, -20):
+                ref = basis_value_oracle(ctx.k, ctx.M, n, p)
+                assert basis_value(ctx, n, p) == pytest.approx(ref, rel=1e-12)
 
 
 class TestBesselJPrime:
@@ -115,7 +143,7 @@ class TestBasisValue:
 
     def test_large_order_stays_finite(self):
         # prefactor and J_n separately overflow/underflow here; the
-        # log-space product must not
+        # profile, accumulated from ratios of moderate size, must not
         ctx = BasisContext(k=0.5, M=2.0)
         value = basis_value(ctx, 120, [0.5, 0.3])
         ref = basis_value_oracle(ctx.k, ctx.M, 120, [0.5, 0.3])

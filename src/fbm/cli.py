@@ -278,7 +278,8 @@ class Cell:
 
     The basis values and gradients on the interior grid and on the
     boundary are evaluated once, by one basis_matrix call each; the
-    boundary pair also forms the trace operator. Each seed then costs
+    boundary pair also forms the trace operator. The plane wave's values
+    and gradients there are sampled once too. Each seed then costs
     noise, a Tikhonov solve and matrix-vector products with them.
     """
 
@@ -291,13 +292,16 @@ class Cell:
     grid: InteriorGrid
     grid_basis: tuple                # (values, gradients) at grid.points
     boundary_basis: tuple            # (values, gradients) at rule.points
+    grid_exact: tuple                # exact (values, gradients) at grid.points
+    boundary_exact: tuple            # exact (values, gradients) at rule.points
 
     def solve(self, seed: int) -> CaseResult:
         """Noise -> Tikhonov solve -> error report for one seed."""
         noisy = add_noise(self.data, self.plan.delta, seed, self.rule)
         coeffs = tikhonov_solve(self.system, noisy, self.plan.alpha)
-        report = error_norms(coeffs, self.exact, self.grid, self.rule,
-                             self.grid_basis, self.boundary_basis)
+        report = error_norms(coeffs, self.grid, self.rule, self.grid_basis,
+                             self.boundary_basis, self.grid_exact,
+                             self.boundary_exact)
         return CaseResult(plan=self.plan, problem=self.problem, rule=self.rule,
                           coefficients=coeffs, report=report,
                           mu_min=self.system.mu_min, seed=seed)
@@ -327,10 +331,14 @@ def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
     system = svd(trace_operator(problem, rule, *boundary_basis))
     data = plane_wave_data(problem, rule, config.direction)
     grid_basis = basis_matrix(problem.basis, plan.N, grid.points)
+    exact = PlaneWave(k=k, direction=config.direction)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
-                data=data, exact=PlaneWave(k=k, direction=config.direction),
-                grid=grid, grid_basis=grid_basis,
-                boundary_basis=boundary_basis)
+                data=data, exact=exact, grid=grid, grid_basis=grid_basis,
+                boundary_basis=boundary_basis,
+                grid_exact=(exact.value(grid.points),
+                            exact.gradient(grid.points)),
+                boundary_exact=(exact.value(rule.points),
+                                exact.gradient(rule.points)))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
     xx, yy = np.meshgrid(centers, centers)
     interior_pts = np.column_stack([xx[inside], yy[inside]])
     clearance = step * np.sqrt(2.0)                      # one cell diagonal
-    dist = boundary_distance(curve, interior_pts, resolution=256, chunk=4096)
+    dist = boundary_distance(curve, interior_pts, resolution=256)
     keep = dist >= clearance
     excluded = 1.0 - keep.sum() / max(1, interior_pts.shape[0])
     logger.debug("interior grid: %d points, %.2f%% near-boundary cells dropped",
@@ -111,7 +111,7 @@ def evaluate_gradient(problem: WaveProblem, c: CoefficientVector, points):
     """Cartesian gradient of u_N; complex shape (2,) or (P, 2)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _, grads = basis_matrix(problem.basis, c.order, pts, gradients=True)
-    out = np.einsum("pnd,n->pd", grads, c.coeffs)
+    out = _gradient(grads, c)
     if np.ndim(points) == 1:
         return out[0]
     return out
@@ -124,9 +124,14 @@ def _relative(num: float, den: float, what: str) -> float:
     return float(num / den)
 
 
+def _gradient(grads: np.ndarray, c: CoefficientVector) -> np.ndarray:
+    """sum_n c_n grad phi_n, shape (P, 2): one product per component."""
+    return np.stack([grads[:, :, d] @ c.coeffs for d in (0, 1)], axis=1)
+
+
 def _field_and_gradient(basis: tuple, c: CoefficientVector):
     values, grads = basis
-    return values @ c.coeffs, np.einsum("pnd,n->pd", grads, c.coeffs)
+    return values @ c.coeffs, _gradient(grads, c)
 
 
 def error_report(problem: WaveProblem, c: CoefficientVector, exact,
@@ -136,25 +141,28 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
 
     ``exact`` must provide vectorized value(points) and gradient(points).
     """
-    return error_norms(c, exact, grid, rule,
+    return error_norms(c, grid, rule,
                        basis_matrix(problem.basis, c.order, grid.points),
                        basis_matrix(problem.basis, c.order, rule.points),
+                       (exact.value(grid.points), exact.gradient(grid.points)),
+                       (exact.value(rule.points), exact.gradient(rule.points)),
                        metadata)
 
 
-def error_norms(c: CoefficientVector, exact, grid: InteriorGrid,
-                rule: QuadratureRule, grid_basis: tuple, boundary_basis: tuple,
+def error_norms(c: CoefficientVector, grid: InteriorGrid, rule: QuadratureRule,
+                grid_basis: tuple, boundary_basis: tuple, grid_exact: tuple,
+                boundary_exact: tuple,
                 metadata: dict | None = None) -> ErrorReport:
-    """The report of error_report from bases already evaluated.
+    """The report of error_report from bases and exact samples in hand.
 
     ``grid_basis`` and ``boundary_basis`` are the (values, gradients)
     pairs basis_matrix returns at grid.points and rule.points for the
-    order of ``c``. They do not depend on the data, so every solve on one
-    problem can share them.
+    order of ``c``; ``grid_exact`` and ``boundary_exact`` are the exact
+    solution's (values, gradients) there. None of them depends on the
+    data, so every solve on one problem can share them.
     """
     u_num, g_num = _field_and_gradient(grid_basis, c)
-    u_ex = exact.value(grid.points)
-    g_ex = exact.gradient(grid.points)
+    u_ex, g_ex = grid_exact
 
     root_area = np.sqrt(grid.cell_area)
     l2_num = root_area * np.linalg.norm(u_num - u_ex)
@@ -163,8 +171,7 @@ def error_norms(c: CoefficientVector, exact, grid: InteriorGrid,
     h1_den = root_area * np.linalg.norm(g_ex)
 
     ub_num, gb_num = _field_and_gradient(boundary_basis, c)
-    ub_ex = exact.value(rule.points)
-    gb_ex = exact.gradient(rule.points)
+    ub_ex, gb_ex = boundary_exact
     dn_num = np.sum(rule.normals * gb_num, axis=1)
     dn_ex = np.sum(rule.normals * gb_ex, axis=1)
 

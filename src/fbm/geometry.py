@@ -317,23 +317,38 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
 
 
 def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
-                      resolution: int = 2048, chunk: int = 1024) -> np.ndarray:
-    """Distance from each point to the polygonal approximation of the curve."""
+                      resolution: int = 2048, chunk: int = 256) -> np.ndarray:
+    """Distance from each point to the polygonal approximation of the curve.
+
+    Points are measured ``chunk`` at a time against all ``resolution``
+    edges. Each x/y component is its own (chunk, resolution) float array
+    and a few are alive at once: 4 MB each at the defaults. The result
+    does not depend on ``chunk``.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     poly = curve_point(curve, t)
-    a = poly                                   # segment starts (E, 2)
-    b = np.roll(poly, -1, axis=0)              # segment ends
-    ab = b - a
-    ab_len2 = np.maximum(np.sum(ab ** 2, axis=1), 1e-300)
+    ax, ay = poly[:, 0], poly[:, 1]            # segment starts (E,)
+    abx = np.roll(ax, -1) - ax                 # segment vectors
+    aby = np.roll(ay, -1) - ay
+    ab_len2 = np.maximum(abx * abx + aby * aby, 1e-300)
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], chunk):
-        p = pts[start:start + chunk]           # (C, 2)
-        ap = p[:, None, :] - a[None, :, :]     # (C, E, 2)
-        s = np.clip(np.sum(ap * ab[None, :, :], axis=2) / ab_len2[None, :], 0.0, 1.0)
-        closest = a[None, :, :] + s[:, :, None] * ab[None, :, :]
-        d = np.sqrt(np.sum((p[:, None, :] - closest) ** 2, axis=2))
-        out[start:start + chunk] = d.min(axis=1)
+        px = pts[start:start + chunk, 0][:, None]   # (C, 1)
+        py = pts[start:start + chunk, 1][:, None]
+        # s = clip((ap . ab) / |ab|^2, 0, 1), the closest point's parameter,
+        # updated in place to keep few (C, E) temporaries alive
+        s = (px - ax) * abx
+        s += (py - ay) * aby
+        s /= ab_len2
+        np.clip(s, 0.0, 1.0, out=s)
+        dx = px - (ax + s * abx)               # (C, E)
+        dy = py - (ay + s * aby)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        # sqrt is monotone, so the sqrt of the min is the min distance
+        out[start:start + chunk] = np.sqrt(dx.min(axis=1))
     return out
 
 

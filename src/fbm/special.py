@@ -89,13 +89,18 @@ def _bessel_ratios(n_max: int, t: np.ndarray) -> np.ndarray:
     out = np.empty((n_max + 1, t.shape[0]))
     rho = np.zeros_like(t)               # rho_{m+1}; zero above the start
     even = np.zeros_like(t)              # (sum of J_j, even j >= m-1) / J_{m-1}
+    step = np.empty_like(t)
     with np.errstate(divide="ignore"):
         two_over_t = 2.0 / t             # inf at t = 0, so every rho is 0 there
     for m in range(_miller_start(n_max, float(t.max(initial=0.0))), 0, -1):
-        rho = 1.0 / (m * two_over_t - rho)
-        even = even * rho + float(m % 2 == 1)
-        if m <= n_max:
-            out[m] = rho
+        # rho_m = 1 / (2m/t - rho_{m+1}), written in place: into out[m]
+        # once m is a requested order, into the scratch rho above that
+        np.multiply(two_over_t, m, out=step)
+        step -= rho
+        rho = np.divide(1.0, step, out=out[m] if m <= n_max else rho)
+        even *= rho
+        if m % 2 == 1:
+            even += 1.0
     out[0] = 1.0 / (2.0 * even - 1.0)    # from J_0 + 2 sum_p J_{2p} = 1
     return out
 
@@ -199,6 +204,11 @@ def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
         Column j holds phi_n with n = j - N (monotone order ordering).
     grads : np.ndarray, complex128, shape (P, 2N+1, 2), or None
         Cartesian gradients, if requested.
+
+    Storage is order-major: both results are transposed views of arrays
+    whose rows are one order (and one component) over all points, so
+    each order is written contiguously and ``values.T`` and
+    ``grads[:, :, d].T`` are C-contiguous (2N+1, P) matrices.
     """
     if N < 0 or N > N_MAX:
         raise ValueError(f"truncation order N={N} outside [0, {N_MAX}]")
@@ -212,8 +222,8 @@ def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
     prof = radial_profiles(ctx, n_top, r)        # (n_top+1, P)
     dprof = _radial_derivatives(ctx, prof, r) if gradients else None
 
-    values = np.empty((npts, 2 * N + 1), dtype=np.complex128)
-    grads = np.empty((npts, 2 * N + 1, 2), dtype=np.complex128) if gradients else None
+    values = np.empty((2 * N + 1, npts), dtype=np.complex128)
+    grads = np.empty((2, 2 * N + 1, npts), dtype=np.complex128) if gradients else None
 
     origin = r == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,7 +236,7 @@ def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
         sign = -1.0 if (n < 0 and m % 2 == 1) else 1.0
         phase = np.exp(1j * n * theta)           # (P,)
         col = N + n
-        values[:, col] = sign * prof[m] * phase
+        values[col] = sign * prof[m] * phase
         if not gradients:
             continue
         radial = sign * dprof[m]                 # d/dr component
@@ -242,10 +252,10 @@ def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
             elif n == -1:
                 gx[origin] = -1.0 / ctx.M
                 gy[origin] = 1j / ctx.M
-        grads[:, col, 0] = gx
-        grads[:, col, 1] = gy
+        grads[0, col] = gx
+        grads[1, col] = gy
 
-    return values, grads
+    return values.T, (grads.transpose(2, 1, 0) if gradients else None)
 
 
 def basis_value(ctx: BasisContext, n: int, point) -> complex:

@@ -11,6 +11,7 @@ from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      run_solve, run_sweep, run_svd_study, run_trace_plot,
                      _parse_order_list)
 from fbm.errors import ValidationError
+from fbm.fields import PlaneWave
 from fbm.geometry import compute_radii
 from fbm.special import basis_matrix
 
@@ -202,6 +203,24 @@ class TestCellPipeline:
                                             grid_resolution=64)),
                   str(tmp_path / "solve"))
         assert len(basis_calls) == 2
+
+    def test_exact_solution_sampled_once_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        value = PlaneWave.value
+
+        def counted(self, points):
+            calls.append(len(points))
+            return value(self, points)
+
+        monkeypatch.setattr(PlaneWave, "value", counted)
+        counts = []
+        for seeds in ([1], [1, 2, 3]):
+            calls.clear()
+            path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0],
+                                 delta=[0.01], seeds=seeds, grid_resolution=64)
+            run_sweep(load_config(path), str(tmp_path / "sweep"))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_sweep_row_matches_single_solve(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],

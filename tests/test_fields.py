@@ -76,6 +76,20 @@ class TestEvaluateGradient:
         center = CoefficientVector(coeffs=np.eye(5, dtype=complex)[2])
         assert np.allclose(evaluate_gradient(prob, center, [0.0, 0.0]), 0.0)
 
+    def test_matches_sum_of_basis_gradients(self, kite, kite_radii):
+        prob = make_problem(kite, kite_radii, 5.0, 2.2, 12)
+        rng = np.random.default_rng(14)
+        coeffs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        c = CoefficientVector(coeffs=coeffs)
+        pts = rng.uniform(-0.8, 0.8, size=(6, 2))
+        grads = evaluate_gradient(prob, c, pts)
+        assert grads.shape == (6, 2)
+        from fbm.special import basis_gradient
+        for p, grad in zip(pts, grads):
+            ref = sum(coeffs[12 + n] * basis_gradient(prob.basis, n, p)
+                      for n in range(-12, 13))
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_finite_difference_agreement(self, solved_case):
         prob, _, coeffs = solved_case
         rng = np.random.default_rng(12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,58 @@ class TestInterior:
     def test_distance_from_center_of_circle(self, unit_circle):
         d = boundary_distance(unit_circle, np.array([[0.0, 0.0]]))
         assert d[0] == pytest.approx(1.0, abs=1e-4)
+
+
+def _segment_distance_oracle(poly, point):
+    """Pure-Python minimum distance from a point to a closed polygon."""
+    px, py = (float(v) for v in point)
+    best = math.inf
+    for i in range(len(poly)):
+        ax, ay = (float(v) for v in poly[i])
+        bx, by = (float(v) for v in poly[(i + 1) % len(poly)])
+        abx, aby = bx - ax, by - ay
+        s = ((px - ax) * abx + (py - ay) * aby) / (abx * abx + aby * aby)
+        s = min(1.0, max(0.0, s))
+        best = min(best, math.hypot(px - (ax + s * abx), py - (ay + s * aby)))
+    return best
+
+
+class TestBoundaryDistance:
+    RESOLUTION = 64
+
+    @pytest.fixture(scope="class")
+    def probe(self, kite):
+        # inside, outside, on a vertex and on an edge of the 64-gon
+        poly = curve_point(kite, np.linspace(0.0, 2.0 * np.pi, self.RESOLUTION,
+                                             endpoint=False))
+        rng = np.random.default_rng(11)
+        inside = rng.uniform(-0.5, 0.5, size=(12, 2))
+        signs = rng.choice([-1.0, 1.0], size=(12, 2))
+        outside = signs * rng.uniform(2.2, 3.0, size=(12, 2))
+        vertices = poly[::8]
+        edges = 0.5 * (poly[3::8] + np.roll(poly, -1, axis=0)[3::8])
+        return poly, np.vstack([inside, outside, vertices, edges, [[-1.45, 0.0]]])
+
+    def test_matches_segment_loop(self, kite, probe):
+        poly, pts = probe
+        d = boundary_distance(kite, pts, resolution=self.RESOLUTION)
+        ref = [_segment_distance_oracle(poly, p) for p in pts]
+        assert np.max(np.abs(d - ref)) <= 1e-15
+        assert np.all(d[24:32] == 0.0)              # the vertices
+
+    def test_chunk_does_not_change_result(self, kite, probe):
+        _, pts = probe
+        runs = [boundary_distance(kite, pts, resolution=self.RESOLUTION, chunk=c)
+                for c in (1, 7, 256, pts.shape[0] + 5)]
+        for d in runs[1:]:
+            assert np.array_equal(d, runs[0])
+
+    def test_interior_grid_is_pinned(self, kite_grid):
+        # the reference grid of the paper's tables; its points feed every
+        # interior norm, so any change to the distance test shows here
+        assert kite_grid.resolution == 200
+        assert kite_grid.points.shape == (11296, 2)
+        assert kite_grid.excluded_fraction == 0.05488621151271755
 
 
 class TestConstructionValidation:

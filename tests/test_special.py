@@ -208,6 +208,21 @@ class TestBatchConsistency:
                 assert values[i, N + n] == pytest.approx(v, rel=1e-12, abs=1e-300)
                 assert grads[i, N + n] == pytest.approx(g, rel=1e-12, abs=1e-300)
 
+    def test_storage_is_order_major(self):
+        # each order is written as one contiguous row, and each gradient
+        # component is a (2N+1, P) matrix ready for one BLAS product
+        ctx = BasisContext(k=5.0, M=1.985)
+        pts = np.random.default_rng(29).uniform(-1.8, 1.8, size=(30, 2))
+        values, grads = basis_matrix(ctx, 7, pts)
+        assert values.shape == (30, 15)
+        assert grads.shape == (30, 15, 2)
+        assert values.T.flags.c_contiguous
+        for d in (0, 1):
+            assert grads[:, :, d].T.flags.c_contiguous
+        values_only, none = basis_matrix(ctx, 7, pts, gradients=False)
+        assert none is None
+        assert values_only.T.flags.c_contiguous
+
     def test_pure_functions_are_reproducible(self):
         ctx = BasisContext(k=2.0, M=1.5)
         pts = np.array([[0.3, -0.4], [0.0, 0.0], [1.2, 0.7]])

@@ -61,6 +61,15 @@ def make_problem(curve: BoundaryCurve, radii: DomainRadii, k: float,
         raise ValidationError(
             "tau0_too_small",
             f"tau0={tau0} must exceed tau_min={radii.tau_min:.6g}")
+    # A plane wave on the circle of radius r carries angular orders up to
+    # about k r (Jacobi-Anger), so no basis of order <= N_MAX resolves it
+    # on the domain once k r_ex_min > N_MAX; this also bounds the Bessel
+    # recurrence, whose length grows with k r.
+    if k * radii.r_ex_min > N_MAX:
+        raise ValidationError(
+            "wavenumber_unresolvable",
+            f"k*r_ex_min = {k * radii.r_ex_min:.6g} exceeds N_MAX={N_MAX}: "
+            "no basis of admissible order resolves the wave")
     r_in = min(radii.r_in_max, 1.0 / k)
     r_ex = tau0 * r_in
     if r_ex > radii.r_ex_min:

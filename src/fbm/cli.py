@@ -30,7 +30,8 @@ Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
 failure. On failure a machine-readable record {"error": code, ...} is
 printed to stderr. Identical configs produce byte-identical outputs;
 FBM_THREADS or --threads runs sweep cells in parallel, one cell per
-thread, and writes the same bytes.
+thread, and writes the same bytes; it pays only with BLAS on one thread,
+and a threaded sweep logs a warning when no BLAS thread variable is 1.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ MAX_GRID_RESOLUTION = 2048
 # Memory a cell may spend on its basis values and gradients (complex,
 # 16 + 32 bytes per point and order) on the grid and the boundary.
 BASIS_BUDGET_BYTES = 2 ** 30
+# Sweep threads only pay when BLAS runs on one thread; with OpenBLAS's
+# default threading, 2 sweep threads ran at 0.73-0.87x of serial.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +165,7 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ValidationError("seeds_empty", "seeds must be a nonempty list")
     try:
         seeds = [int(s) for s in seeds]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad_field", "seeds must be integers") from exc
     if min(seeds) < 0:
         raise ValidationError("bad_field", f"seeds must be non-negative, got {seeds}")
@@ -183,9 +188,13 @@ def build_config(raw: dict) -> ExperimentConfig:
                               f"grid_resolution must not exceed {MAX_GRID_RESOLUTION}, "
                               f"got {grid_resolution}")
 
-    direction = np.asarray(raw.get("direction", _DEFAULT_DIRECTION), dtype=float)
-    if direction.shape != (2,):
-        raise ValidationError("bad_field", "direction must be a 2-vector")
+    try:
+        direction = np.asarray(raw.get("direction", _DEFAULT_DIRECTION),
+                               dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("bad_field", "direction must be numeric") from exc
+    if direction.shape != (2,) or not np.all(np.isfinite(direction)):
+        raise ValidationError("bad_field", "direction must be a finite 2-vector")
     if abs(np.hypot(direction[0], direction[1]) - 1.0) > 1e-9:
         raise ValidationError("direction_not_unit",
                               f"|direction| = {np.hypot(*direction)!r}, need 1")
@@ -472,6 +481,12 @@ def run_sweep(config: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
     radii, tau0, grid, node_count = _prepare(config)
     pairs = [(k, delta) for k in config.k_list for delta in config.delta_list]
     if threads > 1:
+        if not any(os.environ.get(var, "").strip() == "1"
+                   for var in _BLAS_THREAD_VARS):
+            logger.warning("sweep threads compete with BLAS threads and can "
+                           "run slower than serial; set OPENBLAS_NUM_THREADS=1 "
+                           "(or OMP_NUM_THREADS=1 / MKL_NUM_THREADS=1 for "
+                           "your BLAS)")
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(
                 lambda pair: _sweep_cell(config, radii, tau0, grid, node_count,

@@ -30,6 +30,10 @@ representable:
 
     R_n'(r) = (n/r) R_n(r) - k^2 M / (2(n+1)) * R_{n+1}(r)
 
+Negative orders need no evaluation of their own: R_n is real and
+J_{-n} = (-1)^n J_n, so phi_{-n} = (-1)^n conj(phi_n), and the same
+holds for each Cartesian gradient component.
+
 All functions here are pure; nothing is cached or mutated.
 """
 
@@ -205,6 +209,10 @@ def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
     grads : np.ndarray, complex128, shape (P, 2N+1, 2), or None
         Cartesian gradients, if requested.
 
+    Only orders 0..N are evaluated; each order -n is written as
+    (-1)^n conj(phi_n), exactly, for the values and both gradient
+    components.
+
     Storage is order-major: both results are transposed views of arrays
     whose rows are one order (and one component) over all points, so
     each order is written contiguously and ``values.T`` and
@@ -226,34 +234,34 @@ def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
     grads = np.empty((2, 2 * N + 1, npts), dtype=np.complex128) if gradients else None
 
     origin = r == 0.0
+    at_origin = origin.any()
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_r = np.where(origin, 0.0, 1.0 / np.where(origin, 1.0, r))
     cos_t = np.where(origin, 1.0, x1 * inv_r)
     sin_t = np.where(origin, 0.0, x2 * inv_r)
 
-    for n in range(-N, N + 1):
-        m = abs(n)
-        sign = -1.0 if (n < 0 and m % 2 == 1) else 1.0
+    # orders -n are filled from order n by conjugate symmetry
+    blocks = (values, grads[0], grads[1]) if gradients else (values,)
+    for n in range(0, N + 1):
         phase = np.exp(1j * n * theta)           # (P,)
         col = N + n
-        values[col] = sign * prof[m] * phase
-        if not gradients:
+        np.multiply(prof[n], phase, out=values[col])
+        if gradients:
+            radial = dprof[n]                    # d/dr component
+            angular = (1j * n) * prof[n] * inv_r
+            gx, gy = grads[0, col], grads[1, col]
+            np.multiply(phase, radial * cos_t - angular * sin_t, out=gx)
+            np.multiply(phase, radial * sin_t + angular * cos_t, out=gy)
+            if at_origin:
+                gx[origin] = 1.0 / ctx.M if n == 1 else 0.0
+                gy[origin] = 1j / ctx.M if n == 1 else 0.0
+        if n == 0:
             continue
-        radial = sign * dprof[m]                 # d/dr component
-        angular = sign * (1j * n) * prof[m] * inv_r
-        gx = phase * (radial * cos_t - angular * sin_t)
-        gy = phase * (radial * sin_t + angular * cos_t)
-        if origin.any():
-            gx[origin] = 0.0
-            gy[origin] = 0.0
-            if n == 1:
-                gx[origin] = 1.0 / ctx.M
-                gy[origin] = 1j / ctx.M
-            elif n == -1:
-                gx[origin] = -1.0 / ctx.M
-                gy[origin] = 1j / ctx.M
-        grads[0, col] = gx
-        grads[1, col] = gy
+        for block in blocks:
+            mirror = block[N - n]
+            np.conjugate(block[col], out=mirror)
+            if n % 2 == 1:
+                np.negative(mirror, out=mirror)
 
     return values.T, (grads.transpose(2, 1, 0) if gradients else None)
 

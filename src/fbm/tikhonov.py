@@ -87,15 +87,20 @@ class RegularizationPlan:
     alpha: float
 
 
-def svd(op: DiscreteTraceOperator) -> SingularSystem:
-    """Thin SVD of the weighted collocation matrix."""
+def _lapack_svd(op: DiscreteTraceOperator, **kwargs):
+    """np.linalg.svd of a tall operator matrix, with errors mapped to ours."""
     if op.matrix.shape[0] < op.matrix.shape[1]:
         raise ValidationError("system_not_tall",
                               f"matrix shape {op.matrix.shape} is not tall")
     try:
-        u, s, vh = np.linalg.svd(op.matrix, full_matrices=False)
+        return np.linalg.svd(op.matrix, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("svd_failed", str(exc)) from exc
+
+
+def svd(op: DiscreteTraceOperator) -> SingularSystem:
+    """Thin SVD of the weighted collocation matrix."""
+    u, s, vh = _lapack_svd(op, full_matrices=False)
     return SingularSystem(singular_values=s, left_vectors=u,
                           right_vectors=vh.conj().T)
 
@@ -186,7 +191,10 @@ class DecayStudy:
 def svd_decay_study(curve: BoundaryCurve, radii: DomainRadii, k: float,
                     tau0: float, n_list, node_count: int | None = None) -> DecayStudy:
     """Assemble the operator for each N and record mu_min, plus the fitted
-    decay slope of ln(mu_min) against N (None for a single order)."""
+    decay slope of ln(mu_min) against N (None for a single order).
+
+    Only singular values are computed (LAPACK without singular vectors),
+    so mu_min can differ from ``svd(...).mu_min`` at rounding level."""
     orders = np.asarray(list(n_list), dtype=int)
     if orders.size == 0:
         raise ValidationError("empty_order_list", "need at least one order N")
@@ -197,8 +205,8 @@ def svd_decay_study(curve: BoundaryCurve, radii: DomainRadii, k: float,
     for i, n_exp in enumerate(orders):
         rule = build_quadrature(curve, node_count or default_node_count(int(n_exp)))
         problem = make_problem(curve, radii, k, tau0, int(n_exp))
-        system = svd(assemble_operator(problem, rule))
-        mus[i] = system.mu_min
+        mus[i] = _lapack_svd(assemble_operator(problem, rule),
+                             compute_uv=False)[-1]
     slope = None
     if orders.size >= 2:
         slope = float(np.polyfit(orders.astype(float), np.log(mus), 1)[0])

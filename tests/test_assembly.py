@@ -42,6 +42,15 @@ class TestWaveProblem:
             make_problem(kite, kite_radii, 1.0, 2.1, 10)
         assert err.value.code == "tau0_too_small"
 
+    def test_unresolvable_wavenumber_rejected(self, kite, kite_radii):
+        # k r_ex_min = 128 = N_MAX on the kite at k = 128 / 1.985
+        k_top = 128.0 / kite_radii.r_ex_min
+        make_problem(kite, kite_radii, k_top, 2.2, 10)
+        for k in (1.001 * k_top, 1e6, 1e12):
+            with pytest.raises(ValidationError) as err:
+                make_problem(kite, kite_radii, k, 2.2, 10)
+            assert err.value.code == "wavenumber_unresolvable"
+
     def test_r_in_caps_at_inverse_k(self, kite, kite_radii):
         prob = make_problem(kite, kite_radii, 2.0, 2.2, 10)
         assert prob.r_in == pytest.approx(0.5)

@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -150,9 +152,9 @@ class TestConfigValidationExit:
     @pytest.mark.parametrize("override", [
         {"k": math.nan}, {"eta": math.nan}, {"k": 1e308}, {"seeds": [-1]},
         {"tau0": math.nan}, {"eta": "five"}, {"M_q": 10 ** 8},
-        {"grid_resolution": 10 ** 6},
+        {"grid_resolution": 10 ** 6}, {"k": 1e6},
     ], ids=["k_nan", "eta_nan", "k_huge", "seed_negative", "tau0_nan",
-            "eta_text", "m_q_huge", "grid_huge"])
+            "eta_text", "m_q_huge", "grid_huge", "k_unresolvable"])
     def test_exits_2_with_one_record(self, tmp_path, capsys, override):
         path = _write_config(tmp_path / "cfg.json",
                              **{"grid_resolution": 64, **override})
@@ -312,6 +314,16 @@ class TestRunSvdStudy:
         assert open(out, encoding="utf-8").read().splitlines()[-1] \
             == "# fitted_slope=n/a"
 
+    def test_unresolvable_wavenumber_exits_2(self, tmp_path, capsys):
+        # the study selects no order, so only the resolution bound stops
+        # k = 1e12 before a Bessel recurrence of ~2e12 steps
+        path = _write_config(tmp_path / "cfg.json", k=1e12)
+        code = main(["svd", "--config", str(path), "--N", "4",
+                     "--out", str(tmp_path / "o")])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 2
+        assert record["error"] == "wavenumber_unresolvable"
+
     def test_large_k_all_positive(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", k=5.0)
         out = run_svd_study(load_config(path), str(tmp_path / "out"), [4, 8, 12])
@@ -363,3 +375,66 @@ class TestEnvThreads:
         assert _thread_count(2) == 2
         monkeypatch.setenv("FBM_THREADS", "junk")
         assert _thread_count(None) == 1
+
+    def test_blas_threading_warning(self, tmp_path, monkeypatch, caplog):
+        # sweep threads lose to serial unless BLAS is held to one thread,
+        # so a threaded sweep names the variable to set, once
+        path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],
+                             seeds=[1], grid_resolution=32)
+        config = load_config(path)
+
+        def warnings(threads):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fbm.cli"):
+                run_sweep(config, str(tmp_path / "out"), threads=threads)
+            return [r.getMessage() for r in caplog.records
+                    if "OPENBLAS_NUM_THREADS" in r.getMessage()]
+
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert len(warnings(2)) == 1
+        assert warnings(1) == []
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert len(warnings(2)) == 1
+        for var in cli._BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+            assert warnings(2) == []
+            monkeypatch.delenv(var)
+
+
+class TestConfigFuzz:
+    # Seeded mutations of a small config (wrong types, non-finite,
+    # negative, empty, huge and text values, missing fields) under solve,
+    # svd and sweep: every run keeps the exit-code contract.
+    BASE = {"curve": "kite", "k": 1.0, "delta": 0.01, "eta": 5.0,
+            "tau0": 2.2, "seeds": [1], "M_q": "auto", "grid_resolution": 32,
+            "direction": [0.6, 0.8]}
+    MUTANTS = ["abc", "", "1.0", None, True, {"a": 1}, [], [1, "x"], [[1.0]],
+               float("nan"), float("inf"), -float("inf"), -1, -1e-3, 0,
+               1e308, 10 ** 12, -(10 ** 12), 2.5, [5.0, 0.5], [1e-16, 0.05],
+               "kite", "circle:abc", "ellipse:1,2,3", "circle:-1",
+               {"x1_cos": [0.0, float("nan")], "x2_sin": [0.0, 1.0]},
+               {"x1_cos": "abc"}, [float("nan"), 1.0]]
+
+    def test_exit_contract(self, tmp_path, capsys):
+        rng = random.Random(20261018)
+        for case in range(40):
+            raw = dict(self.BASE)
+            for name in rng.sample(sorted(raw), rng.choice([1, 1, 2])):
+                if rng.random() < 0.1:
+                    del raw[name]
+                else:
+                    raw[name] = rng.choice(self.MUTANTS)
+            path = tmp_path / f"cfg{case}.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            command = rng.choice([["solve"], ["svd", "--N", "4..12:4"],
+                                  ["sweep", "--threads", str(rng.choice([1, 2]))]])
+            out = str(tmp_path / f"out{case}")
+            code = main([command[0], "--config", str(path), "--out", out,
+                         *command[1:]])
+            err = capsys.readouterr().err
+            records = [json.loads(ln) for ln in err.splitlines()
+                       if ln.startswith("{")]
+            assert code in (0, 2, 3), (raw, command, code)
+            if code:
+                assert len(records) == 1 and "error" in records[0], (raw, err)

@@ -223,6 +223,22 @@ class TestBatchConsistency:
         assert none is None
         assert values_only.T.flags.c_contiguous
 
+    @pytest.mark.parametrize("N", [1, 2, 7])
+    def test_negative_orders_are_conjugates(self, N):
+        # phi_{-n} = (-1)^n conj(phi_n) since R_n is real, exactly, for the
+        # values and both gradient components, on and off the axes
+        ctx = BasisContext(k=5.0, M=1.985)
+        rng = np.random.default_rng(31)
+        pts = np.vstack([rng.uniform(-1.8, 1.8, size=(50, 2)),
+                         [[0.0, 0.0], [-0.7, 0.0], [-1.5, 0.0], [-1.5, -0.0]]])
+        values, grads = basis_matrix(ctx, N, pts)
+        for n in range(1, N + 1):
+            sign = (-1.0) ** n
+            assert np.array_equal(values[:, N - n], sign * np.conj(values[:, N + n]))
+            for d in (0, 1):
+                assert np.array_equal(grads[:, N - n, d],
+                                      sign * np.conj(grads[:, N + n, d]))
+
     def test_pure_functions_are_reproducible(self):
         ctx = BasisContext(k=2.0, M=1.5)
         pts = np.array([[0.3, -0.4], [0.0, 0.0], [1.2, 0.7]])

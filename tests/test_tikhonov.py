@@ -216,6 +216,17 @@ class TestDecayStudy:
         study = svd_decay_study(curve, radii, 1.0, 2.0, range(4, 25, 2))
         assert study.slope == pytest.approx(-math.log(2.0), rel=0.15)
 
+    def test_values_only_svd_matches_full_svd(self, kite, kite_radii):
+        # the study takes singular values without vectors, which LAPACK
+        # rounds differently; the two agree to rounding of mu_max
+        orders = range(4, 41, 4)
+        study = svd_decay_study(kite, kite_radii, 1.0, 2.2, orders)
+        for n_exp, mu in zip(orders, study.mu_min):
+            prob = make_problem(kite, kite_radii, 1.0, 2.2, n_exp)
+            rule = build_quadrature(kite, default_node_count(n_exp))
+            system = svd(assemble_operator(prob, rule))
+            assert abs(mu - system.mu_min) <= 1e-13 * system.mu_max
+
     def test_monotone_decrease(self, kite, kite_radii):
         study = svd_decay_study(kite, kite_radii, 1.0, 2.2, range(4, 13, 2))
         assert np.all(np.diff(study.mu_min) <= 1e-12)

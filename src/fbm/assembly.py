@@ -91,10 +91,6 @@ class DiscreteTraceOperator:
     rule: QuadratureRule
     N: int
 
-    @property
-    def column_orders(self) -> np.ndarray:
-        return np.arange(-self.N, self.N + 1)
-
 
 @dataclass(frozen=True)
 class BoundaryData:

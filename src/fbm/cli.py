@@ -26,18 +26,15 @@ Configuration is a single JSON document::
       "output_dir": "fbm_out"
     }
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure. On failure a machine-readable record {"error": code, ...} is
-printed to stderr. Identical configs produce byte-identical outputs;
-FBM_THREADS or --threads runs sweep cells in parallel, one cell per
-thread, and writes the same bytes; it pays only with BLAS on one thread,
-and a threaded sweep logs a warning when no BLAS thread variable is 1.
+Exit codes: 0 success, 2 configuration/validation failure (bad
+command-line arguments included), 3 numerical failure. On failure a
+machine-readable record {"error": code, ...} is printed to stderr.
+Identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import math
@@ -72,10 +69,9 @@ MAX_GRID_RESOLUTION = 2048
 # Memory a cell may spend on its basis values and gradients (complex,
 # 16 + 32 bytes per point and order) on the grid and the boundary.
 BASIS_BUDGET_BYTES = 2 ** 30
-# Sweep threads only pay when BLAS runs on one thread; with OpenBLAS's
-# default threading, 2 sweep threads ran at 0.73-0.87x of serial.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
+# Allowed ranges of k and delta, for the config and for plot's --k/--delta.
+_K_RANGE = {"lower": 0.0, "lower_open": True}
+_DELTA_RANGE = {"lower": 0.0, "upper": 1.0, "upper_open": True}
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +119,16 @@ def _as_number_list(value, name: str, *, lower=None, upper=None,
     return out
 
 
+def _as_seed_list(seeds: list) -> list[int]:
+    try:
+        seeds = [int(s) for s in seeds]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("bad_field", "seeds must be integers") from exc
+    if min(seeds) < 0:
+        raise ValidationError("bad_field", f"seeds must be non-negative, got {seeds}")
+    return seeds
+
+
 def _parse_curve(spec) -> BoundaryCurve:
     if isinstance(spec, str):
         return named_curve(spec)
@@ -148,9 +154,8 @@ def build_config(raw: dict) -> ExperimentConfig:
         if req not in raw:
             raise ValidationError("missing_field", f"configuration needs {req!r}")
     curve = _parse_curve(raw["curve"])
-    k_list = _as_number_list(raw["k"], "k", lower=0.0, lower_open=True)
-    delta_list = _as_number_list(raw["delta"], "delta", lower=0.0,
-                                 upper=1.0, upper_open=True)
+    k_list = _as_number_list(raw["k"], "k", **_K_RANGE)
+    delta_list = _as_number_list(raw["delta"], "delta", **_DELTA_RANGE)
 
     eta = _as_number(raw.get("eta", 5.0), "eta")
     if eta <= 1.0:
@@ -163,12 +168,7 @@ def build_config(raw: dict) -> ExperimentConfig:
     seeds = raw.get("seeds", list(_DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds:
         raise ValidationError("seeds_empty", "seeds must be a nonempty list")
-    try:
-        seeds = [int(s) for s in seeds]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("bad_field", "seeds must be integers") from exc
-    if min(seeds) < 0:
-        raise ValidationError("bad_field", f"seeds must be non-negative, got {seeds}")
+    seeds = _as_seed_list(seeds)
 
     node_count = raw.get("M_q", "auto")
     if node_count != "auto":
@@ -233,13 +233,11 @@ def resolve_tau0(config: ExperimentConfig, radii: DomainRadii) -> float:
 # ---------------------------------------------------------------------------
 @dataclass
 class CaseResult:
-    plan: RegularizationPlan
-    problem: WaveProblem
-    rule: QuadratureRule
+    """What one seed of a Cell adds to it."""
+
+    seed: int
     coefficients: CoefficientVector
     report: ErrorReport
-    mu_min: float
-    seed: int
 
 
 def _bound_exponents(plan: RegularizationPlan) -> dict:
@@ -252,27 +250,28 @@ def _bound_exponents(plan: RegularizationPlan) -> dict:
     return {"bound_exponent_lambda": lam, "bound_exponent_sigma": sigma}
 
 
-def case_metadata(result: CaseResult, grid: InteriorGrid,
+def case_metadata(cell: Cell, result: CaseResult,
                   config: ExperimentConfig) -> dict:
+    plan, problem = cell.plan, cell.problem
     return {
-        **_bound_exponents(result.plan),
-        "k": result.problem.k,
-        "delta": result.plan.delta,
-        "eta": result.plan.eta,
-        "tau0": result.plan.tau0,
-        "tau_min": result.plan.tau_min,
-        "branch": result.plan.branch,
-        "N": result.plan.N,
-        "alpha": result.plan.alpha,
-        "M_q": result.rule.size,
-        "grid_resolution": grid.resolution,
-        "grid_excluded_fraction": grid.excluded_fraction,
+        **_bound_exponents(plan),
+        "k": problem.k,
+        "delta": plan.delta,
+        "eta": plan.eta,
+        "tau0": plan.tau0,
+        "tau_min": plan.tau_min,
+        "branch": plan.branch,
+        "N": plan.N,
+        "alpha": plan.alpha,
+        "M_q": cell.rule.size,
+        "grid_resolution": cell.grid.resolution,
+        "grid_excluded_fraction": cell.grid.excluded_fraction,
         "seed": result.seed,
-        "m_overridden": result.problem.m_overridden,
-        "M": result.problem.M,
-        "r_in": result.problem.r_in,
-        "r_ex": result.problem.r_ex,
-        "mu_min": result.mu_min,
+        "m_overridden": problem.m_overridden,
+        "M": problem.M,
+        "r_in": problem.r_in,
+        "r_ex": problem.r_ex,
+        "mu_min": cell.system.mu_min,
         "curve": config.curve.name,
         "direction": list(map(float, config.direction)),
         "column_order": "n=-N..N",
@@ -311,9 +310,7 @@ class Cell:
         report = error_norms(coeffs, self.grid, self.rule, self.grid_basis,
                              self.boundary_basis, self.grid_exact,
                              self.boundary_exact)
-        return CaseResult(plan=self.plan, problem=self.problem, rule=self.rule,
-                          coefficients=coeffs, report=report,
-                          mu_min=self.system.mu_min, seed=seed)
+        return CaseResult(seed=seed, coefficients=coeffs, report=report)
 
 
 def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
@@ -385,13 +382,13 @@ _SWEEP_COLUMNS = ("row_type,k,delta,seed,N,alpha,M_q,m_overridden,mu_min,"
                   "rel_l2_normal_derivative,error")
 
 
-def _sweep_row(result: CaseResult) -> str:
+def _sweep_row(cell: Cell, result: CaseResult) -> str:
     rep = result.report
     return ",".join([
-        "cell", repr(result.problem.k), repr(result.plan.delta),
-        str(result.seed), str(result.plan.N), repr(result.plan.alpha),
-        str(result.rule.size), str(int(result.problem.m_overridden)),
-        repr(result.mu_min), repr(rep.rel_l2_interior),
+        "cell", repr(cell.problem.k), repr(cell.plan.delta),
+        str(result.seed), str(cell.plan.N), repr(cell.plan.alpha),
+        str(cell.rule.size), str(int(cell.problem.m_overridden)),
+        repr(cell.system.mu_min), repr(rep.rel_l2_interior),
         repr(rep.rel_h1semi_interior), repr(rep.rel_l2_boundary),
         repr(rep.rel_l2_normal_derivative), ""])
 
@@ -401,14 +398,13 @@ def _failed_row(k: float, delta: float, seed: int, code: str) -> str:
                     + [""] * 9 + [code])
 
 
-def _median_row(k: float, delta: float, group: list[CaseResult]) -> str:
+def _median_row(cell: Cell, group: list[CaseResult]) -> str:
     med = lambda pick: np.median([pick(r) for r in group])
-    first = group[0]
     return ",".join([
-        "median", repr(k), repr(delta), "", str(first.plan.N),
-        repr(first.plan.alpha), str(first.rule.size),
-        str(int(first.problem.m_overridden)),
-        f"{med(lambda r: r.mu_min):.6e}",
+        "median", repr(cell.problem.k), repr(cell.plan.delta), "",
+        str(cell.plan.N), repr(cell.plan.alpha), str(cell.rule.size),
+        str(int(cell.problem.m_overridden)),
+        f"{cell.system.mu_min:.6e}",
         f"{med(lambda r: r.report.rel_l2_interior):.6e}",
         f"{med(lambda r: r.report.rel_h1semi_interior):.6e}",
         f"{med(lambda r: r.report.rel_l2_boundary):.6e}",
@@ -440,63 +436,51 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     radii, tau0, grid, node_count = _prepare(config)
     cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     result = cell.solve(config.seeds[0])
-    meta = case_metadata(result, grid, config)
+    meta = case_metadata(cell, result, config)
     report = ErrorReport(**{**result.report.as_dict(), "metadata": meta})
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"),
                            result.coefficients, meta)
     logger.info("solve: k=%g delta=%g N=%d -> interior %.3e, boundary %.3e",
-                k, delta, result.plan.N, report.rel_l2_interior,
+                k, delta, cell.plan.N, report.rel_l2_interior,
                 report.rel_l2_boundary)
     return report.as_dict()
 
 
 def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
-                k: float, delta: float):
-    """All seeds of one (k, delta) cell. The cell is dropped on return,
-    so each thread holds one cell's bases at a time."""
-    rows: list[str] = []
-    group: list[CaseResult] = []
+                k: float, delta: float) -> list[str]:
+    """The rows of one (k, delta) cell: one per seed, then a median row if
+    any seed solved. The cell is dropped on return, so the sweep holds
+    one cell's bases at a time."""
     try:
         cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     except FbmError as exc:
         logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
-        return [_failed_row(k, delta, seed, exc.code) for seed in config.seeds], []
+        return [_failed_row(k, delta, seed, exc.code) for seed in config.seeds]
+    rows: list[str] = []
+    group: list[CaseResult] = []
     for seed in config.seeds:
         try:
             result = cell.solve(seed)
-            rows.append(_sweep_row(result))
+            rows.append(_sweep_row(cell, result))
             group.append(result)
         except FbmError as exc:
             logger.warning("sweep cell (k=%g, delta=%g, seed=%d) failed: %s",
                            k, delta, seed, exc)
             rows.append(_failed_row(k, delta, seed, exc.code))
     if group:
-        rows.append(_median_row(k, delta, group))
-    return rows, group
+        rows.append(_median_row(cell, group))
+    return rows
 
 
-def run_sweep(config: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
+def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
     """Sweep the (k, delta, seed) lattice into one CSV table."""
     radii, tau0, grid, node_count = _prepare(config)
-    pairs = [(k, delta) for k in config.k_list for delta in config.delta_list]
-    if threads > 1:
-        if not any(os.environ.get(var, "").strip() == "1"
-                   for var in _BLAS_THREAD_VARS):
-            logger.warning("sweep threads compete with BLAS threads and can "
-                           "run slower than serial; set OPENBLAS_NUM_THREADS=1 "
-                           "(or OMP_NUM_THREADS=1 / MKL_NUM_THREADS=1 for "
-                           "your BLAS)")
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda pair: _sweep_cell(config, radii, tau0, grid, node_count,
-                                         *pair), pairs))
-    else:
-        outcomes = [_sweep_cell(config, radii, tau0, grid, node_count, k, delta)
-                    for k, delta in pairs]
-
-    all_rows = [row for rows, _ in outcomes for row in rows]
-    if not any(group for _, group in outcomes):
+    all_rows = [row for k in config.k_list for delta in config.delta_list
+                for row in _sweep_cell(config, radii, tau0, grid, node_count,
+                                       k, delta)]
+    # a cell writes its median row exactly when one of its seeds solved
+    if not any(row.startswith("median,") for row in all_rows):
         raise NumericalError("all_cells_failed", "every sweep cell failed")
     meta = {
         "command": "sweep", "curve": config.curve.name,
@@ -543,15 +527,18 @@ def run_svd_study(config: ExperimentConfig, out_dir: str, n_list) -> str:
 def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
                    delta: float, seed: int, samples: int = 512) -> tuple[str, str]:
     """Write Re u and Re u_N sampled on the boundary as (t, value) files."""
+    [k] = _as_number_list(k, "k", **_K_RANGE)
+    [delta] = _as_number_list(delta, "delta", **_DELTA_RANGE)
+    [seed] = _as_seed_list([seed])
     radii, tau0, grid, node_count = _prepare(config)
     cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     result = cell.solve(seed)
     t = 2.0 * np.pi * np.arange(samples) / samples
     points = curve_point(config.curve, t)
     u_exact = np.real(cell.exact.value(points))
-    u_numeric = np.real(evaluate_field(result.problem, result.coefficients,
+    u_numeric = np.real(evaluate_field(cell.problem, result.coefficients,
                                        points))
-    meta = case_metadata(result, grid, config)
+    meta = case_metadata(cell, result, config)
     meta["command"] = "plot"
     paths = (os.path.join(out_dir, "trace_exact.txt"),
              os.path.join(out_dir, "trace_numeric.txt"))
@@ -581,8 +568,17 @@ def _parse_order_list(text: str) -> list[int]:
                               f"cannot parse order list {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a ValidationError, so they exit 2 with one
+    JSON record like any other input error; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError("bad_arguments", f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbm",
         description="Fourier-Bessel solver for the 2D Helmholtz impedance problem")
     parser.add_argument("--version", action="version", version=__version__)
@@ -598,8 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep over k, delta, and seeds")
     common(p_sweep)
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help="parallel sweep cells (default 1 or FBM_THREADS)")
 
     p_svd = sub.add_parser("svd", help="smallest-singular-value decay study")
     common(p_svd)
@@ -614,30 +608,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_count(cli_value: int | None) -> int:
-    if cli_value is not None:
-        return max(1, cli_value)
-    env = os.environ.get("FBM_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer FBM_THREADS=%r", env)
-    return 1
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s")
         config = load_config(args.config)
         out_dir = args.out or config.output_dir
         if args.command == "solve":
             run_solve(config, out_dir)
         elif args.command == "sweep":
-            run_sweep(config, out_dir, threads=_thread_count(args.threads))
+            run_sweep(config, out_dir)
         elif args.command == "svd":
             run_svd_study(config, out_dir, _parse_order_list(args.orders))
         elif args.command == "plot":

@@ -27,8 +27,9 @@ Configuration is a single JSON document::
     }
 
 Exit codes: 0 success, 2 configuration/validation failure (bad
-command-line arguments included), 3 numerical failure. On failure a
-machine-readable record {"error": code, ...} is printed to stderr.
+command-line arguments, an unwritable output path and a sweep whose
+every cell failed validation included), 3 numerical failure. On failure
+a machine-readable record {"error": code, ...} is printed to stderr.
 Identical configs produce byte-identical outputs.
 """
 
@@ -199,12 +200,16 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ValidationError("direction_not_unit",
                               f"|direction| = {np.hypot(*direction)!r}, need 1")
 
+    output_dir = raw.get("output_dir", "fbm_out")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ValidationError("bad_field",
+                              f"output_dir must be a non-empty string, got {output_dir!r}")
+
     return ExperimentConfig(curve=curve, curve_spec=raw["curve"],
                             k_list=k_list, delta_list=delta_list, eta=eta,
                             tau0=tau0, seeds=seeds, node_count=node_count,
                             grid_resolution=grid_resolution,
-                            direction=direction,
-                            output_dir=str(raw.get("output_dir", "fbm_out")))
+                            direction=direction, output_dir=output_dir)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -355,16 +360,19 @@ def _meta_lines(meta: dict) -> list[str]:
 
 
 def _write_text(path: str, lines: list[str]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    """Write lines to path, making its directory; a path that cannot be
+    written is a configuration error (exit 2), not a crash."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValidationError("output_unwritable",
+                              f"cannot write {path}: {exc}") from exc
 
 
 def write_report_json(path: str, report: ErrorReport) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(path, [json.dumps(report.as_dict(), indent=2, sort_keys=True)])
 
 
 def write_coefficients_csv(path: str, coeffs: CoefficientVector,
@@ -448,16 +456,18 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
-                k: float, delta: float) -> list[str]:
-    """The rows of one (k, delta) cell: one per seed, then a median row if
-    any seed solved. The cell is dropped on return, so the sweep holds
-    one cell's bases at a time."""
+                k: float, delta: float) -> tuple[list[str], list[FbmError]]:
+    """The rows of one (k, delta) cell, one per seed and then a median row
+    if any seed solved, with the errors of the rows that failed. The cell
+    is dropped on return, so the sweep holds one cell's bases at a time."""
     try:
         cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     except FbmError as exc:
         logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
-        return [_failed_row(k, delta, seed, exc.code) for seed in config.seeds]
+        return [_failed_row(k, delta, seed, exc.code)
+                for seed in config.seeds], [exc]
     rows: list[str] = []
+    errors: list[FbmError] = []
     group: list[CaseResult] = []
     for seed in config.seeds:
         try:
@@ -468,19 +478,32 @@ def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
             logger.warning("sweep cell (k=%g, delta=%g, seed=%d) failed: %s",
                            k, delta, seed, exc)
             rows.append(_failed_row(k, delta, seed, exc.code))
+            errors.append(exc)
     if group:
         rows.append(_median_row(cell, group))
-    return rows
+    return rows, errors
 
 
 def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
-    """Sweep the (k, delta, seed) lattice into one CSV table."""
+    """Sweep the (k, delta, seed) lattice into one CSV table.
+
+    A sweep in which no cell solved raises: the first cell's
+    ValidationError when every failure was one (a config error, exit 2),
+    otherwise NumericalError all_cells_failed (exit 3).
+    """
     radii, tau0, grid, node_count = _prepare(config)
-    all_rows = [row for k in config.k_list for delta in config.delta_list
-                for row in _sweep_cell(config, radii, tau0, grid, node_count,
-                                       k, delta)]
+    all_rows: list[str] = []
+    errors: list[FbmError] = []
+    for k in config.k_list:
+        for delta in config.delta_list:
+            rows, failures = _sweep_cell(config, radii, tau0, grid,
+                                         node_count, k, delta)
+            all_rows += rows
+            errors += failures
     # a cell writes its median row exactly when one of its seeds solved
     if not any(row.startswith("median,") for row in all_rows):
+        if all(isinstance(exc, ValidationError) for exc in errors):
+            raise errors[0]
         raise NumericalError("all_cells_failed", "every sweep cell failed")
     meta = {
         "command": "sweep", "curve": config.curve.name,

@@ -254,6 +254,13 @@ def build_quadrature(curve: BoundaryCurve, node_count: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 # Interior tests
 # ---------------------------------------------------------------------------
+def _polygon(curve: BoundaryCurve, resolution: int) -> np.ndarray:
+    """Vertices x(2 pi j / resolution) of the polygon that stands in for
+    the curve in the interior and distance tests, shape (resolution, 2)."""
+    return curve_point(curve, np.linspace(0.0, 2.0 * np.pi, resolution,
+                                          endpoint=False))
+
+
 def _points_inside(poly: np.ndarray, points: np.ndarray,
                    chunk: int = 2048) -> np.ndarray:
     """Even-odd crossing test of points against a closed polygon."""
@@ -282,9 +289,7 @@ def is_interior(curve: BoundaryCurve, points, resolution: int = 2048):
     the polygon test still resolves them deterministically.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    poly = curve_point(curve, t)
-    result = _points_inside(poly, pts)
+    result = _points_inside(_polygon(curve, resolution), pts)
     if np.ndim(points) == 1:
         return bool(result[0])
     return result
@@ -295,25 +300,55 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
     """Even-odd interior mask for a tensor grid, shape (len(ys), len(xs)).
 
     Same polygon convention as :func:`is_interior`, but exploits the grid
-    structure: each row intersects the polygon once (scanline), which is
-    far cheaper than testing every point against every edge.
+    structure: each edge crosses only the rows between its end points
+    (scanline), which is far cheaper than testing every point against
+    every edge. xs and ys must be ascending.
     """
-    t = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    poly = curve_point(curve, t)
+    poly = _polygon(curve, resolution)
     x1, y1 = poly[:, 0], poly[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    dy = y2 - y1
-    dy_safe = np.where(dy == 0.0, 1.0, dy)
-    mask = np.zeros((ys.size, xs.size), dtype=bool)
-    for i, y in enumerate(ys):
-        straddle = (y1 <= y) != (y2 <= y)
-        if not straddle.any():
-            continue
-        x_cross = np.sort(x1[straddle] + (y - y1[straddle])
-                          * (x2 - x1)[straddle] / dy_safe[straddle])
-        # odd number of crossings strictly right of the point => inside
-        mask[i] = np.searchsorted(x_cross, xs, side="right") % 2 == 1
-    return mask
+    # an edge crosses the rows with min(y1, y2) <= y < max(y1, y2), so a
+    # horizontal edge crosses none
+    first = np.searchsorted(ys, np.minimum(y1, y2), side="left")
+    counts = np.searchsorted(ys, np.maximum(y1, y2), side="left") - first
+    edge = np.repeat(np.arange(y1.size), counts)        # one per crossing
+    start = np.cumsum(counts) - counts                  # each edge's first
+    row = first[edge] + np.arange(edge.size) - start[edge]
+    x_cross = (x1[edge] + (ys[row] - y1[edge]) * (x2 - x1)[edge]
+               / (y2 - y1)[edge])
+    # a crossing flips the side of every centre at or right of it, so a
+    # centre is inside when an odd number of its row's crossings lie at or
+    # left of it; uint8 sums wrap, which keeps their parity
+    flips = np.zeros((ys.size, xs.size), dtype=np.uint8)
+    cols = np.searchsorted(xs, x_cross, side="left")
+    on_grid = cols < xs.size
+    np.add.at(flips, (row[on_grid], cols[on_grid]), 1)
+    return np.cumsum(flips, axis=1, dtype=np.uint8) % 2 == 1
+
+
+def grid_near_boundary(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
+                       reach: float, resolution: int = 2048) -> np.ndarray:
+    """Tensor-grid cells near the polygon, shape (len(ys), len(xs)).
+
+    A cell is marked when its centre lies in the bounding box of some
+    edge widened by ``reach``. The distance to a segment is at least the
+    distance to its bounding box along each axis, so an unmarked cell is
+    farther than ``reach`` from the polygon, up to the rounding of the
+    box corners. This is the broad phase for :func:`boundary_distance`;
+    xs and ys must be ascending.
+    """
+    poly = _polygon(curve, resolution)
+    ends = np.roll(poly, -1, axis=0)
+    lo = np.minimum(poly, ends) - reach         # (E, 2) widened boxes
+    hi = np.maximum(poly, ends) + reach
+    cols = zip(np.searchsorted(xs, lo[:, 0], side="left"),
+               np.searchsorted(xs, hi[:, 0], side="right"))
+    rows = zip(np.searchsorted(ys, lo[:, 1], side="left"),
+               np.searchsorted(ys, hi[:, 1], side="right"))
+    near = np.zeros((ys.size, xs.size), dtype=bool)
+    for (c0, c1), (r0, r1) in zip(cols, rows):
+        near[r0:r1, c0:c1] = True
+    return near
 
 
 def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
@@ -326,8 +361,7 @@ def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
     does not depend on ``chunk``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    poly = curve_point(curve, t)
+    poly = _polygon(curve, resolution)
     ax, ay = poly[:, 0], poly[:, 1]            # segment starts (E,)
     abx = np.roll(ax, -1) - ax                 # segment vectors
     aby = np.roll(ay, -1) - ay

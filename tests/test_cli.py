@@ -11,7 +11,7 @@ from fbm import cli
 from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      run_solve, run_sweep, run_svd_study, run_trace_plot,
                      _parse_order_list)
-from fbm.errors import ValidationError
+from fbm.errors import NumericalError, ValidationError
 from fbm.fields import PlaneWave
 from fbm.geometry import compute_radii
 from fbm.special import basis_matrix
@@ -146,6 +146,22 @@ class TestExitCodes:
         assert main(["solve", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config_not_json"
 
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["sweep"], ["svd", "--N", "4"],
+        ["plot", "--k", "1", "--delta", "0.01"]],
+        ids=["solve", "sweep", "svd", "plot"])
+    def test_unwritable_output(self, tmp_path, capsys, command):
+        # the output directory would sit below a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = _write_config(tmp_path / "cfg.json", grid_resolution=32)
+        code = main([command[0], "--config", str(path),
+                     "--out", str(blocker / "out"), *command[1:]])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 2
+        assert [r["error"] for r in records] == ["output_unwritable"]
+
 
 class TestArgumentExit:
     @pytest.mark.parametrize("args", [
@@ -175,9 +191,11 @@ class TestConfigValidationExit:
     @pytest.mark.parametrize("override", [
         {"k": math.nan}, {"eta": math.nan}, {"k": 1e308}, {"seeds": [-1]},
         {"tau0": math.nan}, {"eta": "five"}, {"M_q": 10 ** 8},
-        {"grid_resolution": 10 ** 6}, {"k": 1e6},
+        {"grid_resolution": 10 ** 6}, {"k": 1e6}, {"output_dir": None},
+        {"output_dir": ""}, {"output_dir": 5},
     ], ids=["k_nan", "eta_nan", "k_huge", "seed_negative", "tau0_nan",
-            "eta_text", "m_q_huge", "grid_huge", "k_unresolvable"])
+            "eta_text", "m_q_huge", "grid_huge", "k_unresolvable",
+            "output_dir_null", "output_dir_empty", "output_dir_number"])
     def test_exits_2_with_one_record(self, tmp_path, capsys, override):
         path = _write_config(tmp_path / "cfg.json",
                              **{"grid_resolution": 64, **override})
@@ -303,10 +321,48 @@ class TestRunSweep:
         assert not any(ln.startswith("cell,") and not ln.endswith(",")
                        for ln in lines)  # no marked failures
 
-    def test_all_cells_failing_is_numerical_failure(self, tmp_path, capsys):
-        # M_q = 8 cannot hold the 2N+1 columns of any cell; rows are
-        # marked, and an entirely failed sweep exits with code 3
-        path = _write_config(tmp_path / "cfg.json", M_q=8, seeds=[1])
+    def test_all_cells_failing_is_numerical_failure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a sweep whose every cell fails numerically exits with code 3
+        def failing(*args):
+            raise NumericalError("svd_failed", "no convergence")
+
+        monkeypatch.setattr(cli, "make_cell", failing)
+        path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], seeds=[1])
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 3
+        assert record["error"] == "all_cells_failed"
+
+    @pytest.mark.parametrize("override, error", [
+        ({"M_q": 8}, "system_not_tall"),
+        ({"tau0": -0.001}, "tau0_too_small"),
+    ], ids=["m_q_8", "tau0_negative"])
+    def test_all_cells_failing_validation_exits_2(self, tmp_path, capsys,
+                                                  override, error):
+        # every cell fails the same config check, so the sweep exits as
+        # solve does: code 2 with that check's record
+        path = _write_config(tmp_path / "cfg.json", seeds=[1],
+                             k=[0.5, 1.0], **override)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 2
+        assert record["error"] == error
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    def test_mixed_failures_are_numerical_failure(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # one cell fails validation (M_q = 8), the other numerically
+        make_cell = cli.make_cell
+
+        def failing(config, radii, tau0, grid, node_count, k, delta):
+            if k == 1.0:
+                raise NumericalError("svd_failed", "no convergence")
+            return make_cell(config, radii, tau0, grid, node_count, k, delta)
+
+        monkeypatch.setattr(cli, "make_cell", failing)
+        path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], M_q=8,
+                             seeds=[1])
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         record = json.loads(capsys.readouterr().err.strip())
         assert code == 3

@@ -5,7 +5,9 @@ from fbm.assembly import (assemble_operator, make_problem, plane_wave_data)
 from fbm.errors import NumericalError, ValidationError
 from fbm.fields import (PlaneWave, build_interior_grid, error_report,
                         evaluate_field, evaluate_gradient)
-from fbm.geometry import build_quadrature, default_node_count, is_interior
+from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
+                          compute_radii, default_node_count,
+                          grid_interior_mask, is_interior, named_curve)
 from fbm.tikhonov import CoefficientVector, svd, tikhonov_solve
 
 from oracles import central_difference
@@ -40,6 +42,48 @@ class TestInteriorGrid:
 
     def test_exclusion_fraction_reported(self, kite_grid):
         assert 0.0 < kite_grid.excluded_fraction < 0.5
+
+
+def _random_curve(seed: int) -> BoundaryCurve:
+    """A unit circle plus small seeded harmonics 2..4 in both coordinates."""
+    rng = np.random.default_rng(seed)
+    a = 0.06 * rng.standard_normal((4, 3))
+    return BoundaryCurve(x1_cos=[0.0, 1.0, *a[0]], x1_sin=[0.0, 0.0, *a[1]],
+                         x2_cos=[0.0, 0.0, *a[2]], x2_sin=[0.0, 1.0, *a[3]],
+                         name=f"random:{seed}")
+
+
+def _measure_every_point(curve, radii, resolution):
+    """The grid's points and excluded fraction with every masked point
+    measured against the boundary polygon, no broad phase."""
+    half = radii.r_ex_min
+    step = 2.0 * half / resolution
+    centers = -half + step * (np.arange(resolution) + 0.5)
+    inside = grid_interior_mask(curve, centers, centers)
+    xx, yy = np.meshgrid(centers, centers)
+    pts = np.column_stack([xx[inside], yy[inside]])
+    keep = boundary_distance(curve, pts, resolution=256) >= step * np.sqrt(2.0)
+    return pts[keep], 1.0 - keep.sum() / max(1, pts.shape[0])
+
+
+class TestInteriorGridCull:
+    # the broad phase measures only points near the boundary; the grid
+    # must not change by a bit
+    CASES = [(name, res) for name in ("kite", "ellipse:1.5,0.7", "circle:1",
+                                      "random:1", "random:2", "random:3")
+             for res in (32, 200)] + [("kite", 512)]
+
+    @pytest.mark.parametrize("name, resolution", CASES,
+                             ids=[f"{n}-{r}" for n, r in CASES])
+    def test_matches_measuring_every_point(self, name, resolution):
+        curve = (_random_curve(int(name.split(":")[1]))
+                 if name.startswith("random:") else named_curve(name))
+        radii = compute_radii(curve)
+        grid = build_interior_grid(curve, radii, resolution)
+        points, excluded = _measure_every_point(curve, radii, resolution)
+        assert np.array_equal(grid.points, points)
+        assert grid.excluded_fraction == excluded
+        assert 0.0 < excluded < 0.5
 
 
 class TestEvaluateField:

@@ -7,8 +7,9 @@ from fbm.errors import ValidationError
 from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
                           circle_curve, compute_radii, curve_derivative,
                           curve_point, default_node_count, ellipse_curve,
-                          grid_interior_mask, is_interior, kite_curve,
-                          named_curve, outward_normal)
+                          grid_interior_mask, grid_near_boundary,
+                          is_interior, kite_curve, named_curve,
+                          outward_normal)
 
 from oracles import central_difference
 
@@ -163,6 +164,32 @@ class TestInterior:
         xx, yy = np.meshgrid(xs, ys)
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         assert np.array_equal(mask.ravel(), is_interior(kite, pts))
+
+    @pytest.mark.parametrize("spec", ["kite", "circle:1", "ellipse:1.5,0.7"])
+    def test_grid_mask_on_vertex_rows(self, spec):
+        # rows through polygon vertices, where an edge ends exactly on the
+        # scanline, and columns that cover only part of the curve
+        curve = named_curve(spec)
+        poly = curve_point(curve, np.linspace(0.0, 2.0 * np.pi, 2048,
+                                              endpoint=False))
+        ys = np.unique(np.concatenate([poly[::97, 1],
+                                       np.linspace(-1.6, 1.6, 23)]))
+        xs = np.linspace(-0.9, 1.3, 31)
+        mask = grid_interior_mask(curve, xs, ys)
+        xx, yy = np.meshgrid(xs, ys)
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        assert np.array_equal(mask.ravel(), is_interior(curve, pts))
+
+    @pytest.mark.parametrize("reach", [0.0, 0.05, 0.3])
+    def test_near_boundary_marks_every_close_cell(self, kite, reach):
+        xs = np.linspace(-2.1, 2.1, 57)
+        ys = np.linspace(-1.7, 1.7, 45)
+        near = grid_near_boundary(kite, xs, ys, reach, resolution=256)
+        xx, yy = np.meshgrid(xs, ys)
+        dist = boundary_distance(kite, np.column_stack([xx.ravel(), yy.ravel()]),
+                                 resolution=256).reshape(near.shape)
+        assert np.all(dist[~near] > reach)
+        assert near.any() and not near.all()
 
     def test_distance_from_center_of_circle(self, unit_circle):
         d = boundary_distance(unit_circle, np.array([[0.0, 0.0]]))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import BoundaryCurve, DomainRadii, QuadratureRule
-from .special import N_MAX, BasisContext, basis_matrix
+from .special import N_MAX, BasisContext, basis_values, ladder_constants
 
 logger = logging.getLogger(__name__)
 
@@ -121,27 +121,35 @@ def boundary_data_from_weighted(weighted: np.ndarray,
 def assemble_operator(problem: WaveProblem,
                       rule: QuadratureRule) -> DiscreteTraceOperator:
     """Assemble the weighted collocation matrix of i k phi_n + dphi_n/dnu."""
-    values, grads = basis_matrix(problem.basis, problem.N, rule.points)
-    return trace_operator(problem, rule, values, grads)
+    return trace_operator(problem, rule,
+                          basis_values(problem.basis, problem.N + 1, rule.points))
 
 
 def trace_operator(problem: WaveProblem, rule: QuadratureRule,
-                   values: np.ndarray, grads: np.ndarray) -> DiscreteTraceOperator:
-    """The operator of assemble_operator from basis values and gradients
-    already evaluated at the quadrature nodes (basis_matrix output)."""
+                   values: np.ndarray) -> DiscreteTraceOperator:
+    """The operator of assemble_operator from basis values of order N + 1
+    at the nodes (basis_values output): by the ladder, column n is i k phi_n
+    + (conj(nu) a_n phi_{n+1} + nu b_n phi_{n-1}) / 2, nu = nu_x + i nu_y."""
     cols = 2 * problem.N + 1
     if cols > rule.size:
         raise ValidationError(
             "system_not_tall",
             f"need 2N+1={cols} <= node count {rule.size}")
-    normal_deriv = (rule.normals[:, None, 0] * grads[:, :, 0]
-                    + rule.normals[:, None, 1] * grads[:, :, 1])
-    trace = 1j * problem.k * values + normal_deriv          # (M_q, 2N+1)
-    weighted = np.sqrt(rule.arc_weights)[:, None] * trace
-    if not np.all(np.isfinite(weighted)):
+    rows = values.T                                 # (2N+3, M_q), order-major
+    a, b = ladder_constants(problem.basis, problem.N)
+    root_w = np.sqrt(rule.arc_weights)
+    half_nu = (0.5 * root_w) * (rule.normals[:, 0] + 1j * rule.normals[:, 1])
+    trace = (1j * problem.k * root_w) * rows[1:-1]
+    shifted = np.conj(half_nu) * rows[2:]
+    shifted *= a[:, None]
+    trace += shifted
+    np.multiply(half_nu, rows[:-2], out=shifted)
+    shifted *= b[:, None]
+    trace += shifted
+    if not np.all(np.isfinite(trace)):
         raise NumericalError("nonfinite_operator",
                              "trace operator contains non-finite entries")
-    return DiscreteTraceOperator(matrix=weighted, rule=rule, N=problem.N)
+    return DiscreteTraceOperator(matrix=trace.T, rule=rule, N=problem.N)
 
 
 def plane_wave_data(problem: WaveProblem, rule: QuadratureRule,

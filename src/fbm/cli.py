@@ -6,7 +6,7 @@ the regularized normal equation and report relative errors.
 
 solve, sweep and plot all run one ``Cell`` per (k, delta). A cell holds
 everything that does not depend on the noise seed: the plan, problem,
-quadrature rule, SVD, exact data and the basis values and gradients on
+quadrature rule, SVD, exact data and the basis values of order N + 1 on
 the interior grid and on the boundary, each evaluated once. A seed then
 costs noise, a Tikhonov solve and matrix-vector products.
 
@@ -54,7 +54,7 @@ from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
                        default_node_count, named_curve)
-from .special import N_MAX, basis_matrix
+from .special import N_MAX, basis_values
 from .tikhonov import (CoefficientVector, RegularizationPlan, SingularSystem,
                        select_parameters, svd, svd_decay_study, tikhonov_solve)
 
@@ -67,8 +67,9 @@ _DEFAULT_SEEDS = tuple(range(1, 11))
 # reference grid is 200, so these leave wide headroom.
 MAX_NODE_COUNT = 65536
 MAX_GRID_RESOLUTION = 2048
-# Memory a cell may spend on its basis values and gradients (complex,
-# 16 + 32 bytes per point and order) on the grid and the boundary.
+# Memory a cell may spend on its grid and boundary bases. make_cell counts 48
+# bytes (values and gradients) per point and order, an over-count of the
+# values of order N + 1 a cell now holds, kept so that the same inputs exit 2.
 BASIS_BUDGET_BYTES = 2 ** 30
 # Allowed ranges of k and delta, for the config and for plot's --k/--delta.
 _K_RANGE = {"lower": 0.0, "lower_open": True}
@@ -289,11 +290,11 @@ def case_metadata(cell: Cell, result: CaseResult,
 class Cell:
     """The seed-independent half of one (k, delta) case.
 
-    The basis values and gradients on the interior grid and on the
-    boundary are evaluated once, by one basis_matrix call each; the
-    boundary pair also forms the trace operator. The plane wave's values
-    and gradients there are sampled once too. Each seed then costs
-    noise, a Tikhonov solve and matrix-vector products with them.
+    The basis values of order N + 1 on the interior grid and on the
+    boundary are evaluated once, by one basis_values call each; the
+    boundary values also form the trace operator. The plane wave's values
+    and gradients there are sampled once too. Each seed then costs noise,
+    a Tikhonov solve and one matrix product with each basis.
     """
 
     plan: RegularizationPlan
@@ -303,8 +304,8 @@ class Cell:
     data: BoundaryData
     exact: PlaneWave
     grid: InteriorGrid
-    grid_basis: tuple                # (values, gradients) at grid.points
-    boundary_basis: tuple            # (values, gradients) at rule.points
+    grid_basis: np.ndarray           # values of order N + 1 at grid.points
+    boundary_basis: np.ndarray       # values of order N + 1 at rule.points
     grid_exact: tuple                # exact (values, gradients) at grid.points
     boundary_exact: tuple            # exact (values, gradients) at rule.points
 
@@ -312,9 +313,9 @@ class Cell:
         """Noise -> Tikhonov solve -> error report for one seed."""
         noisy = add_noise(self.data, self.plan.delta, seed, self.rule)
         coeffs = tikhonov_solve(self.system, noisy, self.plan.alpha)
-        report = error_norms(coeffs, self.grid, self.rule, self.grid_basis,
-                             self.boundary_basis, self.grid_exact,
-                             self.boundary_exact)
+        report = error_norms(self.problem.basis, coeffs, self.grid, self.rule,
+                             self.grid_basis, self.boundary_basis,
+                             self.grid_exact, self.boundary_exact)
         return CaseResult(seed=seed, coefficients=coeffs, report=report)
 
 
@@ -338,10 +339,10 @@ def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
             f"of basis values and gradients, above {BASIS_BUDGET_BYTES}")
     problem = make_problem(config.curve, radii, k, tau0, plan.N)
     rule = build_quadrature(config.curve, nodes)
-    boundary_basis = basis_matrix(problem.basis, plan.N, rule.points)
-    system = svd(trace_operator(problem, rule, *boundary_basis))
+    boundary_basis = basis_values(problem.basis, plan.N + 1, rule.points)
+    system = svd(trace_operator(problem, rule, boundary_basis))
     data = plane_wave_data(problem, rule, config.direction)
-    grid_basis = basis_matrix(problem.basis, plan.N, grid.points)
+    grid_basis = basis_values(problem.basis, plan.N + 1, grid.points)
     exact = PlaneWave(k=k, direction=config.direction)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
                 data=data, exact=exact, grid=grid, grid_basis=grid_basis,

@@ -20,7 +20,7 @@ from .errors import NumericalError, ValidationError
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        boundary_distance, grid_interior_mask,
                        grid_near_boundary)
-from .special import basis_matrix
+from .special import BasisContext, basis_values, ladder_constants
 from .tikhonov import CoefficientVector
 
 logger = logging.getLogger(__name__)
@@ -117,9 +117,7 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
 
 def evaluate_field(problem: WaveProblem, c: CoefficientVector, points):
     """u_N at one point or an array of points (valid anywhere in the plane)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values, _ = basis_matrix(problem.basis, c.order, pts, gradients=False)
-    out = values @ c.coeffs
+    out = basis_values(problem.basis, c.order, points) @ c.coeffs
     if np.ndim(points) == 1:
         return complex(out[0])
     return out
@@ -127,9 +125,8 @@ def evaluate_field(problem: WaveProblem, c: CoefficientVector, points):
 
 def evaluate_gradient(problem: WaveProblem, c: CoefficientVector, points):
     """Cartesian gradient of u_N; complex shape (2,) or (P, 2)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, grads = basis_matrix(problem.basis, c.order, pts, gradients=True)
-    out = _gradient(grads, c)
+    values = basis_values(problem.basis, c.order + 1, points)
+    _, out = _field_and_gradient(problem.basis, values, c)
     if np.ndim(points) == 1:
         return out[0]
     return out
@@ -142,14 +139,18 @@ def _relative(num: float, den: float, what: str) -> float:
     return float(num / den)
 
 
-def _gradient(grads: np.ndarray, c: CoefficientVector) -> np.ndarray:
-    """sum_n c_n grad phi_n, shape (P, 2): one product per component."""
-    return np.stack([grads[:, :, d] @ c.coeffs for d in (0, 1)], axis=1)
-
-
-def _field_and_gradient(basis: tuple, c: CoefficientVector):
-    values, grads = basis
-    return values @ c.coeffs, _gradient(grads, c)
+def _field_and_gradient(basis: BasisContext, values: np.ndarray,
+                        c: CoefficientVector):
+    """u_N, shape (P,), and its gradient, shape (P, 2), by one product of
+    the basis values of order N + 1 with the coefficients of u_N and of
+    its x and y derivatives on phi_{-N-1}..phi_{N+1} (the ladder images)."""
+    a, b = ladder_constants(basis, c.order)
+    d_plus = np.pad(a * c.coeffs, (2, 0))        # D+ u_N on phi_{n+1}
+    d_minus = np.pad(b * c.coeffs, (0, 2))       # D- u_N on phi_{n-1}
+    coeffs = np.stack([np.pad(c.coeffs, 1), 0.5 * (d_plus + d_minus),
+                       -0.5j * (d_plus - d_minus)], axis=1)
+    out = values @ coeffs
+    return out[:, 0], out[:, 1:]
 
 
 def error_report(problem: WaveProblem, c: CoefficientVector, exact,
@@ -159,27 +160,27 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
 
     ``exact`` must provide vectorized value(points) and gradient(points).
     """
-    return error_norms(c, grid, rule,
-                       basis_matrix(problem.basis, c.order, grid.points),
-                       basis_matrix(problem.basis, c.order, rule.points),
+    return error_norms(problem.basis, c, grid, rule,
+                       basis_values(problem.basis, c.order + 1, grid.points),
+                       basis_values(problem.basis, c.order + 1, rule.points),
                        (exact.value(grid.points), exact.gradient(grid.points)),
                        (exact.value(rule.points), exact.gradient(rule.points)),
                        metadata)
 
 
-def error_norms(c: CoefficientVector, grid: InteriorGrid, rule: QuadratureRule,
-                grid_basis: tuple, boundary_basis: tuple, grid_exact: tuple,
-                boundary_exact: tuple,
-                metadata: dict | None = None) -> ErrorReport:
+def error_norms(basis: BasisContext, c: CoefficientVector, grid: InteriorGrid,
+                rule: QuadratureRule, grid_values: np.ndarray,
+                boundary_values: np.ndarray, grid_exact: tuple,
+                boundary_exact: tuple, metadata: dict | None = None) -> ErrorReport:
     """The report of error_report from bases and exact samples in hand.
 
-    ``grid_basis`` and ``boundary_basis`` are the (values, gradients)
-    pairs basis_matrix returns at grid.points and rule.points for the
-    order of ``c``; ``grid_exact`` and ``boundary_exact`` are the exact
-    solution's (values, gradients) there. None of them depends on the
-    data, so every solve on one problem can share them.
+    ``grid_values`` and ``boundary_values`` are the basis values of order
+    N + 1 (N the order of ``c``) at grid.points and rule.points;
+    ``grid_exact`` and ``boundary_exact`` are the exact solution's
+    (values, gradients) there. None of them depends on the data, so
+    every solve on one problem can share them.
     """
-    u_num, g_num = _field_and_gradient(grid_basis, c)
+    u_num, g_num = _field_and_gradient(basis, grid_values, c)
     u_ex, g_ex = grid_exact
 
     root_area = np.sqrt(grid.cell_area)
@@ -188,7 +189,7 @@ def error_norms(c: CoefficientVector, grid: InteriorGrid, rule: QuadratureRule,
     h1_num = root_area * np.linalg.norm(g_num - g_ex)
     h1_den = root_area * np.linalg.norm(g_ex)
 
-    ub_num, gb_num = _field_and_gradient(boundary_basis, c)
+    ub_num, gb_num = _field_and_gradient(basis, boundary_values, c)
     ub_ex, gb_ex = boundary_exact
     dn_num = np.sum(rule.normals * gb_num, axis=1)
     dn_ex = np.sum(rule.normals * gb_ex, axis=1)

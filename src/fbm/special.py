@@ -28,11 +28,18 @@ representable:
 
     R_0 = J_0(kr),   R_n = R_{n-1} * (2n / (kM)) * rho_n(kr)
 
-    R_n'(r) = (n/r) R_n(r) - k^2 M / (2(n+1)) * R_{n+1}(r)
+The phases follow e^{i n theta} = e^{i(n-1) theta} e^{i theta}, with
+e^{i theta} = (x1 + i x2) / r and 1 at the origin. R_n is real and
+J_{-n} = (-1)^n J_n, so phi_{-n} = (-1)^n conj(phi_n) needs no evaluation.
 
-Negative orders need no evaluation of their own: R_n is real and
-J_{-n} = (-1)^n J_n, so phi_{-n} = (-1)^n conj(phi_n), and the same
-holds for each Cartesian gradient component.
+Nor are gradients. With D+- = d/dx +- i d/dy, the Bessel recurrences
+(DLMF 10.6) give D+- [J_n(kr) e^{i n theta}] = -+k J_{n+-1}(kr) e^{i(n+-1) theta}:
+
+    D+ phi_n = a_n phi_{n+1},   D- phi_n = b_n phi_{n-1}   (ladder_constants),
+    d/dx = (D+ + D-) / 2,       d/dy = -i (D+ - D-) / 2.
+
+So every derivative of an expansion in phi_n is a shifted combination of
+values one order up and one down, smooth at r = 0.
 
 All functions here are pure; nothing is cached or mutated.
 """
@@ -171,29 +178,56 @@ def radial_profiles(ctx: BasisContext, n_max: int, r: np.ndarray) -> np.ndarray:
     return np.cumprod(out, axis=0, out=out)
 
 
-def _radial_derivatives(ctx: BasisContext, profiles: np.ndarray,
-                        r: np.ndarray) -> np.ndarray:
-    """dR_n/dr for n = 0..n_max-1 given profiles for n = 0..n_max.
-
-    Uses R_n' = (n/r) R_n - k^2 M/(2(n+1)) R_{n+1}; r = 0 entries are
-    filled with the analytic limits (0 except 1/M at n = 1).
-    """
-    n_top = profiles.shape[0] - 1
-    orders = np.arange(n_top)[:, None]           # (n_top, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = orders * profiles[:-1] / r[None, :]
-    d -= (ctx.k * ctx.k * ctx.M) / (2.0 * (orders + 1.0)) * profiles[1:]
-    origin = r == 0.0
-    if origin.any():
-        d[:, origin] = 0.0
-        if n_top > 1:
-            d[1, origin] = 1.0 / ctx.M
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Basis values and gradients
 # ---------------------------------------------------------------------------
+def ladder_constants(ctx: BasisContext, N: int):
+    """The ladder constants (a_n, b_n) for n = -N..N, two float arrays.
+
+    D+ phi_n = a_n phi_{n+1} and D- phi_n = b_n phi_{n-1}, with
+
+        a_n = -k^2 M / (2(n+1))  (n >= 0),   -2|n| / M          (n < 0),
+        b_n = 2n / M             (n >= 1),    k^2 M / (2(|n|+1)) (n <= 0),
+
+    so that a_{-n} = -b_n and b_{-n} = -a_n exactly.
+    """
+    n = np.arange(-N, N + 1)
+    m = np.abs(n)
+    up = (ctx.k * ctx.k * ctx.M) / (2.0 * (m + 1.0))
+    down = 2.0 * m / ctx.M
+    return np.where(n >= 0, -up, -down), np.where(n >= 1, down, up)
+
+
+def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
+    """Basis values phi_n, n = -N..N, at points (P, 2): shape (P, 2N+1),
+    column j holding phi_n with n = j - N.
+
+    N may reach N_MAX + 1, so that the ladder can differentiate an
+    expansion of order N_MAX. Orders -n are written as (-1)^n conj(phi_n),
+    exactly. The result is the transposed view of a C-contiguous
+    (2N+1, P) array: each order is one contiguous row.
+    """
+    if N < 0 or N > N_MAX + 1:
+        raise ValueError(f"basis order N={N} outside [0, {N_MAX + 1}]")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    npts = pts.shape[0]
+    r = np.hypot(pts[:, 0], pts[:, 1])           # (P,)
+    prof = radial_profiles(ctx, N, r)            # (N+1, P)
+    unit = np.empty(npts, dtype=np.complex128)   # e^{i theta}, 1 at the origin
+    unit.real = np.divide(pts[:, 0], r, out=np.ones(npts), where=r > 0.0)
+    unit.imag = np.divide(pts[:, 1], r, out=np.zeros(npts), where=r > 0.0)
+    phase = np.ones(npts, dtype=np.complex128)   # e^{i n theta}
+    values = np.empty((2 * N + 1, npts), dtype=np.complex128)
+    values[N] = prof[0]
+    for n in range(1, N + 1):
+        phase *= unit
+        np.multiply(prof[n], phase, out=values[N + n])
+        mirror = np.conjugate(values[N + n], out=values[N - n])
+        if n % 2 == 1:
+            np.negative(mirror, out=mirror)
+    return values.T
+
+
 def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
                  gradients: bool = True):
     """Evaluate all basis functions phi_n, n = -N..N, at the given points.
@@ -209,76 +243,32 @@ def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
     grads : np.ndarray, complex128, shape (P, 2N+1, 2), or None
         Cartesian gradients, if requested.
 
-    Only orders 0..N are evaluated; each order -n is written as
-    (-1)^n conj(phi_n), exactly, for the values and both gradient
-    components.
-
-    Storage is order-major: both results are transposed views of arrays
-    whose rows are one order (and one component) over all points, so
-    each order is written contiguously and ``values.T`` and
-    ``grads[:, :, d].T`` are C-contiguous (2N+1, P) matrices.
+    The gradients come by the ladder from the values of order N + 1.
+    Both results are transposed views of order-major arrays, so
+    ``values.T`` and ``grads[:, :, d].T`` are C-contiguous (2N+1, P).
     """
     if N < 0 or N > N_MAX:
         raise ValueError(f"truncation order N={N} outside [0, {N_MAX}]")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x1, x2 = pts[:, 0], pts[:, 1]
-    r = np.hypot(x1, x2)                         # (P,)
-    theta = np.arctan2(x2, x1)
-    npts = pts.shape[0]
-
-    n_top = N + 1 if gradients else N
-    prof = radial_profiles(ctx, n_top, r)        # (n_top+1, P)
-    dprof = _radial_derivatives(ctx, prof, r) if gradients else None
-
-    values = np.empty((2 * N + 1, npts), dtype=np.complex128)
-    grads = np.empty((2, 2 * N + 1, npts), dtype=np.complex128) if gradients else None
-
-    origin = r == 0.0
-    at_origin = origin.any()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_r = np.where(origin, 0.0, 1.0 / np.where(origin, 1.0, r))
-    cos_t = np.where(origin, 1.0, x1 * inv_r)
-    sin_t = np.where(origin, 0.0, x2 * inv_r)
-
-    # orders -n are filled from order n by conjugate symmetry
-    blocks = (values, grads[0], grads[1]) if gradients else (values,)
-    for n in range(0, N + 1):
-        phase = np.exp(1j * n * theta)           # (P,)
-        col = N + n
-        np.multiply(prof[n], phase, out=values[col])
-        if gradients:
-            radial = dprof[n]                    # d/dr component
-            angular = (1j * n) * prof[n] * inv_r
-            gx, gy = grads[0, col], grads[1, col]
-            np.multiply(phase, radial * cos_t - angular * sin_t, out=gx)
-            np.multiply(phase, radial * sin_t + angular * cos_t, out=gy)
-            if at_origin:
-                gx[origin] = 1.0 / ctx.M if n == 1 else 0.0
-                gy[origin] = 1j / ctx.M if n == 1 else 0.0
-        if n == 0:
-            continue
-        for block in blocks:
-            mirror = block[N - n]
-            np.conjugate(block[col], out=mirror)
-            if n % 2 == 1:
-                np.negative(mirror, out=mirror)
-
-    return values.T, (grads.transpose(2, 1, 0) if gradients else None)
+    if not gradients:
+        return basis_values(ctx, N, points), None
+    rows = basis_values(ctx, N + 1, points).T    # (2N+3, P)
+    a, b = ladder_constants(ctx, N)
+    grads = np.empty((2, 2 * N + 1, rows.shape[1]), dtype=np.complex128)
+    half_plus = np.multiply(0.5 * a[:, None], rows[2:], out=grads[0])
+    half_minus = np.multiply(0.5 * b[:, None], rows[:-2], out=grads[1])
+    diff = half_plus - half_minus
+    half_plus += half_minus                      # d/dx = (D+ + D-) / 2
+    np.multiply(diff, -1j, out=half_minus)       # d/dy = -i (D+ - D-) / 2
+    return rows[1:-1].T, grads.transpose(2, 1, 0)
 
 
 def basis_value(ctx: BasisContext, n: int, point) -> complex:
     """Single basis function phi_n at a single point anywhere in the plane."""
-    _check_order(n)
-    N = abs(n)
-    values, _ = basis_matrix(ctx, N, np.asarray(point, dtype=float)[None, :],
-                             gradients=False)
-    return complex(values[0, N + n])
+    N = _check_order(n)
+    return complex(basis_values(ctx, N, point)[0, N + n])
 
 
 def basis_gradient(ctx: BasisContext, n: int, point) -> np.ndarray:
     """Cartesian gradient of phi_n at a single point, complex shape (2,)."""
-    _check_order(n)
-    N = abs(n)
-    _, grads = basis_matrix(ctx, N, np.asarray(point, dtype=float)[None, :],
-                            gradients=True)
-    return grads[0, N + n]
+    N = _check_order(n)
+    return basis_matrix(ctx, N, point)[1][0, N + n]

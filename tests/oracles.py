@@ -51,6 +51,29 @@ def basis_value_oracle(k: float, M: float, n: int, point) -> complex:
     return radial * complex(np.exp(1j * n * theta))
 
 
+def basis_gradient_oracle(k: float, M: float, n: int, point) -> np.ndarray:
+    """Cartesian gradient of phi_n in polar form, complex shape (2,).
+
+    d/dr comes from J_n' = (J_{n-1} - J_{n+1}) / 2 and d/dtheta from the
+    phase, both in 60-digit arithmetic; the chain rule through cos theta
+    and sin theta then gives d/dx and d/dy. The point must not be the
+    origin.
+    """
+    m = abs(int(n))
+    with mp.workdps(60):
+        x1, x2 = mp.mpf(float(point[0])), mp.mpf(float(point[1]))
+        r = mp.sqrt(x1 * x1 + x2 * x2)
+        cos_t, sin_t = x1 / r, x2 / r
+        pref = mp.mpf(2) ** m * mp.factorial(m) / (mp.mpf(k) * mp.mpf(M)) ** m
+        t = mp.mpf(k) * r
+        phase = mp.expj(n * mp.atan2(x2, x1))
+        d_r = pref * k * (mp.besselj(n - 1, t) - mp.besselj(n + 1, t)) / 2 * phase
+        d_theta_over_r = 1j * n * pref * mp.besselj(n, t) / r * phase
+        grad = (cos_t * d_r - sin_t * d_theta_over_r,
+                sin_t * d_r + cos_t * d_theta_over_r)
+        return np.array([complex(g) for g in grad])
+
+
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Componentwise central difference quotient of a scalar field."""
     x = np.asarray(x, dtype=float)

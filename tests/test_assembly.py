@@ -3,12 +3,13 @@ import pytest
 
 from fbm.assembly import (add_noise, assemble_operator, boundary_data,
                           boundary_data_from_weighted, make_problem,
-                          plane_wave_data)
+                          plane_wave_data, trace_operator)
 from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
-                          compute_radii, curve_point, kite_curve,
-                          outward_normal)
-from fbm.special import basis_gradient, basis_value, bessel_j
+                          compute_radii, curve_point, default_node_count,
+                          kite_curve, outward_normal)
+from fbm.special import (N_MAX, basis_gradient, basis_matrix, basis_value,
+                         basis_values, bessel_j)
 
 from oracles import bessel_j_oracle
 
@@ -130,6 +131,28 @@ class TestAssembleOperator:
         n1 = np.linalg.norm(assemble_operator(prob, build_quadrature(kite, 256)).matrix @ c)
         n2 = np.linalg.norm(assemble_operator(prob, build_quadrature(kite, 512)).matrix @ c)
         assert abs(n1 - n2) <= 1e-8
+
+    @pytest.mark.parametrize("k, N", [(1.0, 8), (5.0, 20), (20.0, 40)])
+    def test_ladder_matches_gradient_trace(self, kite, kite_radii, k, N):
+        # columns from order-(N+1) values by the ladder equal the weighted
+        # i k phi_n + nu . grad phi_n from basis_matrix
+        prob = make_problem(kite, kite_radii, k, 2.2, N)
+        rule = build_quadrature(kite, default_node_count(N))
+        op = trace_operator(prob, rule,
+                            basis_values(prob.basis, N + 1, rule.points))
+        values, grads = basis_matrix(prob.basis, N, rule.points)
+        expected = np.sqrt(rule.arc_weights)[:, None] * (
+            1j * k * values + rule.normals[:, None, 0] * grads[:, :, 0]
+            + rule.normals[:, None, 1] * grads[:, :, 1])
+        scale = np.max(np.abs(op.matrix))
+        assert np.max(np.abs(op.matrix - expected)) <= 1e-12 * scale
+
+    def test_assembles_at_order_cap(self, kite, kite_radii):
+        # the operator of order N_MAX needs values of order N_MAX + 1
+        prob = make_problem(kite, kite_radii, 1.0, 2.2, N_MAX)
+        op = assemble_operator(prob, build_quadrature(kite, default_node_count(N_MAX)))
+        assert op.matrix.shape[1] == 2 * N_MAX + 1
+        assert np.all(np.isfinite(op.matrix))
 
     def test_shape_validation(self, kite, kite_radii):
         prob = make_problem(kite, kite_radii, 1.0, 2.2, 40)

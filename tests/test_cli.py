@@ -14,7 +14,7 @@ from fbm.cli import (build_config, load_config, main, resolve_tau0,
 from fbm.errors import NumericalError, ValidationError
 from fbm.fields import PlaneWave
 from fbm.geometry import compute_radii
-from fbm.special import basis_matrix
+from fbm.special import basis_values
 
 
 def _write_config(path, **overrides):
@@ -221,17 +221,18 @@ class TestConfigValidationExit:
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """Count basis_matrix calls through every fbm module that binds it."""
+    """Count basis_values calls through every fbm module that binds it,
+    fbm.special included, so that basis_matrix calls count too."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return basis_matrix(*args, **kwargs)
+        return basis_values(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if (name == "fbm" or name.startswith("fbm.")) and \
-                getattr(module, "basis_matrix", None) is basis_matrix:
-            monkeypatch.setattr(module, "basis_matrix", counted)
+                getattr(module, "basis_values", None) is basis_values:
+            monkeypatch.setattr(module, "basis_values", counted)
     return calls
 
 

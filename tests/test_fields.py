@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from fbm.assembly import (assemble_operator, make_problem, plane_wave_data)
+from fbm.assembly import (add_noise, assemble_operator, make_problem,
+                          plane_wave_data)
 from fbm.errors import NumericalError, ValidationError
 from fbm.fields import (PlaneWave, build_interior_grid, error_report,
                         evaluate_field, evaluate_gradient)
 from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
                           compute_radii, default_node_count,
                           grid_interior_mask, is_interior, named_curve)
-from fbm.tikhonov import CoefficientVector, svd, tikhonov_solve
+from fbm.special import basis_matrix
+from fbm.tikhonov import (CoefficientVector, select_parameters, svd,
+                          tikhonov_solve)
 
 from oracles import central_difference
 
@@ -229,6 +232,42 @@ class TestErrorReport:
             rep.rel_l2_boundary, rel=0.01)
         assert rep_fine.rel_l2_normal_derivative == pytest.approx(
             rep.rel_l2_normal_derivative, rel=0.01)
+
+    @pytest.mark.parametrize("k", [1.0, 5.0, 20.0])
+    def test_ladder_matches_gradient_path(self, kite, kite_radii, kite_grid,
+                                          direction, k):
+        # norms from order-(N+1) values by the ladder equal norms built
+        # from basis_matrix's values and gradients of order N; noise of
+        # 1 % keeps the errors far above rounding
+        plan = select_parameters(k, 0.01, 5.0, kite_radii, 2.2)
+        prob = make_problem(kite, kite_radii, k, 2.2, plan.N)
+        rule = build_quadrature(kite, default_node_count(plan.N))
+        data = add_noise(plane_wave_data(prob, rule, direction), 0.01, 3, rule)
+        coeffs = tikhonov_solve(svd(assemble_operator(prob, rule)), data,
+                                plan.alpha)
+        exact = PlaneWave(k, direction)
+        rep = error_report(prob, coeffs, exact, kite_grid, rule)
+
+        def field(points):
+            values, grads = basis_matrix(prob.basis, plan.N, points)
+            return values @ coeffs.coeffs, np.stack(
+                [grads[:, :, d] @ coeffs.coeffs for d in (0, 1)], axis=1)
+
+        u, g = field(kite_grid.points)
+        u_ex, g_ex = exact.value(kite_grid.points), exact.gradient(kite_grid.points)
+        ub, gb = field(rule.points)
+        ub_ex, gb_ex = exact.value(rule.points), exact.gradient(rule.points)
+        dn = np.sum(rule.normals * gb, axis=1)
+        dn_ex = np.sum(rule.normals * gb_ex, axis=1)
+        expected = {
+            "rel_l2_interior": np.linalg.norm(u - u_ex) / np.linalg.norm(u_ex),
+            "rel_h1semi_interior": np.linalg.norm(g - g_ex) / np.linalg.norm(g_ex),
+            "rel_l2_boundary": rule.boundary_norm(ub - ub_ex) / rule.boundary_norm(ub_ex),
+            "rel_l2_normal_derivative": (rule.boundary_norm(dn - dn_ex)
+                                         / rule.boundary_norm(dn_ex)),
+        }
+        for name, value in expected.items():
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-12)
 
     def test_metadata_passthrough(self, kite, kite_radii, kite_grid, direction):
         prob = make_problem(kite, kite_radii, 1.0, 2.2, 2)

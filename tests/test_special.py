@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from fbm.special import (N_MAX, BasisContext, basis_gradient, basis_matrix,
-                         basis_value, bessel_j, bessel_j_prime)
+                         basis_value, bessel_j, bessel_j_prime,
+                         ladder_constants)
 
-from oracles import (basis_value_oracle, bessel_j_oracle,
-                     bessel_j_prime_oracle, central_difference)
+from oracles import (basis_gradient_oracle, basis_value_oracle,
+                     bessel_j_oracle, bessel_j_prime_oracle,
+                     central_difference)
 
 T_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
 
@@ -158,8 +160,70 @@ class TestBasisValue:
                 rhs = 0.75 * (0.5 * k_r_in) ** n / math.factorial(n)
                 assert lhs >= rhs
 
+    @pytest.mark.parametrize("n", [64, 100, 128])
+    def test_high_order_phases(self, n):
+        # the phase recurrence rounds like n eps; near theta = +-pi and
+        # +-pi/2 the oracle's exp(i n theta) is exact up to the same size
+        ctx = BasisContext(k=1.0, M=2.0)
+        rad = 0.97 * ctx.M
+        for ang in (np.pi - 1e-9, -np.pi + 1e-9, np.pi / 2 + 1e-7,
+                    -np.pi / 2 - 1e-7):
+            p = [rad * np.cos(ang), rad * np.sin(ang)]
+            for order in (n, -n):
+                ref = basis_value_oracle(ctx.k, ctx.M, order, p)
+                assert basis_value(ctx, order, p) == pytest.approx(ref, rel=1e-12)
+        ref = basis_value_oracle(ctx.k, ctx.M, n, [-rad, 0.0])
+        assert basis_value(ctx, n, [-rad, 0.0]) == pytest.approx(ref, rel=1e-12)
+
+
+class TestLadderConstants:
+    @pytest.mark.parametrize("k, M", [(0.5, 4.06), (1.0, 2.0306),
+                                      (5.0, 1.985), (20.0, 2.2)])
+    def test_lowering_after_raising_is_laplacian(self, k, M):
+        # D- D+ = Laplacian = -k^2 on phi_n, so a_n b_{n+1} = -k^2
+        a, b = ladder_constants(BasisContext(k=k, M=M), N_MAX)
+        assert np.max(np.abs(a[:-1] * b[1:] + k * k)) <= 1e-14 * k * k
+
+    @pytest.mark.parametrize("k, M", [(0.5, 4.06), (5.0, 1.985)])
+    def test_conjugation_symmetry(self, k, M):
+        # phi_{-n} = (-1)^n conj(phi_n) and conj(D+ f) = D- conj(f) give
+        # a_{-n} = -b_n and b_{-n} = -a_n
+        a, b = ladder_constants(BasisContext(k=k, M=M), N_MAX)
+        assert np.array_equal(a[::-1], -b)
+        assert np.array_equal(b[::-1], -a)
+
+
+def _gradient_envelopes(ctx: BasisContext, m_max: int, r: float) -> list:
+    """Scale of grad phi_{+-m} at radius r for m = 0..m_max:
+    p_m k (|H_m| + |H_{m+1}|) + |p_m m J_m / r|, with |J| in place of
+    |H| below the turning point."""
+    t = ctx.k * r
+    j = [bessel_j_oracle(m, t) for m in range(m_max + 2)]
+    env = [_envelope(m, t, j[m]) for m in range(m_max + 2)]
+    out = []
+    for m in range(m_max + 1):
+        pref = float(mp.mpf(2) ** m * mp.factorial(m) / mp.mpf(ctx.k * ctx.M) ** m)
+        out.append(pref * ctx.k * (env[m] + env[m + 1]) + abs(pref * m * j[m] / r))
+    return out
+
 
 class TestBasisGradient:
+    @pytest.mark.parametrize("k", [1.0, 5.0, 20.0])
+    def test_against_polar_oracle(self, k):
+        ctx = BasisContext(k=k, M=2.2)
+        rng = np.random.default_rng(int(k) + 100)
+        ang = rng.uniform(-np.pi, np.pi, 5)
+        rad = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 5))
+        pts = np.vstack([np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]),
+                         [[-0.3, 0.0], [-1.7, -0.0]]])
+        _, grads = basis_matrix(ctx, 40, pts)
+        for i, p in enumerate(pts):
+            scale = _gradient_envelopes(ctx, 40, float(np.hypot(p[0], p[1])))
+            for n in range(-40, 41):
+                ref = basis_gradient_oracle(ctx.k, ctx.M, n, p)
+                err = np.max(np.abs(grads[i, 40 + n] - ref))
+                assert err <= 1e-13 * scale[abs(n)]
+
     def test_zero_at_origin_for_order_zero(self):
         ctx = BasisContext(k=2.0, M=3.0)
         assert np.allclose(basis_gradient(ctx, 0, [0.0, 0.0]), 0.0)

@@ -74,6 +74,8 @@ BASIS_BUDGET_BYTES = 2 ** 30
 # Allowed ranges of k and delta, for the config and for plot's --k/--delta.
 _K_RANGE = {"lower": 0.0, "lower_open": True}
 _DELTA_RANGE = {"lower": 0.0, "upper": 1.0, "upper_open": True}
+# boundary parameters at which plot samples the traces
+_TRACE_SAMPLES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +98,12 @@ class ExperimentConfig:
 
 
 def _as_number(value, name: str) -> float:
+    # JSON true/false would pass float() as 1/0
+    if isinstance(value, bool):
+        raise ValidationError("bad_field", f"{name} must be numeric, got {value}")
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad_field", f"{name} must be numeric") from exc
     if not math.isfinite(x):
         raise ValidationError("bad_field", f"{name} must be finite, got {x}")
@@ -122,6 +127,8 @@ def _as_number_list(value, name: str, *, lower=None, upper=None,
 
 
 def _as_seed_list(seeds: list) -> list[int]:
+    if any(isinstance(s, bool) for s in seeds):
+        raise ValidationError("bad_field", f"seeds must be integers, got {seeds}")
     try:
         seeds = [int(s) for s in seeds]
     except (TypeError, ValueError, OverflowError) as exc:
@@ -190,13 +197,10 @@ def build_config(raw: dict) -> ExperimentConfig:
                               f"grid_resolution must not exceed {MAX_GRID_RESOLUTION}, "
                               f"got {grid_resolution}")
 
-    try:
-        direction = np.asarray(raw.get("direction", _DEFAULT_DIRECTION),
-                               dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("bad_field", "direction must be numeric") from exc
-    if direction.shape != (2,) or not np.all(np.isfinite(direction)):
+    direction = raw.get("direction", _DEFAULT_DIRECTION)
+    if not isinstance(direction, (list, tuple)) or len(direction) != 2:
         raise ValidationError("bad_field", "direction must be a finite 2-vector")
+    direction = np.array([_as_number(x, "direction") for x in direction])
     if abs(np.hypot(direction[0], direction[1]) - 1.0) > 1e-9:
         raise ValidationError("direction_not_unit",
                               f"|direction| = {np.hypot(*direction)!r}, need 1")
@@ -549,15 +553,16 @@ def run_svd_study(config: ExperimentConfig, out_dir: str, n_list) -> str:
 
 
 def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
-                   delta: float, seed: int, samples: int = 512) -> tuple[str, str]:
-    """Write Re u and Re u_N sampled on the boundary as (t, value) files."""
+                   delta: float, seed: int) -> tuple[str, str]:
+    """Write Re u and Re u_N at 512 equispaced boundary parameters t as
+    (t, value) files."""
     [k] = _as_number_list(k, "k", **_K_RANGE)
     [delta] = _as_number_list(delta, "delta", **_DELTA_RANGE)
     [seed] = _as_seed_list([seed])
     radii, tau0, grid, node_count = _prepare(config)
     cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     result = cell.solve(seed)
-    t = 2.0 * np.pi * np.arange(samples) / samples
+    t = 2.0 * np.pi * np.arange(_TRACE_SAMPLES) / _TRACE_SAMPLES
     points = curve_point(config.curve, t)
     u_exact = np.real(cell.exact.value(points))
     u_numeric = np.real(evaluate_field(cell.problem, result.coefficients,
@@ -570,7 +575,7 @@ def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
         lines = _meta_lines(meta)
         lines.extend(f"{float(ti)!r} {float(vi)!r}" for ti, vi in zip(t, series))
         _write_text(path, lines)
-    logger.info("plot: wrote %d samples, max gap %.3e", samples,
+    logger.info("plot: wrote %d samples, max gap %.3e", _TRACE_SAMPLES,
                 float(np.max(np.abs(u_exact - u_numeric))))
     return paths
 
@@ -579,14 +584,22 @@ def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
 def _parse_order_list(text: str) -> list[int]:
-    """Parse "4..24:2" (inclusive range with step) or "4,6,8"."""
+    """Parse "4..24:2" (inclusive range with step) or "4,6,8". Each order,
+    and each end of a range before it is listed, must lie in 0..N_MAX."""
+    def order(part: str) -> int:
+        n = int(part)
+        if not 0 <= n <= N_MAX:
+            raise ValidationError("bad_order_list",
+                                  f"order {n} in {text!r} lies outside 0..{N_MAX}")
+        return n
+
     try:
         if ".." in text:
             start_part, _, rest = text.partition("..")
             stop_part, _, step_part = rest.partition(":")
             step = int(step_part) if step_part else 1
-            return list(range(int(start_part), int(stop_part) + 1, step))
-        return [int(item) for item in text.split(",")]
+            return list(range(order(start_part), order(stop_part) + 1, step))
+        return [order(item) for item in text.split(",")]
     except ValueError as exc:
         raise ValidationError("bad_order_list",
                               f"cannot parse order list {text!r}") from exc

@@ -20,7 +20,7 @@ from .errors import NumericalError, ValidationError
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        boundary_distance, grid_interior_mask,
                        grid_near_boundary)
-from .special import BasisContext, basis_values, ladder_constants
+from .special import BasisContext, basis_values, ladder_coefficients
 from .tikhonov import CoefficientVector
 
 logger = logging.getLogger(__name__)
@@ -123,34 +123,11 @@ def evaluate_field(problem: WaveProblem, c: CoefficientVector, points):
     return out
 
 
-def evaluate_gradient(problem: WaveProblem, c: CoefficientVector, points):
-    """Cartesian gradient of u_N; complex shape (2,) or (P, 2)."""
-    values = basis_values(problem.basis, c.order + 1, points)
-    _, out = _field_and_gradient(problem.basis, values, c)
-    if np.ndim(points) == 1:
-        return out[0]
-    return out
-
-
 def _relative(num: float, den: float, what: str) -> float:
     if den < 1e-14:
         raise NumericalError("degenerate_exact_norm",
                              f"exact-solution norm for {what} is below 1e-14")
     return float(num / den)
-
-
-def _field_and_gradient(basis: BasisContext, values: np.ndarray,
-                        c: CoefficientVector):
-    """u_N, shape (P,), and its gradient, shape (P, 2), by one product of
-    the basis values of order N + 1 with the coefficients of u_N and of
-    its x and y derivatives on phi_{-N-1}..phi_{N+1} (the ladder images)."""
-    a, b = ladder_constants(basis, c.order)
-    d_plus = np.pad(a * c.coeffs, (2, 0))        # D+ u_N on phi_{n+1}
-    d_minus = np.pad(b * c.coeffs, (0, 2))       # D- u_N on phi_{n-1}
-    coeffs = np.stack([np.pad(c.coeffs, 1), 0.5 * (d_plus + d_minus),
-                       -0.5j * (d_plus - d_minus)], axis=1)
-    out = values @ coeffs
-    return out[:, 0], out[:, 1:]
 
 
 def error_report(problem: WaveProblem, c: CoefficientVector, exact,
@@ -180,7 +157,9 @@ def error_norms(basis: BasisContext, c: CoefficientVector, grid: InteriorGrid,
     (values, gradients) there. None of them depends on the data, so
     every solve on one problem can share them.
     """
-    u_num, g_num = _field_and_gradient(basis, grid_values, c)
+    block = ladder_coefficients(basis, c.coeffs)      # u_N, d/dx, d/dy
+    on_grid = grid_values @ block
+    u_num, g_num = on_grid[:, 0], on_grid[:, 1:]
     u_ex, g_ex = grid_exact
 
     root_area = np.sqrt(grid.cell_area)
@@ -189,7 +168,8 @@ def error_norms(basis: BasisContext, c: CoefficientVector, grid: InteriorGrid,
     h1_num = root_area * np.linalg.norm(g_num - g_ex)
     h1_den = root_area * np.linalg.norm(g_ex)
 
-    ub_num, gb_num = _field_and_gradient(basis, boundary_values, c)
+    on_boundary = boundary_values @ block
+    ub_num, gb_num = on_boundary[:, 0], on_boundary[:, 1:]
     ub_ex, gb_ex = boundary_exact
     dn_num = np.sum(rule.normals * gb_num, axis=1)
     dn_ex = np.sum(rule.normals * gb_ex, axis=1)

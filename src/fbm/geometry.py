@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 _VALIDATION_GRID = 4096
 _MIN_SPEED = 1e-9
 _GOLDEN_TOL = 1e-6
+_DISTANCE_CHUNK = 256            # points per block of boundary_distance
 
 
 def _as_coeffs(seq) -> np.ndarray:
@@ -197,27 +198,24 @@ def _golden_minimize(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def compute_radii(curve: BoundaryCurve, grid_size: int = 4096) -> DomainRadii:
+def compute_radii(curve: BoundaryCurve) -> DomainRadii:
     """Extremal distances from the origin to the curve.
 
-    r_in_max = min_t |x(t)| and r_ex_min = max_t |x(t)|, located on a
-    parameter grid and refined by golden-section search. Curves with
-    preset radii return those verbatim.
+    r_in_max = min_t |x(t)| and r_ex_min = max_t |x(t)|, located on the
+    4096-point parameter grid that also validates curves and refined by
+    golden-section search. Curves with preset radii return those verbatim.
     """
     if curve.preset_radii is not None:
         return DomainRadii(*curve.preset_radii)
-    if grid_size < 1024:
-        raise ValidationError("grid_too_small",
-                              f"grid_size must be >= 1024, got {grid_size}")
 
     def rho(t: float) -> float:
         p = curve_point(curve, t)
         return float(np.hypot(p[0], p[1]))
 
-    t = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_GRID, endpoint=False)
     p = curve_point(curve, t)
     dist = np.hypot(p[:, 0], p[:, 1])
-    dt = 2.0 * np.pi / grid_size
+    dt = 2.0 * np.pi / _VALIDATION_GRID
 
     i_min = int(np.argmin(dist))
     t_min = _golden_minimize(rho, t[i_min] - dt, t[i_min] + dt, _GOLDEN_TOL)
@@ -352,13 +350,12 @@ def grid_near_boundary(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
 
 
 def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
-                      resolution: int = 2048, chunk: int = 256) -> np.ndarray:
+                      resolution: int = 2048) -> np.ndarray:
     """Distance from each point to the polygonal approximation of the curve.
 
-    Points are measured ``chunk`` at a time against all ``resolution``
-    edges. Each x/y component is its own (chunk, resolution) float array
-    and a few are alive at once: 4 MB each at the defaults. The result
-    does not depend on ``chunk``.
+    Points are measured 256 at a time against all ``resolution`` edges.
+    Each x/y component is its own (256, resolution) float array and a few
+    are alive at once: 4 MB each at the default resolution.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     poly = _polygon(curve, resolution)
@@ -367,9 +364,10 @@ def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
     aby = np.roll(ay, -1) - ay
     ab_len2 = np.maximum(abx * abx + aby * aby, 1e-300)
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
-        px = pts[start:start + chunk, 0][:, None]   # (C, 1)
-        py = pts[start:start + chunk, 1][:, None]
+    for start in range(0, pts.shape[0], _DISTANCE_CHUNK):
+        block = slice(start, start + _DISTANCE_CHUNK)
+        px = pts[block, 0][:, None]            # (C, 1)
+        py = pts[block, 1][:, None]
         # s = clip((ap . ab) / |ab|^2, 0, 1), the closest point's parameter,
         # updated in place to keep few (C, E) temporaries alive
         s = (px - ax) * abx
@@ -382,7 +380,7 @@ def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
         dy *= dy
         dx += dy
         # sqrt is monotone, so the sqrt of the min is the min distance
-        out[start:start + chunk] = np.sqrt(dx.min(axis=1))
+        out[block] = np.sqrt(dx.min(axis=1))
     return out
 
 

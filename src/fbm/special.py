@@ -39,7 +39,13 @@ Nor are gradients. With D+- = d/dx +- i d/dy, the Bessel recurrences
     d/dx = (D+ + D-) / 2,       d/dy = -i (D+ - D-) / 2.
 
 So every derivative of an expansion in phi_n is a shifted combination of
-values one order up and one down, smooth at r = 0.
+values one order up and one down, smooth at r = 0. The ladder is applied
+in one of two forms, both to the values of order N + 1:
+
+- coefficient side (ladder_coefficients): the coefficients are shifted
+  once, and one product with the values gives u, du/dx and du/dy;
+- basis side (assembly.trace_operator): the values are shifted, which
+  the impedance trace needs because the normal varies by node.
 
 All functions here are pure; nothing is cached or mutated.
 """
@@ -139,26 +145,6 @@ def bessel_j(n: int, t: float) -> float:
     return value
 
 
-def bessel_j_prime(n: int, t: float) -> float:
-    """Derivative J_n'(t), using J_n'(t) = n J_n(t)/t - J_{n+1}(t) for n >= 0.
-
-    At t = 0 the analytic limits apply: J_0'(0) = 0, J_{+-1}'(0) = +-1/2,
-    and 0 for |n| >= 2.
-    """
-    m = _check_order(n)
-    if t < 0.0:
-        raise ValueError(f"argument t must be nonnegative, got {t}")
-    sign = -1.0 if (n < 0 and m % 2 == 1) else 1.0
-    if t == 0.0:
-        if m == 0:
-            return 0.0
-        if m == 1:
-            return 0.5 * sign
-        return 0.0
-    j = _bessel_column(m + 1, t)
-    return sign * float(m * j[m] / t - j[m + 1])
-
-
 # ---------------------------------------------------------------------------
 # Scaled radial profiles R_n(r) = pref_n * J_n(k r), vectorized over points
 # ---------------------------------------------------------------------------
@@ -179,7 +165,7 @@ def radial_profiles(ctx: BasisContext, n_max: int, r: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Basis values and gradients
+# Basis values and the ladder
 # ---------------------------------------------------------------------------
 def ladder_constants(ctx: BasisContext, N: int):
     """The ladder constants (a_n, b_n) for n = -N..N, two float arrays.
@@ -196,6 +182,20 @@ def ladder_constants(ctx: BasisContext, N: int):
     up = (ctx.k * ctx.k * ctx.M) / (2.0 * (m + 1.0))
     down = 2.0 * m / ctx.M
     return np.where(n >= 0, -up, -down), np.where(n >= 1, down, up)
+
+
+def ladder_coefficients(ctx: BasisContext, coeffs: np.ndarray) -> np.ndarray:
+    """The coefficients of u, du/dx and du/dy on phi_{-N-1}..phi_{N+1}
+    for u = sum_n coeffs[N + n] phi_n, as the columns of a (2N+3, 3) block.
+
+    The basis values of order N + 1 (basis_values) times this block give
+    u and its gradient at those points by one product.
+    """
+    a, b = ladder_constants(ctx, (coeffs.shape[0] - 1) // 2)
+    d_plus = np.pad(a * coeffs, (2, 0))          # D+ u on phi_{n+1}
+    d_minus = np.pad(b * coeffs, (0, 2))         # D- u on phi_{n-1}
+    return np.stack([np.pad(coeffs, 1), 0.5 * (d_plus + d_minus),
+                     -0.5j * (d_plus - d_minus)], axis=1)
 
 
 def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
@@ -228,47 +228,7 @@ def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
     return values.T
 
 
-def basis_matrix(ctx: BasisContext, N: int, points: np.ndarray,
-                 gradients: bool = True):
-    """Evaluate all basis functions phi_n, n = -N..N, at the given points.
-
-    Parameters
-    ----------
-    points : np.ndarray, shape (P, 2)
-
-    Returns
-    -------
-    values : np.ndarray, complex128, shape (P, 2N+1)
-        Column j holds phi_n with n = j - N (monotone order ordering).
-    grads : np.ndarray, complex128, shape (P, 2N+1, 2), or None
-        Cartesian gradients, if requested.
-
-    The gradients come by the ladder from the values of order N + 1.
-    Both results are transposed views of order-major arrays, so
-    ``values.T`` and ``grads[:, :, d].T`` are C-contiguous (2N+1, P).
-    """
-    if N < 0 or N > N_MAX:
-        raise ValueError(f"truncation order N={N} outside [0, {N_MAX}]")
-    if not gradients:
-        return basis_values(ctx, N, points), None
-    rows = basis_values(ctx, N + 1, points).T    # (2N+3, P)
-    a, b = ladder_constants(ctx, N)
-    grads = np.empty((2, 2 * N + 1, rows.shape[1]), dtype=np.complex128)
-    half_plus = np.multiply(0.5 * a[:, None], rows[2:], out=grads[0])
-    half_minus = np.multiply(0.5 * b[:, None], rows[:-2], out=grads[1])
-    diff = half_plus - half_minus
-    half_plus += half_minus                      # d/dx = (D+ + D-) / 2
-    np.multiply(diff, -1j, out=half_minus)       # d/dy = -i (D+ - D-) / 2
-    return rows[1:-1].T, grads.transpose(2, 1, 0)
-
-
 def basis_value(ctx: BasisContext, n: int, point) -> complex:
     """Single basis function phi_n at a single point anywhere in the plane."""
     N = _check_order(n)
     return complex(basis_values(ctx, N, point)[0, N + n])
-
-
-def basis_gradient(ctx: BasisContext, n: int, point) -> np.ndarray:
-    """Cartesian gradient of phi_n at a single point, complex shape (2,)."""
-    N = _check_order(n)
-    return basis_matrix(ctx, N, point)[1][0, N + n]

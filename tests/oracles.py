@@ -34,11 +34,6 @@ def bessel_j_oracle(n: int, t: float, dps: int = 60) -> float:
         return sign * float(total)
 
 
-def bessel_j_prime_oracle(n: int, t: float) -> float:
-    """J_n'(t) from the neighbor identity (J_{n-1} - J_{n+1}) / 2."""
-    return 0.5 * (bessel_j_oracle(n - 1, t) - bessel_j_oracle(n + 1, t))
-
-
 def basis_value_oracle(k: float, M: float, n: int, point) -> complex:
     """Direct high-precision composition of prefactor, J_n, and phase."""
     x1, x2 = float(point[0]), float(point[1])

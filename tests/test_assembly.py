@@ -8,10 +8,9 @@ from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
                           compute_radii, curve_point, default_node_count,
                           kite_curve, outward_normal)
-from fbm.special import (N_MAX, basis_gradient, basis_matrix, basis_value,
-                         basis_values, bessel_j)
+from fbm.special import N_MAX, basis_values, bessel_j, ladder_coefficients
 
-from oracles import bessel_j_oracle
+from oracles import basis_gradient_oracle, basis_value_oracle, bessel_j_oracle
 
 
 @pytest.fixture(scope="module")
@@ -88,21 +87,20 @@ class TestAssembleOperator:
         op = assemble_operator(prob, rule)
         assert np.all(op.matrix @ np.zeros(9) == 0.0)
 
-    def test_entries_match_pointwise_trace(self, kite, kite_radii):
+    @pytest.mark.parametrize("k, N", [(1.0, 5), (5.0, 20), (20.0, 40)])
+    def test_entries_match_pointwise_trace(self, kite, kite_radii, k, N):
         # applying to a unit vector reproduces weighted samples of
-        # i k phi_n + dphi_n/dnu evaluated point by point
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 5)
-        rule = build_quadrature(kite, 64)
+        # i k phi_n + dphi_n/dnu, taken point by point from the oracles
+        prob = make_problem(kite, kite_radii, k, 2.2, N)
+        rule = build_quadrature(kite, default_node_count(N))
         op = assemble_operator(prob, rule)
         scale = np.max(np.abs(op.matrix))
-        for n in (-5, -1, 0, 3, 5):
-            unit = np.zeros(11, dtype=complex)
-            unit[5 + n] = 1.0
-            applied = op.matrix @ unit
-            for j in (0, 17, 40, 63):
+        for n in (-N, -1, 0, 3, N):
+            applied = op.matrix[:, N + n]
+            for j in (0, 17, 40, rule.size - 1):
                 x = rule.points[j]
-                trace = (1j * prob.k * basis_value(prob.basis, n, x)
-                         + rule.normals[j] @ basis_gradient(prob.basis, n, x))
+                trace = (1j * k * basis_value_oracle(k, prob.M, n, x)
+                         + rule.normals[j] @ basis_gradient_oracle(k, prob.M, n, x))
                 weighted = np.sqrt(rule.arc_weights[j]) * trace
                 assert abs(applied[j] - weighted) <= 1e-12 * scale
 
@@ -134,16 +132,18 @@ class TestAssembleOperator:
 
     @pytest.mark.parametrize("k, N", [(1.0, 8), (5.0, 20), (20.0, 40)])
     def test_ladder_matches_gradient_trace(self, kite, kite_radii, k, N):
-        # columns from order-(N+1) values by the ladder equal the weighted
-        # i k phi_n + nu . grad phi_n from basis_matrix
+        # the basis-side ladder of trace_operator and the coefficient-side
+        # ladder_coefficients give the same weighted i k phi_n + dphi_n/dnu
         prob = make_problem(kite, kite_radii, k, 2.2, N)
         rule = build_quadrature(kite, default_node_count(N))
-        op = trace_operator(prob, rule,
-                            basis_values(prob.basis, N + 1, rule.points))
-        values, grads = basis_matrix(prob.basis, N, rule.points)
-        expected = np.sqrt(rule.arc_weights)[:, None] * (
-            1j * k * values + rule.normals[:, None, 0] * grads[:, :, 0]
-            + rule.normals[:, None, 1] * grads[:, :, 1])
+        values = basis_values(prob.basis, N + 1, rule.points)
+        op = trace_operator(prob, rule, values)
+        expected = np.empty_like(op.matrix)
+        for j, unit in enumerate(np.eye(2 * N + 1, dtype=complex)):
+            field = values @ ladder_coefficients(prob.basis, unit)  # u, d/dx, d/dy
+            expected[:, j] = (1j * k * field[:, 0]
+                              + np.sum(rule.normals * field[:, 1:], axis=1))
+        expected *= np.sqrt(rule.arc_weights)[:, None]
         scale = np.max(np.abs(op.matrix))
         assert np.max(np.abs(op.matrix - expected)) <= 1e-12 * scale
 

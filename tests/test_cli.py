@@ -205,6 +205,22 @@ class TestConfigValidationExit:
         assert code == 2
         assert len(records) == 1 and "error" in records[0]
 
+    @pytest.mark.parametrize("override", [
+        {"k": True}, {"delta": [False]}, {"eta": True}, {"tau0": True},
+        {"seeds": [True]}, {"direction": [True, False]}, {"k": 10 ** 400},
+    ], ids=["k_bool", "delta_bool", "eta_bool", "tau0_bool", "seed_bool",
+            "direction_bool", "k_int_overflow"])
+    def test_non_numbers_are_bad_fields(self, tmp_path, capsys, override):
+        # float() takes JSON true/false as 1/0 and fails on an integer
+        # beyond the double range; both are malformed numbers
+        path = _write_config(tmp_path / "cfg.json",
+                             **{"grid_resolution": 32, **override})
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 2
+        assert [r["error"] for r in records] == ["bad_field"]
+
     def test_basis_over_budget_rejected_before_evaluation(
             self, tmp_path, capsys, monkeypatch, basis_calls):
         # k=1, delta=1e-16 selects N=8 on the kite: 17 orders at 1022
@@ -222,7 +238,7 @@ class TestConfigValidationExit:
 @pytest.fixture
 def basis_calls(monkeypatch):
     """Count basis_values calls through every fbm module that binds it,
-    fbm.special included, so that basis_matrix calls count too."""
+    fbm.special included."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -371,6 +387,21 @@ class TestRunSweep:
 
 
 class TestRunSvdStudy:
+    @pytest.mark.parametrize("orders", ["4..130", "4,6,129", "4,-6"])
+    def test_order_outside_cap_rejected_before_any_svd(
+            self, tmp_path, capsys, monkeypatch, orders):
+        def study(*args, **kwargs):
+            raise AssertionError("svd_decay_study called")
+
+        monkeypatch.setattr(cli, "svd_decay_study", study)
+        path = _write_config(tmp_path / "cfg.json")
+        code = main(["svd", "--config", str(path), "--N", orders,
+                     "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 2
+        assert [r["error"] for r in records] == ["bad_order_list"]
+
     def test_rows_and_slope_footer(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json")
         out = run_svd_study(load_config(path), str(tmp_path / "out"),

@@ -5,15 +5,15 @@ from fbm.assembly import (add_noise, assemble_operator, make_problem,
                           plane_wave_data)
 from fbm.errors import NumericalError, ValidationError
 from fbm.fields import (PlaneWave, build_interior_grid, error_report,
-                        evaluate_field, evaluate_gradient)
+                        evaluate_field)
 from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
                           compute_radii, default_node_count,
                           grid_interior_mask, is_interior, named_curve)
-from fbm.special import basis_matrix
+from fbm.special import basis_values, ladder_coefficients, ladder_constants
 from fbm.tikhonov import (CoefficientVector, select_parameters, svd,
                           tikhonov_solve)
 
-from oracles import central_difference
+from oracles import basis_gradient_oracle, central_difference
 
 
 @pytest.fixture(scope="module")
@@ -115,25 +115,33 @@ class TestEvaluateField:
         assert value == pytest.approx(reversed_sum, rel=1e-12)
 
 
+def _gradient(prob, c: CoefficientVector, points) -> np.ndarray:
+    """grad u_N at points, shape (P, 2), as error_norms forms it: basis
+    values of order N + 1 times the ladder coefficients of c."""
+    block = ladder_coefficients(prob.basis, c.coeffs)
+    return (basis_values(prob.basis, c.order + 1, points) @ block)[:, 1:]
+
+
 class TestEvaluateGradient:
     def test_zero_cases(self, kite, kite_radii):
         prob = make_problem(kite, kite_radii, 1.0, 2.2, 2)
         zero = CoefficientVector(coeffs=np.zeros(5, dtype=complex))
-        assert np.all(evaluate_gradient(prob, zero, [0.4, 0.1]) == 0.0)
+        assert np.all(_gradient(prob, zero, [0.4, 0.1]) == 0.0)
         center = CoefficientVector(coeffs=np.eye(5, dtype=complex)[2])
-        assert np.allclose(evaluate_gradient(prob, center, [0.0, 0.0]), 0.0)
+        assert np.allclose(_gradient(prob, center, [0.0, 0.0]), 0.0)
 
     def test_matches_sum_of_basis_gradients(self, kite, kite_radii):
+        # against the 60-digit polar oracle, summed term by term
         prob = make_problem(kite, kite_radii, 5.0, 2.2, 12)
         rng = np.random.default_rng(14)
         coeffs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         c = CoefficientVector(coeffs=coeffs)
         pts = rng.uniform(-0.8, 0.8, size=(6, 2))
-        grads = evaluate_gradient(prob, c, pts)
+        grads = _gradient(prob, c, pts)
         assert grads.shape == (6, 2)
-        from fbm.special import basis_gradient
         for p, grad in zip(pts, grads):
-            ref = sum(coeffs[12 + n] * basis_gradient(prob.basis, n, p)
+            ref = sum(coeffs[12 + n]
+                      * basis_gradient_oracle(prob.k, prob.M, n, p)
                       for n in range(-12, 13))
             assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -142,7 +150,7 @@ class TestEvaluateGradient:
         rng = np.random.default_rng(12)
         for _ in range(10):
             p = rng.uniform(-0.6, 0.6, size=2)
-            grad = evaluate_gradient(prob, coeffs, p)
+            [grad] = _gradient(prob, coeffs, p)
             fd = central_difference(lambda x: evaluate_field(prob, coeffs, x), p)
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(grad))
 
@@ -236,9 +244,10 @@ class TestErrorReport:
     @pytest.mark.parametrize("k", [1.0, 5.0, 20.0])
     def test_ladder_matches_gradient_path(self, kite, kite_radii, kite_grid,
                                           direction, k):
-        # norms from order-(N+1) values by the ladder equal norms built
-        # from basis_matrix's values and gradients of order N; noise of
-        # 1 % keeps the errors far above rounding
+        # norms from the coefficient-side ladder equal norms built from
+        # per-order gradients, the basis side of the ladder formed here
+        # from the same values of order N + 1; noise of 1 % keeps the
+        # errors far above rounding
         plan = select_parameters(k, 0.01, 5.0, kite_radii, 2.2)
         prob = make_problem(kite, kite_radii, k, 2.2, plan.N)
         rule = build_quadrature(kite, default_node_count(plan.N))
@@ -248,10 +257,14 @@ class TestErrorReport:
         exact = PlaneWave(k, direction)
         rep = error_report(prob, coeffs, exact, kite_grid, rule)
 
+        a, b = ladder_constants(prob.basis, plan.N)
+
         def field(points):
-            values, grads = basis_matrix(prob.basis, plan.N, points)
-            return values @ coeffs.coeffs, np.stack(
-                [grads[:, :, d] @ coeffs.coeffs for d in (0, 1)], axis=1)
+            rows = basis_values(prob.basis, plan.N + 1, points).T
+            up, down = a[:, None] * rows[2:], b[:, None] * rows[:-2]
+            grad_x, grad_y = 0.5 * (up + down), -0.5j * (up - down)
+            return coeffs.coeffs @ rows[1:-1], np.stack(
+                [coeffs.coeffs @ grad_x, coeffs.coeffs @ grad_y], axis=1)
 
         u, g = field(kite_grid.points)
         u_ex, g_ex = exact.value(kite_grid.points), exact.gradient(kite_grid.points)

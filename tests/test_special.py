@@ -4,13 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fbm.special import (N_MAX, BasisContext, basis_gradient, basis_matrix,
-                         basis_value, bessel_j, bessel_j_prime,
-                         ladder_constants)
+from fbm.special import (N_MAX, BasisContext, basis_value, basis_values,
+                         bessel_j, ladder_coefficients, ladder_constants)
 
 from oracles import (basis_gradient_oracle, basis_value_oracle,
-                     bessel_j_oracle, bessel_j_prime_oracle,
-                     central_difference)
+                     bessel_j_oracle, central_difference)
 
 T_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
 
@@ -78,24 +76,6 @@ class TestKernelAccuracy:
                 assert basis_value(ctx, n, p) == pytest.approx(ref, rel=1e-12)
 
 
-class TestBesselJPrime:
-    def test_at_one(self):
-        # equals -J_1(1), frozen from the series oracle
-        assert bessel_j_prime(0, 1.0) == pytest.approx(-0.4400505857449335, abs=1e-12)
-
-    def test_origin_limits(self):
-        assert bessel_j_prime(0, 0.0) == 0.0
-        assert bessel_j_prime(1, 0.0) == 0.5
-        assert bessel_j_prime(-1, 0.0) == -0.5
-        assert bessel_j_prime(2, 0.0) == 0.0
-
-    @pytest.mark.parametrize("t", T_GRID)
-    def test_matches_neighbor_identity_oracle(self, t):
-        for n in range(0, 30, 2):
-            assert bessel_j_prime(n, t) == pytest.approx(
-                bessel_j_prime_oracle(n, t), abs=1e-12)
-
-
 class TestRecurrenceProperties:
     def test_three_term_recurrence(self):
         ts = np.linspace(0.1, 40.0, 29)
@@ -104,17 +84,6 @@ class TestRecurrenceProperties:
                 lhs = bessel_j(n - 1, t) + bessel_j(n + 1, t)
                 rhs = (2.0 * n / t) * bessel_j(n, t)
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(bessel_j(n, t)))
-
-    def test_derivative_value_consistency(self):
-        # both neighbor forms of J_n' must agree with bessel_j_prime
-        ts = np.linspace(0.1, 40.0, 17)
-        for n in range(1, 41, 2):
-            for t in ts:
-                d = bessel_j_prime(n, t)
-                upward = n / t * bessel_j(n, t) - bessel_j(n + 1, t)
-                symmetric = 0.5 * (bessel_j(n - 1, t) - bessel_j(n + 1, t))
-                assert abs(d - upward) <= 1e-10
-                assert abs(d - symmetric) <= 1e-10
 
 
 class TestBasisValue:
@@ -207,6 +176,15 @@ def _gradient_envelopes(ctx: BasisContext, m_max: int, r: float) -> list:
     return out
 
 
+def _ladder_gradient(ctx: BasisContext, N: int, n: int, points) -> np.ndarray:
+    """grad phi_n at points, shape (P, 2), the way the pipeline forms it:
+    basis values of order N + 1 times ladder_coefficients of the unit
+    coefficient vector e_n of order N."""
+    unit = np.zeros(2 * N + 1, dtype=complex)
+    unit[N + n] = 1.0
+    return (basis_values(ctx, N + 1, points) @ ladder_coefficients(ctx, unit))[:, 1:]
+
+
 class TestBasisGradient:
     @pytest.mark.parametrize("k", [1.0, 5.0, 20.0])
     def test_against_polar_oracle(self, k):
@@ -216,32 +194,33 @@ class TestBasisGradient:
         rad = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 5))
         pts = np.vstack([np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]),
                          [[-0.3, 0.0], [-1.7, -0.0]]])
-        _, grads = basis_matrix(ctx, 40, pts)
-        for i, p in enumerate(pts):
-            scale = _gradient_envelopes(ctx, 40, float(np.hypot(p[0], p[1])))
-            for n in range(-40, 41):
+        scales = [_gradient_envelopes(ctx, 40, float(np.hypot(p[0], p[1])))
+                  for p in pts]
+        for n in range(-40, 41):
+            grads = _ladder_gradient(ctx, 40, n, pts)
+            for i, p in enumerate(pts):
                 ref = basis_gradient_oracle(ctx.k, ctx.M, n, p)
-                err = np.max(np.abs(grads[i, 40 + n] - ref))
-                assert err <= 1e-13 * scale[abs(n)]
+                err = np.max(np.abs(grads[i] - ref))
+                assert err <= 1e-13 * scales[i][abs(n)]
 
     def test_zero_at_origin_for_order_zero(self):
         ctx = BasisContext(k=2.0, M=3.0)
-        assert np.allclose(basis_gradient(ctx, 0, [0.0, 0.0]), 0.0)
+        assert np.allclose(_ladder_gradient(ctx, 0, 0, [0.0, 0.0]), 0.0)
 
     def test_radial_gradient_on_axis(self):
         ctx = BasisContext(k=1.0, M=2.0)
-        g = basis_gradient(ctx, 0, [1.0, 0.0])
+        [g] = _ladder_gradient(ctx, 0, 0, [1.0, 0.0])
         assert g[0] == pytest.approx(-0.4400505857449335, abs=1e-12)
         assert g[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_origin_limit_order_one(self):
         ctx = BasisContext(k=1.7, M=2.3)
-        g_pos = basis_gradient(ctx, 1, [0.0, 0.0])
-        g_neg = basis_gradient(ctx, -1, [0.0, 0.0])
+        [g_pos] = _ladder_gradient(ctx, 1, 1, [0.0, 0.0])
+        [g_neg] = _ladder_gradient(ctx, 1, -1, [0.0, 0.0])
         assert g_pos == pytest.approx(np.array([1.0, 1.0j]) / ctx.M, abs=1e-14)
         assert g_neg == pytest.approx(np.array([-1.0, 1.0j]) / ctx.M, abs=1e-14)
         # values just off the origin approach the same limit
-        g_near = basis_gradient(ctx, 1, [1e-9, -1e-9])
+        [g_near] = _ladder_gradient(ctx, 1, 1, [1e-9, -1e-9])
         assert np.allclose(g_near, g_pos, atol=1e-8)
 
     def test_finite_difference_agreement(self):
@@ -252,7 +231,7 @@ class TestBasisGradient:
             ang = rng.uniform(0, 2 * np.pi)
             rad = rng.uniform(0.1, ctx.M)
             p = np.array([rad * np.cos(ang), rad * np.sin(ang)])
-            grad = basis_gradient(ctx, n, p)
+            [grad] = _ladder_gradient(ctx, abs(n), n, p)
             fd = central_difference(lambda x: basis_value(ctx, n, x), p)
             scale = max(1.0, float(np.linalg.norm(grad)))
             assert np.linalg.norm(grad - fd) <= 1e-6 * scale
@@ -264,52 +243,38 @@ class TestBatchConsistency:
         rng = np.random.default_rng(23)
         pts = rng.uniform(-1.8, 1.8, size=(40, 2))
         N = 12
-        values, grads = basis_matrix(ctx, N, pts)
+        values = basis_values(ctx, N, pts)
         for i in (0, 13, 39):
             for n in (-N, -3, 0, 2, N):
                 v = basis_value(ctx, n, pts[i])
-                g = basis_gradient(ctx, n, pts[i])
                 assert values[i, N + n] == pytest.approx(v, rel=1e-12, abs=1e-300)
-                assert grads[i, N + n] == pytest.approx(g, rel=1e-12, abs=1e-300)
 
     def test_storage_is_order_major(self):
-        # each order is written as one contiguous row, and each gradient
-        # component is a (2N+1, P) matrix ready for one BLAS product
+        # each order is written as one contiguous row, a (2N+1, P) matrix
+        # ready for one BLAS product
         ctx = BasisContext(k=5.0, M=1.985)
         pts = np.random.default_rng(29).uniform(-1.8, 1.8, size=(30, 2))
-        values, grads = basis_matrix(ctx, 7, pts)
+        values = basis_values(ctx, 7, pts)
         assert values.shape == (30, 15)
-        assert grads.shape == (30, 15, 2)
         assert values.T.flags.c_contiguous
-        for d in (0, 1):
-            assert grads[:, :, d].T.flags.c_contiguous
-        values_only, none = basis_matrix(ctx, 7, pts, gradients=False)
-        assert none is None
-        assert values_only.T.flags.c_contiguous
 
     @pytest.mark.parametrize("N", [1, 2, 7])
     def test_negative_orders_are_conjugates(self, N):
-        # phi_{-n} = (-1)^n conj(phi_n) since R_n is real, exactly, for the
-        # values and both gradient components, on and off the axes
+        # phi_{-n} = (-1)^n conj(phi_n) since R_n is real, exactly, on and
+        # off the axes
         ctx = BasisContext(k=5.0, M=1.985)
         rng = np.random.default_rng(31)
         pts = np.vstack([rng.uniform(-1.8, 1.8, size=(50, 2)),
                          [[0.0, 0.0], [-0.7, 0.0], [-1.5, 0.0], [-1.5, -0.0]]])
-        values, grads = basis_matrix(ctx, N, pts)
+        values = basis_values(ctx, N, pts)
         for n in range(1, N + 1):
             sign = (-1.0) ** n
             assert np.array_equal(values[:, N - n], sign * np.conj(values[:, N + n]))
-            for d in (0, 1):
-                assert np.array_equal(grads[:, N - n, d],
-                                      sign * np.conj(grads[:, N + n, d]))
 
     def test_pure_functions_are_reproducible(self):
         ctx = BasisContext(k=2.0, M=1.5)
         pts = np.array([[0.3, -0.4], [0.0, 0.0], [1.2, 0.7]])
-        a1, g1 = basis_matrix(ctx, 6, pts)
-        a2, g2 = basis_matrix(ctx, 6, pts)
-        assert np.array_equal(a1, a2)
-        assert np.array_equal(g1, g2)
+        assert np.array_equal(basis_values(ctx, 6, pts), basis_values(ctx, 6, pts))
 
     def test_context_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ solve, sweep and plot all run one ``Cell`` per (k, delta). A cell holds
 everything that does not depend on the noise seed: the plan, problem,
 quadrature rule, SVD, exact data and the basis values of order N + 1 on
 the interior grid and on the boundary, each evaluated once. A seed then
-costs noise, a Tikhonov solve and matrix-vector products.
+costs noise and a Tikhonov solve; the error norms of all of a cell's
+seeds come from one matrix product per point set.
 
 Configuration is a single JSON document::
 
@@ -127,12 +128,9 @@ def _as_number_list(value, name: str, *, lower=None, upper=None,
 
 
 def _as_seed_list(seeds: list) -> list[int]:
-    if any(isinstance(s, bool) for s in seeds):
+    # JSON integers only: int() would truncate 1.7, parse "3" and take true
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
         raise ValidationError("bad_field", f"seeds must be integers, got {seeds}")
-    try:
-        seeds = [int(s) for s in seeds]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("bad_field", "seeds must be integers") from exc
     if min(seeds) < 0:
         raise ValidationError("bad_field", f"seeds must be non-negative, got {seeds}")
     return seeds
@@ -297,8 +295,9 @@ class Cell:
     The basis values of order N + 1 on the interior grid and on the
     boundary are evaluated once, by one basis_values call each; the
     boundary values also form the trace operator. The plane wave's values
-    and gradients there are sampled once too. Each seed then costs noise,
-    a Tikhonov solve and one matrix product with each basis.
+    and gradients there are sampled once too. Each seed then costs noise
+    and a Tikhonov solve, and the seeds solved together share one matrix
+    product with each basis.
     """
 
     plan: RegularizationPlan
@@ -313,14 +312,36 @@ class Cell:
     grid_exact: tuple                # exact (values, gradients) at grid.points
     boundary_exact: tuple            # exact (values, gradients) at rule.points
 
-    def solve(self, seed: int) -> CaseResult:
-        """Noise -> Tikhonov solve -> error report for one seed."""
-        noisy = add_noise(self.data, self.plan.delta, seed, self.rule)
-        coeffs = tikhonov_solve(self.system, noisy, self.plan.alpha)
-        report = error_norms(self.problem.basis, coeffs, self.grid, self.rule,
-                             self.grid_basis, self.boundary_basis,
-                             self.grid_exact, self.boundary_exact)
-        return CaseResult(seed=seed, coefficients=coeffs, report=report)
+    def solve(self, seeds: list[int]) -> list[CaseResult | FbmError]:
+        """Noise -> Tikhonov solve per seed, then one error pass over the
+        seeds that solved. Each seed gets its CaseResult or its FbmError; a
+        failure of the error pass is every solved seed's."""
+        outcomes: list[CoefficientVector | FbmError] = []
+        for seed in seeds:
+            try:
+                noisy = add_noise(self.data, self.plan.delta, seed, self.rule)
+                outcomes.append(tikhonov_solve(self.system, noisy,
+                                               self.plan.alpha))
+            except FbmError as exc:
+                outcomes.append(exc)
+        solved = [c for c in outcomes if not isinstance(c, FbmError)]
+        try:
+            reports = iter(error_norms(
+                self.problem.basis, solved, self.grid, self.rule,
+                self.grid_basis, self.boundary_basis, self.grid_exact,
+                self.boundary_exact) if solved else [])
+        except FbmError as exc:
+            return [c if isinstance(c, FbmError) else exc for c in outcomes]
+        return [c if isinstance(c, FbmError) else
+                CaseResult(seed=seed, coefficients=c, report=next(reports))
+                for seed, c in zip(seeds, outcomes)]
+
+
+def _solve_one(cell: Cell, seed: int) -> CaseResult:
+    [result] = cell.solve([seed])
+    if isinstance(result, FbmError):
+        raise result
+    return result
 
 
 def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
@@ -448,7 +469,7 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     delta = _single(config.delta_list, "delta")
     radii, tau0, grid, node_count = _prepare(config)
     cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
-    result = cell.solve(config.seeds[0])
+    result = _solve_one(cell, config.seeds[0])
     meta = case_metadata(cell, result, config)
     report = ErrorReport(**{**result.report.as_dict(), "metadata": meta})
     write_report_json(os.path.join(out_dir, "report.json"), report)
@@ -474,16 +495,15 @@ def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
     rows: list[str] = []
     errors: list[FbmError] = []
     group: list[CaseResult] = []
-    for seed in config.seeds:
-        try:
-            result = cell.solve(seed)
+    for seed, result in zip(config.seeds, cell.solve(config.seeds)):
+        if isinstance(result, FbmError):
+            logger.warning("sweep cell (k=%g, delta=%g, seed=%d) failed: %s",
+                           k, delta, seed, result)
+            rows.append(_failed_row(k, delta, seed, result.code))
+            errors.append(result)
+        else:
             rows.append(_sweep_row(cell, result))
             group.append(result)
-        except FbmError as exc:
-            logger.warning("sweep cell (k=%g, delta=%g, seed=%d) failed: %s",
-                           k, delta, seed, exc)
-            rows.append(_failed_row(k, delta, seed, exc.code))
-            errors.append(exc)
     if group:
         rows.append(_median_row(cell, group))
     return rows, errors
@@ -561,7 +581,7 @@ def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
     [seed] = _as_seed_list([seed])
     radii, tau0, grid, node_count = _prepare(config)
     cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
-    result = cell.solve(seed)
+    result = _solve_one(cell, seed)
     t = 2.0 * np.pi * np.arange(_TRACE_SAMPLES) / _TRACE_SAMPLES
     points = curve_point(config.curve, t)
     u_exact = np.real(cell.exact.value(points))

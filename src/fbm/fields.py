@@ -6,6 +6,10 @@ dropped (the exclusion fraction is logged). Only the points in a band
 around the boundary are measured for that; the rest are kept unmeasured.
 Boundary norms reuse the quadrature rule of the solve. Every relative
 error divides by the same norm of the exact solution.
+
+error_norms reports on several coefficient vectors of one problem at
+once, as on a sweep cell's seeds: their coefficient blocks form one row
+block, multiplied by the basis values once per point set.
 """
 
 from __future__ import annotations
@@ -123,11 +127,11 @@ def evaluate_field(problem: WaveProblem, c: CoefficientVector, points):
     return out
 
 
-def _relative(num: float, den: float, what: str) -> float:
+def _nonzero(den: float, what: str) -> float:
     if den < 1e-14:
         raise NumericalError("degenerate_exact_norm",
                              f"exact-solution norm for {what} is below 1e-14")
-    return float(num / den)
+    return den
 
 
 def error_report(problem: WaveProblem, c: CoefficientVector, exact,
@@ -137,51 +141,64 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
 
     ``exact`` must provide vectorized value(points) and gradient(points).
     """
-    return error_norms(problem.basis, c, grid, rule,
-                       basis_values(problem.basis, c.order + 1, grid.points),
-                       basis_values(problem.basis, c.order + 1, rule.points),
-                       (exact.value(grid.points), exact.gradient(grid.points)),
-                       (exact.value(rule.points), exact.gradient(rule.points)),
-                       metadata)
-
-
-def error_norms(basis: BasisContext, c: CoefficientVector, grid: InteriorGrid,
-                rule: QuadratureRule, grid_values: np.ndarray,
-                boundary_values: np.ndarray, grid_exact: tuple,
-                boundary_exact: tuple, metadata: dict | None = None) -> ErrorReport:
-    """The report of error_report from bases and exact samples in hand.
-
-    ``grid_values`` and ``boundary_values`` are the basis values of order
-    N + 1 (N the order of ``c``) at grid.points and rule.points;
-    ``grid_exact`` and ``boundary_exact`` are the exact solution's
-    (values, gradients) there. None of them depends on the data, so
-    every solve on one problem can share them.
-    """
-    block = ladder_coefficients(basis, c.coeffs)      # u_N, d/dx, d/dy
-    on_grid = grid_values @ block
-    u_num, g_num = on_grid[:, 0], on_grid[:, 1:]
-    u_ex, g_ex = grid_exact
-
-    root_area = np.sqrt(grid.cell_area)
-    l2_num = root_area * np.linalg.norm(u_num - u_ex)
-    l2_den = root_area * np.linalg.norm(u_ex)
-    h1_num = root_area * np.linalg.norm(g_num - g_ex)
-    h1_den = root_area * np.linalg.norm(g_ex)
-
-    on_boundary = boundary_values @ block
-    ub_num, gb_num = on_boundary[:, 0], on_boundary[:, 1:]
-    ub_ex, gb_ex = boundary_exact
-    dn_num = np.sum(rule.normals * gb_num, axis=1)
-    dn_ex = np.sum(rule.normals * gb_ex, axis=1)
-
-    report = ErrorReport(
-        rel_l2_interior=_relative(l2_num, l2_den, "interior L2"),
-        rel_h1semi_interior=_relative(h1_num, h1_den, "interior H1 seminorm"),
-        rel_l2_boundary=_relative(rule.boundary_norm(ub_num - ub_ex),
-                                  rule.boundary_norm(ub_ex), "boundary L2"),
-        rel_l2_normal_derivative=_relative(
-            rule.boundary_norm(dn_num - dn_ex),
-            rule.boundary_norm(dn_ex), "normal derivative"),
-        metadata=dict(metadata or {}),
-    )
+    [report] = error_norms(
+        problem.basis, [c], grid, rule,
+        basis_values(problem.basis, c.order + 1, grid.points),
+        basis_values(problem.basis, c.order + 1, rule.points),
+        (exact.value(grid.points), exact.gradient(grid.points)),
+        (exact.value(rule.points), exact.gradient(rule.points)), metadata)
     return report
+
+
+def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
+                grid: InteriorGrid, rule: QuadratureRule,
+                grid_values: np.ndarray, boundary_values: np.ndarray,
+                grid_exact: tuple, boundary_exact: tuple,
+                metadata: dict | None = None) -> list[ErrorReport]:
+    """The reports of error_report, one per coefficient vector, from bases
+    and exact samples in hand.
+
+    The vectors share one order N. ``grid_values`` and ``boundary_values``
+    are the basis values of order N + 1 at grid.points and rule.points, as
+    basis_values returns them; ``grid_exact`` and ``boundary_exact`` are
+    the exact solution's (values, gradients) there. None of them depends
+    on the data, so every solve on one problem can share them.
+
+    The vectors' ladder_coefficients blocks are stacked into one
+    (3S, 2N+3) row block and multiplied by the order-major values, one
+    product per point set. In this layout (not in values @ block) a
+    vector's rows of the product come out bitwise the same whatever the
+    number and position of the other vectors, so a report does not depend
+    on which others it was computed with; tests/test_cli.py pins this. A
+    degenerate exact norm raises before any product.
+    """
+    u_ex, g_ex = grid_exact
+    ub_ex, gb_ex = boundary_exact
+    root_area = np.sqrt(grid.cell_area)
+    dn_ex = np.sum(rule.normals * gb_ex, axis=1)
+    l2_den = _nonzero(root_area * np.linalg.norm(u_ex), "interior L2")
+    h1_den = _nonzero(root_area * np.linalg.norm(g_ex), "interior H1 seminorm")
+    lb_den = _nonzero(rule.boundary_norm(ub_ex), "boundary L2")
+    dn_den = _nonzero(rule.boundary_norm(dn_ex), "normal derivative")
+    g_ex = g_ex.T                                       # (2, P) view
+
+    block = np.concatenate([ladder_coefficients(basis, c.coeffs).T
+                            for c in coefficients])     # u_N, d/dx, d/dy rows
+    on_grid = (block @ grid_values.T).reshape(-1, 3, grid_values.shape[0])
+    on_boundary = (block @ boundary_values.T).reshape(
+        -1, 3, boundary_values.shape[0])
+    reports = []
+    for rows, boundary_rows in zip(on_grid, on_boundary):
+        u_num, g_num = rows[0], rows[1:]
+        ub_num, (gx, gy) = boundary_rows[0], boundary_rows[1:]
+        dn_num = rule.normals[:, 0] * gx + rule.normals[:, 1] * gy
+        l2_num = root_area * np.linalg.norm(u_num - u_ex)
+        h1_num = root_area * np.linalg.norm(g_num - g_ex)
+        reports.append(ErrorReport(
+            rel_l2_interior=float(l2_num / l2_den),
+            rel_h1semi_interior=float(h1_num / h1_den),
+            rel_l2_boundary=float(rule.boundary_norm(ub_num - ub_ex) / lb_den),
+            rel_l2_normal_derivative=float(
+                rule.boundary_norm(dn_num - dn_ex) / dn_den),
+            metadata=dict(metadata or {})))
+    return reports

@@ -191,11 +191,17 @@ def ladder_coefficients(ctx: BasisContext, coeffs: np.ndarray) -> np.ndarray:
     The basis values of order N + 1 (basis_values) times this block give
     u and its gradient at those points by one product.
     """
-    a, b = ladder_constants(ctx, (coeffs.shape[0] - 1) // 2)
-    d_plus = np.pad(a * coeffs, (2, 0))          # D+ u on phi_{n+1}
-    d_minus = np.pad(b * coeffs, (0, 2))         # D- u on phi_{n-1}
-    return np.stack([np.pad(coeffs, 1), 0.5 * (d_plus + d_minus),
-                     -0.5j * (d_plus - d_minus)], axis=1)
+    size = coeffs.shape[0]
+    a, b = ladder_constants(ctx, (size - 1) // 2)
+    d_plus = np.zeros(size + 2, dtype=np.complex128)
+    d_plus[2:] = a * coeffs                      # D+ u on phi_{n+1}
+    d_minus = np.zeros(size + 2, dtype=np.complex128)
+    d_minus[:-2] = b * coeffs                    # D- u on phi_{n-1}
+    block = np.zeros((size + 2, 3), dtype=np.complex128)
+    block[1:-1, 0] = coeffs
+    block[:, 1] = 0.5 * (d_plus + d_minus)
+    block[:, 2] = -0.5j * (d_plus - d_minus)
+    return block
 
 
 def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      run_solve, run_sweep, run_svd_study, run_trace_plot,
                      _parse_order_list)
 from fbm.errors import NumericalError, ValidationError
-from fbm.fields import PlaneWave
+from fbm.fields import PlaneWave, error_report
 from fbm.geometry import compute_radii
 from fbm.special import basis_values
 
@@ -208,11 +208,14 @@ class TestConfigValidationExit:
     @pytest.mark.parametrize("override", [
         {"k": True}, {"delta": [False]}, {"eta": True}, {"tau0": True},
         {"seeds": [True]}, {"direction": [True, False]}, {"k": 10 ** 400},
+        {"seeds": [1.7]}, {"seeds": ["3"]}, {"seeds": [2.0]},
     ], ids=["k_bool", "delta_bool", "eta_bool", "tau0_bool", "seed_bool",
-            "direction_bool", "k_int_overflow"])
+            "direction_bool", "k_int_overflow", "seed_fraction",
+            "seed_text", "seed_float"])
     def test_non_numbers_are_bad_fields(self, tmp_path, capsys, override):
         # float() takes JSON true/false as 1/0 and fails on an integer
-        # beyond the double range; both are malformed numbers
+        # beyond the double range; both are malformed numbers. A seed must
+        # be a JSON integer: int() would truncate 1.7 and parse "3"
         path = _write_config(tmp_path / "cfg.json",
                              **{"grid_resolution": 32, **override})
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -295,6 +298,92 @@ class TestCellPipeline:
         assert [float(v) for v in row[9:13]] == [
             single["rel_l2_interior"], single["rel_h1semi_interior"],
             single["rel_l2_boundary"], single["rel_l2_normal_derivative"]]
+
+
+def _norms(report) -> list:
+    return [report.rel_l2_interior, report.rel_h1semi_interior,
+            report.rel_l2_boundary, report.rel_l2_normal_derivative]
+
+
+def _data_rows(path) -> list[str]:
+    return [ln for ln in open(path, encoding="utf-8").read().splitlines()
+            if ln.startswith(("cell,", "median,"))]
+
+
+class TestBatchedSeeds:
+    # a cell evaluates all of its seeds by one product per point set; the
+    # product's layout keeps each seed's norms bitwise independent of the
+    # others in the batch
+    @pytest.mark.parametrize("k, delta, order", [
+        (1.0, 0.01, 8), (5.0, 0.01, 20), (20.0, 1e-16, 40)])
+    def test_batch_width_does_not_change_norms(self, tmp_path, k, delta,
+                                               order):
+        config = load_config(_write_config(tmp_path / "cfg.json", k=k,
+                                           delta=delta))
+        radii, tau0, grid, node_count = cli._prepare(config)
+        cell = cli.make_cell(config, radii, tau0, grid, node_count, k, delta)
+        assert cell.plan.N == order
+        seeds = [3, 1, 4, 5, 9]
+        for seed, batched in zip(seeds, cell.solve(seeds)):
+            [alone] = cell.solve([seed])
+            assert batched.seed == alone.seed == seed
+            assert np.array_equal(batched.coefficients.coeffs,
+                                  alone.coefficients.coeffs)
+            assert _norms(batched.report) == _norms(alone.report)
+            library = error_report(cell.problem, batched.coefficients,
+                                   cell.exact, cell.grid, cell.rule)
+            assert _norms(library) == _norms(batched.report)
+
+    def test_failed_seed_marks_only_its_row(self, tmp_path, capsys,
+                                            monkeypatch):
+        add_noise = cli.add_noise
+
+        def failing(data, delta, seed, rule):
+            if seed == 2:
+                raise NumericalError("degenerate_data", "seed 2 fails")
+            return add_noise(data, delta, seed, rule)
+
+        base = dict(k=[1.0], delta=[0.01], grid_resolution=64)
+        path = _write_config(tmp_path / "cfg.json", seeds=[1, 3], **base)
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "without")]) == 0
+        monkeypatch.setattr(cli, "add_noise", failing)
+        path = _write_config(tmp_path / "cfg.json", seeds=[1, 2, 3], **base)
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "with")]) == 0
+        rows = _data_rows(tmp_path / "with" / "sweep.csv")
+        assert rows[1] == ",".join(["cell", "1.0", "0.01", "2"] + [""] * 9
+                                   + ["degenerate_data"])
+        # the survivors' rows and the median over them
+        assert rows[:1] + rows[2:] == _data_rows(tmp_path / "without"
+                                                 / "sweep.csv")
+
+    def test_degenerate_norm_fails_every_seed(self, tmp_path, capsys,
+                                              monkeypatch):
+        calls = []
+
+        def degenerate(basis, coefficients, *args):
+            calls.append(len(coefficients))
+            raise NumericalError("degenerate_exact_norm", "zero exact field")
+
+        monkeypatch.setattr(cli, "error_norms", degenerate)
+        config = load_config(_write_config(
+            tmp_path / "cfg.json", k=[1.0], delta=[0.01], seeds=[1, 2, 3],
+            grid_resolution=64))
+        radii, tau0, grid, node_count = cli._prepare(config)
+        rows, errors = cli._sweep_cell(config, radii, tau0, grid, node_count,
+                                       1.0, 0.01)
+        assert calls == [3]                   # one error pass for the cell
+        assert [r.split(",")[3] for r in rows] == ["1", "2", "3"]
+        assert all(r.startswith("cell,") and r.endswith(",degenerate_exact_norm")
+                   for r in rows)
+        assert [e.code for e in errors] == ["degenerate_exact_norm"] * 3
+        path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],
+                             seeds=[1, 2, 3], grid_resolution=64)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert code == 3
+        assert record["error"] == "all_cells_failed"
 
 
 class TestRunSweep:

@@ -88,8 +88,6 @@ class DiscreteTraceOperator:
     """Quadrature-weighted collocation matrix of the impedance trace map."""
 
     matrix: np.ndarray           # (M_q, 2N+1) complex
-    rule: QuadratureRule
-    N: int
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,7 @@ def trace_operator(problem: WaveProblem, rule: QuadratureRule,
     if not np.all(np.isfinite(trace)):
         raise NumericalError("nonfinite_operator",
                              "trace operator contains non-finite entries")
-    return DiscreteTraceOperator(matrix=trace.T, rule=rule, N=problem.N)
+    return DiscreteTraceOperator(matrix=trace.T)
 
 
 def plane_wave_data(problem: WaveProblem, rule: QuadratureRule,

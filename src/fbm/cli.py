@@ -8,8 +8,9 @@ solve, sweep and plot all run one ``Cell`` per (k, delta). A cell holds
 everything that does not depend on the noise seed: the plan, problem,
 quadrature rule, SVD, exact data and the basis values of order N + 1 on
 the interior grid and on the boundary, each evaluated once. A seed then
-costs noise and a Tikhonov solve; the error norms of all of a cell's
-seeds come from one matrix product per point set.
+costs noise and a Tikhonov solve; the error norms of a cell's seeds come
+from one matrix product per point set, over as many seeds at a time as
+ERROR_PASS_BUDGET_BYTES allows (all ten of the reference sweep).
 
 Configuration is a single JSON document::
 
@@ -72,6 +73,11 @@ MAX_GRID_RESOLUTION = 2048
 # bytes (values and gradients) per point and order, an over-count of the
 # values of order N + 1 a cell now holds, kept so that the same inputs exit 2.
 BASIS_BUDGET_BYTES = 2 ** 30
+# Memory of one error pass's products: 48 bytes (u_N and its gradient, complex)
+# per seed and point, grid and boundary. Cell.solve passes its seeds in slices
+# that stay under it; a slice holds one seed at least. Ten seeds on the
+# reference grid (11,296 points) take about 6 MB.
+ERROR_PASS_BUDGET_BYTES = 2 ** 25
 # Allowed ranges of k and delta, for the config and for plot's --k/--delta.
 _K_RANGE = {"lower": 0.0, "lower_open": True}
 _DELTA_RANGE = {"lower": 0.0, "upper": 1.0, "upper_open": True}
@@ -85,7 +91,6 @@ _TRACE_SAMPLES = 512
 @dataclass
 class ExperimentConfig:
     curve: BoundaryCurve
-    curve_spec: object
     k_list: list
     delta_list: list
     eta: float = 5.0
@@ -208,9 +213,9 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ValidationError("bad_field",
                               f"output_dir must be a non-empty string, got {output_dir!r}")
 
-    return ExperimentConfig(curve=curve, curve_spec=raw["curve"],
-                            k_list=k_list, delta_list=delta_list, eta=eta,
-                            tau0=tau0, seeds=seeds, node_count=node_count,
+    return ExperimentConfig(curve=curve, k_list=k_list,
+                            delta_list=delta_list, eta=eta, tau0=tau0,
+                            seeds=seeds, node_count=node_count,
                             grid_resolution=grid_resolution,
                             direction=direction, output_dir=output_dir)
 
@@ -296,8 +301,8 @@ class Cell:
     boundary are evaluated once, by one basis_values call each; the
     boundary values also form the trace operator. The plane wave's values
     and gradients there are sampled once too. Each seed then costs noise
-    and a Tikhonov solve, and the seeds solved together share one matrix
-    product with each basis.
+    and a Tikhonov solve, and each slice of the seeds solved together
+    shares one matrix product with each basis.
     """
 
     plan: RegularizationPlan
@@ -313,9 +318,10 @@ class Cell:
     boundary_exact: tuple            # exact (values, gradients) at rule.points
 
     def solve(self, seeds: list[int]) -> list[CaseResult | FbmError]:
-        """Noise -> Tikhonov solve per seed, then one error pass over the
-        seeds that solved. Each seed gets its CaseResult or its FbmError; a
-        failure of the error pass is every solved seed's."""
+        """Noise -> Tikhonov solve per seed, then the error pass over the
+        seeds that solved, in slices whose products fit
+        ERROR_PASS_BUDGET_BYTES. Each seed gets its CaseResult or its
+        FbmError; a failure of the error pass is every solved seed's."""
         outcomes: list[CoefficientVector | FbmError] = []
         for seed in seeds:
             try:
@@ -325,11 +331,15 @@ class Cell:
             except FbmError as exc:
                 outcomes.append(exc)
         solved = [c for c in outcomes if not isinstance(c, FbmError)]
+        points = self.grid_basis.shape[0] + self.boundary_basis.shape[0]
+        width = max(1, ERROR_PASS_BUDGET_BYTES // (48 * points))
         try:
-            reports = iter(error_norms(
-                self.problem.basis, solved, self.grid, self.rule,
-                self.grid_basis, self.boundary_basis, self.grid_exact,
-                self.boundary_exact) if solved else [])
+            reports = iter([report for start in range(0, len(solved), width)
+                            for report in error_norms(
+                                self.problem.basis, solved[start:start + width],
+                                self.grid, self.rule, self.grid_basis,
+                                self.boundary_basis, self.grid_exact,
+                                self.boundary_exact)])
         except FbmError as exc:
             return [c if isinstance(c, FbmError) else exc for c in outcomes]
         return [c if isinstance(c, FbmError) else
@@ -558,7 +568,7 @@ def run_svd_study(config: ExperimentConfig, out_dir: str, n_list) -> str:
     meta = {
         "command": "svd", "curve": config.curve.name, "k": k,
         "eta": config.eta, "tau0": tau0, "tau_min": radii.tau_min,
-        "M_q": config.node_count, "version": __version__,
+        "M_q": study.node_count, "version": __version__,
     }
     lines = _meta_lines(meta)
     lines.append("N,mu_min,bound_product")

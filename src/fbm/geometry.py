@@ -29,6 +29,10 @@ _VALIDATION_GRID = 4096
 _MIN_SPEED = 1e-9
 _GOLDEN_TOL = 1e-6
 _DISTANCE_CHUNK = 256            # points per block of boundary_distance
+# Terms per Fourier series of a curve. Curve validation, the quadrature and
+# the boundary polygons each build (samples x terms) tables, so an uncapped
+# list costs memory in proportion to its length; the kite uses 3 terms.
+MAX_FOURIER_TERMS = 64
 
 
 def _as_coeffs(seq) -> np.ndarray:
@@ -36,6 +40,10 @@ def _as_coeffs(seq) -> np.ndarray:
     if arr.ndim != 1:
         raise ValidationError("bad_curve_coefficients",
                               "Fourier coefficient arrays must be 1-D")
+    if arr.size > MAX_FOURIER_TERMS:
+        raise ValidationError("curve_too_complex",
+                              f"a Fourier series has {arr.size} terms, "
+                              f"above {MAX_FOURIER_TERMS}")
     if arr.size == 0:
         arr = np.zeros(1)
     if not np.all(np.isfinite(arr)):

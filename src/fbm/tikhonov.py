@@ -87,20 +87,15 @@ class RegularizationPlan:
     alpha: float
 
 
-def _lapack_svd(op: DiscreteTraceOperator, **kwargs):
-    """np.linalg.svd of a tall operator matrix, with errors mapped to ours."""
+def svd(op: DiscreteTraceOperator) -> SingularSystem:
+    """Thin SVD of the weighted collocation matrix."""
     if op.matrix.shape[0] < op.matrix.shape[1]:
         raise ValidationError("system_not_tall",
                               f"matrix shape {op.matrix.shape} is not tall")
     try:
-        return np.linalg.svd(op.matrix, **kwargs)
+        u, s, vh = np.linalg.svd(op.matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("svd_failed", str(exc)) from exc
-
-
-def svd(op: DiscreteTraceOperator) -> SingularSystem:
-    """Thin SVD of the weighted collocation matrix."""
-    u, s, vh = _lapack_svd(op, full_matrices=False)
     return SingularSystem(singular_values=s, left_vectors=u,
                           right_vectors=vh.conj().T)
 
@@ -182,6 +177,7 @@ class DecayStudy:
     orders: np.ndarray               # (L,) ints, ascending
     mu_min: np.ndarray               # (L,) positive
     slope: float | None              # least-squares slope of ln(mu_min) vs N
+    node_count: int                  # size of the one quadrature rule used
 
     def bound_products(self, tau0: float) -> np.ndarray:
         """mu_min(N) * tau0^N, which should stay above a positive constant."""
@@ -190,27 +186,30 @@ class DecayStudy:
 
 def svd_decay_study(curve: BoundaryCurve, radii: DomainRadii, k: float,
                     tau0: float, n_list, node_count: int | None = None) -> DecayStudy:
-    """Assemble the operator for each N and record mu_min, plus the fitted
-    decay slope of ln(mu_min) against N (None for a single order).
-
-    Only singular values are computed (LAPACK without singular vectors),
-    so mu_min can differ from ``svd(...).mu_min`` at rounding level."""
+    """mu_min for each N of n_list, and the slope of ln(mu_min) against N
+    fitted over them (None for one order). One rule (node_count nodes, else
+    default_node_count of the largest order) and one operator at the
+    largest order serve every order: its columns are permuted to n = 0, 1,
+    -1, 2, -2, ..., so the leading (2N+1) x (2N+1) block of the R of one
+    Householder QR has the singular values of the order-N operator.
+    mu_min(N) is the smallest of them, computed without vectors, and cannot
+    increase with N (Cauchy interlacing)."""
     orders = np.asarray(list(n_list), dtype=int)
     if orders.size == 0:
         raise ValidationError("empty_order_list", "need at least one order N")
     if np.any(np.diff(orders) <= 0):
         raise ValidationError("orders_not_ascending",
                               "order list must be strictly ascending")
-    mus = np.empty(orders.size)
-    for i, n_exp in enumerate(orders):
-        rule = build_quadrature(curve, node_count or default_node_count(int(n_exp)))
-        problem = make_problem(curve, radii, k, tau0, int(n_exp))
-        mus[i] = _lapack_svd(assemble_operator(problem, rule),
-                             compute_uv=False)[-1]
-    slope = None
-    if orders.size >= 2:
-        slope = float(np.polyfit(orders.astype(float), np.log(mus), 1)[0])
-    violation = np.max(np.diff(mus)) if orders.size >= 2 else 0.0
-    if violation > 1e-12:
-        logger.warning("mu_min increased by %.3e between consecutive orders", violation)
-    return DecayStudy(orders=orders, mu_min=mus, slope=slope)
+    if orders[0] < 0:
+        raise ValidationError("bad_truncation", f"N={orders[0]} is negative")
+    top = int(orders[-1])
+    rule = build_quadrature(curve, node_count or default_node_count(top))
+    problem = make_problem(curve, radii, k, tau0, top)
+    n = np.arange(-top, top + 1)
+    nested = np.argsort(2 * np.abs(n) - (n > 0))    # n = 0, 1, -1, 2, -2, ...
+    r = np.linalg.qr(assemble_operator(problem, rule).matrix[:, nested], mode="r")
+    mus = np.array([np.linalg.svd(r[:2 * m + 1, :2 * m + 1], compute_uv=False)[-1]
+                    for m in orders])
+    slope = (float(np.polyfit(orders.astype(float), np.log(mus), 1)[0])
+             if orders.size >= 2 else None)
+    return DecayStudy(orders=orders, mu_min=mus, slope=slope, node_count=rule.size)

@@ -54,6 +54,24 @@ class TestConfigParsing:
             "k": 1.0, "delta": 0.0})
         assert cfg.curve.name == "disc"
 
+    @pytest.mark.parametrize("series", ["x1_cos", "x1_sin", "x2_cos",
+                                        "x2_sin"])
+    def test_fourier_degree_cap(self, tmp_path, capsys, series):
+        # 64 terms per series are accepted, 65 in any one of them exit 2
+        disc = {"x1_cos": [0.0, 1.2], "x1_sin": [], "x2_cos": [],
+                "x2_sin": [0.0, 1.2]}
+        longest = {name: (c + [0.0] * 64)[:64] for name, c in disc.items()}
+        assert build_config({"curve": longest, "k": 1.0,
+                             "delta": 0.0}).curve.x1_cos.size == 64
+        too_long = {**longest, series: longest[series] + [0.0]}
+        path = _write_config(tmp_path / "cfg.json", curve=too_long,
+                             grid_resolution=32)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 2
+        assert [r["error"] for r in records] == ["curve_too_complex"]
+
     def test_missing_field(self):
         with pytest.raises(ValidationError) as err:
             build_config({"curve": "kite", "k": 1.0})
@@ -385,6 +403,30 @@ class TestBatchedSeeds:
         assert code == 3
         assert record["error"] == "all_cells_failed"
 
+    def test_sliced_error_pass_matches_one_pass(self, tmp_path, monkeypatch):
+        # a budget of two seeds' products splits five seeds 2 + 2 + 1
+        config = load_config(_write_config(
+            tmp_path / "cfg.json", k=[1.0], delta=[0.01], seeds=[3, 1, 4, 5, 9],
+            grid_resolution=64))
+        radii, tau0, grid, node_count = cli._prepare(config)
+        cell = cli.make_cell(config, radii, tau0, grid, node_count, 1.0, 0.01)
+        points = cell.grid_basis.shape[0] + cell.boundary_basis.shape[0]
+        outputs, widths = [], []
+        error_norms = cli.error_norms
+
+        def counted(basis, coefficients, *args):
+            widths.append(len(coefficients))
+            return error_norms(basis, coefficients, *args)
+
+        monkeypatch.setattr(cli, "error_norms", counted)
+        for budget in (cli.ERROR_PASS_BUDGET_BYTES, 2 * 48 * points):
+            monkeypatch.setattr(cli, "ERROR_PASS_BUDGET_BYTES", budget)
+            widths.clear()
+            out = run_sweep(config, str(tmp_path / str(budget)))
+            outputs.append(open(out, "rb").read())
+        assert widths == [2, 2, 1]
+        assert outputs[0] == outputs[1]
+
 
 class TestRunSweep:
     def test_row_and_summary_counts(self, tmp_path):
@@ -500,6 +542,15 @@ class TestRunSvdStudy:
         assert data[0] == "N,mu_min,bound_product"
         assert len(data) == 1 + 11
         assert lines[-1].startswith("# fitted_slope=-")
+
+    @pytest.mark.parametrize("node_count, orders, written", [
+        ("auto", list(range(4, 81, 2)), 1344), (512, [4, 8, 12], 512)])
+    def test_node_count_recorded(self, tmp_path, node_count, orders, written):
+        # "auto" sizes one rule for the largest order and writes its size
+        path = _write_config(tmp_path / "cfg.json", M_q=node_count)
+        out = run_svd_study(load_config(path), str(tmp_path / "out"), orders)
+        lines = open(out, encoding="utf-8").read().splitlines()
+        assert f"# M_q={written}" in lines
 
     def test_single_order_footer(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json")

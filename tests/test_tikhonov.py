@@ -15,8 +15,7 @@ from fbm.tikhonov import (mu_min_bound, select_parameters, svd,
 
 def _operator_from_matrix(matrix):
     # SVD and solves only look at .matrix; geometry handles are not needed
-    return DiscreteTraceOperator(matrix=np.asarray(matrix, dtype=complex),
-                                 rule=None, N=(matrix.shape[1] - 1) // 2)
+    return DiscreteTraceOperator(matrix=np.asarray(matrix, dtype=complex))
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +226,20 @@ class TestDecayStudy:
             system = svd(assemble_operator(prob, rule))
             assert abs(mu - system.mu_min) <= 1e-13 * system.mu_max
 
+    def test_leading_block_matches_order_by_order(self, kite, kite_radii):
+        # on one shared rule, mu_min(N) read from R's leading block is the
+        # mu_min of the order-N operator assembled on its own
+        orders = range(4, 81, 2)
+        node_count = default_node_count(80)
+        study = svd_decay_study(kite, kite_radii, 1.0, 2.2, orders,
+                                node_count=node_count)
+        rule = build_quadrature(kite, node_count)
+        assert study.node_count == node_count
+        for n_exp, mu in zip(orders, study.mu_min):
+            prob = make_problem(kite, kite_radii, 1.0, 2.2, n_exp)
+            system = svd(assemble_operator(prob, rule))
+            assert abs(mu - system.mu_min) <= 1e-13 * system.mu_max
+
     def test_monotone_decrease(self, kite, kite_radii):
         study = svd_decay_study(kite, kite_radii, 1.0, 2.2, range(4, 13, 2))
         assert np.all(np.diff(study.mu_min) <= 1e-12)
@@ -234,6 +247,12 @@ class TestDecayStudy:
     def test_positive_at_large_k(self, kite, kite_radii):
         study = svd_decay_study(kite, kite_radii, 5.0, 2.2, [4, 8, 12])
         assert np.all(study.mu_min > 0.0)
+
+    def test_negative_order_rejected(self, kite, kite_radii):
+        # a leading block of negative size would be read silently
+        with pytest.raises(ValidationError) as err:
+            svd_decay_study(kite, kite_radii, 1.0, 2.2, [-2, 4])
+        assert err.value.code == "bad_truncation"
 
     def test_input_validation(self, kite, kite_radii):
         with pytest.raises(ValidationError):

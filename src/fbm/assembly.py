@@ -10,12 +10,12 @@ is recorded in run metadata.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import BoundaryCurve, DomainRadii, QuadratureRule
+from .geometry import DomainRadii, QuadratureRule
 from .special import N_MAX, BasisContext, basis_values, ladder_constants
 
 logger = logging.getLogger(__name__)
@@ -25,19 +25,16 @@ _M_OVERRIDE_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class WaveProblem:
-    """Wavenumber, domain, and basis scaling for one solve.
+    """Wavenumber, truncation order and basis scaling for one solve.
 
-    r_in = min(r_in_max, 1/k) and r_ex = tau0 * r_in. The basis scaling
-    radius M equals r_ex, except that when tau0 * r_in <= r_ex_min the
-    scaling must still cover the domain, so M is raised to
-    (1 + 1e-6) * r_ex_min and ``m_overridden`` is set; tau0 itself is
-    left as configured for parameter selection.
+    make_problem derives them from the domain radii and tau0, neither of
+    which is kept: r_in = min(r_in_max, 1/k) and r_ex = tau0 * r_in. The
+    basis scaling radius M equals r_ex, except that when
+    tau0 * r_in <= r_ex_min the scaling must still cover the domain, so M
+    is raised to (1 + 1e-6) * r_ex_min and ``m_overridden`` is set.
     """
 
     k: float
-    curve: BoundaryCurve = field(repr=False)
-    radii: DomainRadii
-    tau0: float
     N: int
     r_in: float
     r_ex: float
@@ -49,8 +46,8 @@ class WaveProblem:
         return BasisContext(k=self.k, M=self.M)
 
 
-def make_problem(curve: BoundaryCurve, radii: DomainRadii, k: float,
-                 tau0: float, N: int) -> WaveProblem:
+def make_problem(radii: DomainRadii, k: float, tau0: float,
+                 N: int) -> WaveProblem:
     """Build a WaveProblem, deriving the radii chain and basis scaling."""
     if k <= 0.0:
         raise ValidationError("bad_wavenumber", f"k must be positive, got {k}")
@@ -79,15 +76,8 @@ def make_problem(curve: BoundaryCurve, radii: DomainRadii, k: float,
         overridden = True
         logger.info("raising basis scale M to %.6g (tau0*r_in=%.6g <= r_ex_min=%.6g)",
                     m_scale, r_ex, radii.r_ex_min)
-    return WaveProblem(k=k, curve=curve, radii=radii, tau0=tau0, N=N,
-                       r_in=r_in, r_ex=r_ex, M=m_scale, m_overridden=overridden)
-
-
-@dataclass(frozen=True)
-class DiscreteTraceOperator:
-    """Quadrature-weighted collocation matrix of the impedance trace map."""
-
-    matrix: np.ndarray           # (M_q, 2N+1) complex
+    return WaveProblem(k=k, N=N, r_in=r_in, r_ex=r_ex, M=m_scale,
+                       m_overridden=overridden)
 
 
 @dataclass(frozen=True)
@@ -116,15 +106,14 @@ def boundary_data_from_weighted(weighted: np.ndarray,
     return BoundaryData(values=weighted / root_w, weighted=weighted)
 
 
-def assemble_operator(problem: WaveProblem,
-                      rule: QuadratureRule) -> DiscreteTraceOperator:
-    """Assemble the weighted collocation matrix of i k phi_n + dphi_n/dnu."""
+def assemble_operator(problem: WaveProblem, rule: QuadratureRule) -> np.ndarray:
+    """The weighted (M_q, 2N+1) collocation matrix of i k phi_n + dphi_n/dnu."""
     return trace_operator(problem, rule,
                           basis_values(problem.basis, problem.N + 1, rule.points))
 
 
 def trace_operator(problem: WaveProblem, rule: QuadratureRule,
-                   values: np.ndarray) -> DiscreteTraceOperator:
+                   values: np.ndarray) -> np.ndarray:
     """The operator of assemble_operator from basis values of order N + 1
     at the nodes (basis_values output): by the ladder, column n is i k phi_n
     + (conj(nu) a_n phi_{n+1} + nu b_n phi_{n-1}) / 2, nu = nu_x + i nu_y."""
@@ -147,7 +136,7 @@ def trace_operator(problem: WaveProblem, rule: QuadratureRule,
     if not np.all(np.isfinite(trace)):
         raise NumericalError("nonfinite_operator",
                              "trace operator contains non-finite entries")
-    return DiscreteTraceOperator(matrix=trace.T)
+    return trace.T
 
 
 def plane_wave_data(problem: WaveProblem, rule: QuadratureRule,

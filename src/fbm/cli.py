@@ -43,7 +43,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +93,13 @@ class ExperimentConfig:
     curve: BoundaryCurve
     k_list: list
     delta_list: list
-    eta: float = 5.0
-    tau0: object = "auto"            # float or "auto"
-    seeds: list = field(default_factory=lambda: list(_DEFAULT_SEEDS))
-    node_count: object = "auto"      # int or "auto"
-    grid_resolution: int = 200
-    direction: np.ndarray = field(
-        default_factory=lambda: np.array(_DEFAULT_DIRECTION))
-    output_dir: str = "fbm_out"
+    eta: float
+    tau0: object                     # float or "auto"
+    seeds: list
+    node_count: object               # int or "auto"
+    grid_resolution: int
+    direction: np.ndarray
+    output_dir: str
 
 
 def _as_number(value, name: str) -> float:
@@ -233,10 +232,11 @@ def load_config(path: str) -> ExperimentConfig:
 
 def resolve_tau0(config: ExperimentConfig, radii: DomainRadii) -> float:
     """Numeric tau0; "auto" takes 1.02*tau_min rounded up to two decimals,
-    except for the built-in kite whose canonical value is 2.2."""
+    except for the built-in kite (told by its preset radii, which a config
+    cannot set, unlike its name) whose canonical value is 2.2."""
     if config.tau0 != "auto":
         return float(config.tau0)
-    if config.curve.name == "kite":
+    if config.curve.preset_radii is not None:
         return 2.2
     return math.ceil(1.02 * radii.tau_min * 100.0) / 100.0
 
@@ -372,7 +372,7 @@ def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
             f"k={k}, delta={delta} (N={plan.N}, M_q={nodes}, "
             f"{grid.points.shape[0]} grid points) needs {basis_bytes} bytes "
             f"of basis values and gradients, above {BASIS_BUDGET_BYTES}")
-    problem = make_problem(config.curve, radii, k, tau0, plan.N)
+    problem = make_problem(radii, k, tau0, plan.N)
     rule = build_quadrature(config.curve, nodes)
     boundary_basis = basis_values(problem.basis, plan.N + 1, rule.points)
     system = svd(trace_operator(problem, rule, boundary_basis))
@@ -407,8 +407,8 @@ def _write_text(path: str, lines: list[str]) -> None:
                               f"cannot write {path}: {exc}") from exc
 
 
-def write_report_json(path: str, report: ErrorReport) -> None:
-    _write_text(path, [json.dumps(report.as_dict(), indent=2, sort_keys=True)])
+def write_report_json(path: str, report: dict) -> None:
+    _write_text(path, [json.dumps(report, indent=2, sort_keys=True)])
 
 
 def write_coefficients_csv(path: str, coeffs: CoefficientVector,
@@ -481,14 +481,14 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     result = _solve_one(cell, config.seeds[0])
     meta = case_metadata(cell, result, config)
-    report = ErrorReport(**{**result.report.as_dict(), "metadata": meta})
+    report = {**result.report.as_dict(), "metadata": meta}
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"),
                            result.coefficients, meta)
     logger.info("solve: k=%g delta=%g N=%d -> interior %.3e, boundary %.3e",
-                k, delta, cell.plan.N, report.rel_l2_interior,
-                report.rel_l2_boundary)
-    return report.as_dict()
+                k, delta, cell.plan.N, result.report.rel_l2_interior,
+                result.report.rel_l2_boundary)
+    return report
 
 
 def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,

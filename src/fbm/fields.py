@@ -15,7 +15,7 @@ block, multiplied by the basis values once per point set.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,12 @@ class PlaneWave:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """The four relative error norms plus run metadata."""
+    """The four relative error norms."""
 
     rel_l2_interior: float
     rel_h1semi_interior: float
     rel_l2_boundary: float
     rel_l2_normal_derivative: float
-    metadata: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -76,7 +75,6 @@ class ErrorReport:
             "rel_h1semi_interior": self.rel_h1semi_interior,
             "rel_l2_boundary": self.rel_l2_boundary,
             "rel_l2_normal_derivative": self.rel_l2_normal_derivative,
-            "metadata": self.metadata,
         }
 
 
@@ -135,8 +133,7 @@ def _nonzero(den: float, what: str) -> float:
 
 
 def error_report(problem: WaveProblem, c: CoefficientVector, exact,
-                 grid: InteriorGrid, rule: QuadratureRule,
-                 metadata: dict | None = None) -> ErrorReport:
+                 grid: InteriorGrid, rule: QuadratureRule) -> ErrorReport:
     """Relative L2/H1-seminorm interior errors and L2 boundary errors.
 
     ``exact`` must provide vectorized value(points) and gradient(points).
@@ -146,15 +143,14 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
         basis_values(problem.basis, c.order + 1, grid.points),
         basis_values(problem.basis, c.order + 1, rule.points),
         (exact.value(grid.points), exact.gradient(grid.points)),
-        (exact.value(rule.points), exact.gradient(rule.points)), metadata)
+        (exact.value(rule.points), exact.gradient(rule.points)))
     return report
 
 
 def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
                 grid: InteriorGrid, rule: QuadratureRule,
                 grid_values: np.ndarray, boundary_values: np.ndarray,
-                grid_exact: tuple, boundary_exact: tuple,
-                metadata: dict | None = None) -> list[ErrorReport]:
+                grid_exact: tuple, boundary_exact: tuple) -> list[ErrorReport]:
     """The reports of error_report, one per coefficient vector, from bases
     and exact samples in hand.
 
@@ -199,6 +195,5 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
             rel_h1semi_interior=float(h1_num / h1_den),
             rel_l2_boundary=float(rule.boundary_norm(ub_num - ub_ex) / lb_den),
             rel_l2_normal_derivative=float(
-                rule.boundary_norm(dn_num - dn_ex) / dn_den),
-            metadata=dict(metadata or {})))
+                rule.boundary_norm(dn_num - dn_ex) / dn_den)))
     return reports

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ _VALIDATION_GRID = 4096
 _MIN_SPEED = 1e-9
 _GOLDEN_TOL = 1e-6
 _DISTANCE_CHUNK = 256            # points per block of boundary_distance
+_INSIDE_CHUNK = 2048             # points per block of the even-odd test
+_INTERIOR_EDGES = 2048           # polygon edges of the interior tests
 # Terms per Fourier series of a curve. Curve validation, the quadrature and
 # the boundary polygons each build (samples x terms) tables, so an uncapped
 # list costs memory in proportion to its length; the kite uses 3 terms.
@@ -120,7 +122,6 @@ class DomainRadii:
 class QuadratureRule:
     """Periodic trapezoidal rule data on a boundary curve."""
 
-    curve: BoundaryCurve = field(repr=False)
     nodes: np.ndarray            # (M,) parameter values 2*pi*j/M
     weights: np.ndarray          # (M,) uniform 2*pi/M
     points: np.ndarray           # (M, 2) boundary points
@@ -253,7 +254,7 @@ def build_quadrature(curve: BoundaryCurve, node_count: int) -> QuadratureRule:
     d = curve_derivative(curve, t)
     speeds = np.hypot(d[:, 0], d[:, 1])
     normals = np.stack([d[:, 1] / speeds, -d[:, 0] / speeds], axis=-1)
-    return QuadratureRule(curve=curve, nodes=t, weights=w, points=pts,
+    return QuadratureRule(nodes=t, weights=w, points=pts,
                           speeds=speeds, normals=normals)
 
 
@@ -267,8 +268,7 @@ def _polygon(curve: BoundaryCurve, resolution: int) -> np.ndarray:
                                           endpoint=False))
 
 
-def _points_inside(poly: np.ndarray, points: np.ndarray,
-                   chunk: int = 2048) -> np.ndarray:
+def _points_inside(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Even-odd crossing test of points against a closed polygon."""
     x1 = poly[:, 0]
     y1 = poly[:, 1]
@@ -278,31 +278,31 @@ def _points_inside(poly: np.ndarray, points: np.ndarray,
     # guard horizontal edges; they never satisfy the straddle condition
     dy_safe = np.where(dy == 0.0, 1.0, dy)
     inside = np.empty(points.shape[0], dtype=bool)
-    for start in range(0, points.shape[0], chunk):
-        px = points[start:start + chunk, 0][:, None]   # (C, 1)
-        py = points[start:start + chunk, 1][:, None]
+    for start in range(0, points.shape[0], _INSIDE_CHUNK):
+        px = points[start:start + _INSIDE_CHUNK, 0][:, None]   # (C, 1)
+        py = points[start:start + _INSIDE_CHUNK, 1][:, None]
         straddle = (y1[None, :] <= py) != (y2[None, :] <= py)   # (C, E)
         x_cross = x1[None, :] + (py - y1[None, :]) * (x2 - x1)[None, :] / dy_safe[None, :]
         crossings = np.sum(straddle & (px < x_cross), axis=1)
-        inside[start:start + chunk] = crossings % 2 == 1
+        inside[start:start + _INSIDE_CHUNK] = crossings % 2 == 1
     return inside
 
 
-def is_interior(curve: BoundaryCurve, points, resolution: int = 2048):
+def is_interior(curve: BoundaryCurve, points):
     """Whether points lie inside the curve (polygonal even-odd test).
 
     Points within ~1e-9 of the boundary should be filtered by the caller;
     the polygon test still resolves them deterministically.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    result = _points_inside(_polygon(curve, resolution), pts)
+    result = _points_inside(_polygon(curve, _INTERIOR_EDGES), pts)
     if np.ndim(points) == 1:
         return bool(result[0])
     return result
 
 
-def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
-                       resolution: int = 2048) -> np.ndarray:
+def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray,
+                       ys: np.ndarray) -> np.ndarray:
     """Even-odd interior mask for a tensor grid, shape (len(ys), len(xs)).
 
     Same polygon convention as :func:`is_interior`, but exploits the grid
@@ -310,7 +310,7 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
     (scanline), which is far cheaper than testing every point against
     every edge. xs and ys must be ascending.
     """
-    poly = _polygon(curve, resolution)
+    poly = _polygon(curve, _INTERIOR_EDGES)
     x1, y1 = poly[:, 0], poly[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     # an edge crosses the rows with min(y1, y2) <= y < max(y1, y2), so a

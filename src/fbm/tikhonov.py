@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .assembly import (BoundaryData, DiscreteTraceOperator, assemble_operator,
-                       make_problem)
+from .assembly import BoundaryData, assemble_operator, make_problem
 from .geometry import (BoundaryCurve, DomainRadii, build_quadrature,
                        default_node_count)
 from .special import N_MAX
@@ -87,13 +86,13 @@ class RegularizationPlan:
     alpha: float
 
 
-def svd(op: DiscreteTraceOperator) -> SingularSystem:
+def svd(matrix: np.ndarray) -> SingularSystem:
     """Thin SVD of the weighted collocation matrix."""
-    if op.matrix.shape[0] < op.matrix.shape[1]:
+    if matrix.shape[0] < matrix.shape[1]:
         raise ValidationError("system_not_tall",
-                              f"matrix shape {op.matrix.shape} is not tall")
+                              f"matrix shape {matrix.shape} is not tall")
     try:
-        u, s, vh = np.linalg.svd(op.matrix, full_matrices=False)
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("svd_failed", str(exc)) from exc
     return SingularSystem(singular_values=s, left_vectors=u,
@@ -204,10 +203,10 @@ def svd_decay_study(curve: BoundaryCurve, radii: DomainRadii, k: float,
         raise ValidationError("bad_truncation", f"N={orders[0]} is negative")
     top = int(orders[-1])
     rule = build_quadrature(curve, node_count or default_node_count(top))
-    problem = make_problem(curve, radii, k, tau0, top)
+    problem = make_problem(radii, k, tau0, top)
     n = np.arange(-top, top + 1)
     nested = np.argsort(2 * np.abs(n) - (n > 0))    # n = 0, 1, -1, 2, -2, ...
-    r = np.linalg.qr(assemble_operator(problem, rule).matrix[:, nested], mode="r")
+    r = np.linalg.qr(assemble_operator(problem, rule)[:, nested], mode="r")
     mus = np.array([np.linalg.svd(r[:2 * m + 1, :2 * m + 1], compute_uv=False)[-1]
                     for m in orders])
     slope = (float(np.polyfit(orders.astype(float), np.log(mus), 1)[0])

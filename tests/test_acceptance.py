@@ -34,7 +34,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def _median_errors(kite, radii, grid, direction, k, delta):
     """Median interior/normal-derivative errors over the standard seeds."""
     plan = select_parameters(k, delta, ETA, radii, TAU0)
-    problem = make_problem(kite, radii, k, TAU0, plan.N)
+    problem = make_problem(radii, k, TAU0, plan.N)
     rule = build_quadrature(kite, default_node_count(plan.N))
     system = svd(assemble_operator(problem, rule))
     data = plane_wave_data(problem, rule, direction)
@@ -52,7 +52,7 @@ def _median_errors(kite, radii, grid, direction, k, delta):
 def test_criterion_1_noise_free_table_row(kite, kite_radii, direction):
     start = time.perf_counter()
     plan = select_parameters(1.0, 1e-16, ETA, kite_radii, TAU0)
-    problem = make_problem(kite, kite_radii, 1.0, TAU0, plan.N)
+    problem = make_problem(kite_radii, 1.0, TAU0, plan.N)
     rule = build_quadrature(kite, default_node_count(plan.N))
     system = svd(assemble_operator(problem, rule))
     data = add_noise(plane_wave_data(problem, rule, direction), 1e-16, 1, rule)
@@ -94,7 +94,7 @@ def test_criterion_4_exponential_convergence(kite, kite_radii, kite_grid,
     orders = np.arange(4, 21)
     errors = []
     for n_exp in orders:
-        problem = make_problem(kite, kite_radii, 1.0, TAU0, int(n_exp))
+        problem = make_problem(kite_radii, 1.0, TAU0, int(n_exp))
         rule = build_quadrature(kite, default_node_count(int(n_exp)))
         system = svd(assemble_operator(problem, rule))
         data = plane_wave_data(problem, rule, direction)
@@ -152,12 +152,12 @@ def test_criterion_7_bessel_oracle():
 
 
 def test_criterion_8_manufactured_recovery(kite, kite_radii):
-    problem = make_problem(kite, kite_radii, 1.0, TAU0, 10)
+    problem = make_problem(kite_radii, 1.0, TAU0, 10)
     rule = build_quadrature(kite, default_node_count(10))
     operator = assemble_operator(problem, rule)
     rng = np.random.default_rng(42)
     c_true = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-    rhs = boundary_data_from_weighted(operator.matrix @ c_true, rule)
+    rhs = boundary_data_from_weighted(operator @ c_true, rule)
     recovered = tikhonov_solve(svd(operator), rhs, 1e-30)
     rel = float(np.linalg.norm(recovered.coeffs - c_true)
                 / np.linalg.norm(c_true))

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ class TestConfigParsing:
         circ_cfg = build_config({"curve": "circle:1", "k": 1.0, "delta": 0.0})
         # 1.02 * tau_min rounded up to two decimals, tau_min = 1
         assert resolve_tau0(circ_cfg, compute_radii(circ_cfg.curve)) == pytest.approx(1.02)
+
+    def test_auto_tau0_ignores_the_curve_name(self):
+        # 2.2 belongs to the built-in kite, not to any curve named "kite"
+        taus = []
+        for name in ("kite", "disc"):
+            cfg = build_config({"curve": {"x1_cos": [0, 1], "x2_sin": [0, 1],
+                                          "name": name}, "k": 1.0, "delta": 0.0})
+            taus.append(resolve_tau0(cfg, compute_radii(cfg.curve)))
+        assert taus == [pytest.approx(1.02)] * 2
 
     def test_order_list_parsing(self):
         assert _parse_order_list("4..12:2") == [4, 6, 8, 10, 12]
@@ -324,7 +334,7 @@ def _norms(report) -> list:
 
 
 def _data_rows(path) -> list[str]:
-    return [ln for ln in open(path, encoding="utf-8").read().splitlines()
+    return [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
             if ln.startswith(("cell,", "median,"))]
 
 
@@ -423,7 +433,7 @@ class TestBatchedSeeds:
             monkeypatch.setattr(cli, "ERROR_PASS_BUDGET_BYTES", budget)
             widths.clear()
             out = run_sweep(config, str(tmp_path / str(budget)))
-            outputs.append(open(out, "rb").read())
+            outputs.append(Path(out).read_bytes())
         assert widths == [2, 2, 1]
         assert outputs[0] == outputs[1]
 
@@ -433,7 +443,7 @@ class TestRunSweep:
         path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[1e-16, 0.01],
                              seeds=[1, 2, 3], grid_resolution=96)
         out = run_sweep(load_config(path), str(tmp_path / "out"))
-        lines = [ln for ln in open(out, encoding="utf-8").read().splitlines()
+        lines = [ln for ln in Path(out).read_text(encoding="utf-8").splitlines()
                  if ln and not ln.startswith("#")]
         cells = [ln for ln in lines if ln.startswith("cell,")]
         medians = [ln for ln in lines if ln.startswith("median,")]
@@ -445,14 +455,14 @@ class TestRunSweep:
                              seeds=[1, 2], grid_resolution=96)
         out1 = run_sweep(load_config(path), str(tmp_path / "a"))
         out2 = run_sweep(load_config(path), str(tmp_path / "b"))
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_median_errors_in_noise_band(self, tmp_path):
         # medians for (k=1, delta=0.01) land between 1e-4 and 1e-1
         path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],
                              seeds=list(range(1, 11)), grid_resolution=128)
         out = run_sweep(load_config(path), str(tmp_path / "out"))
-        median = [ln for ln in open(out, encoding="utf-8").read().splitlines()
+        median = [ln for ln in Path(out).read_text(encoding="utf-8").splitlines()
                   if ln.startswith("median,")][0].split(",")
         rel_l2_interior = float(median[9])
         assert 1e-4 <= rel_l2_interior <= 1e-1
@@ -463,7 +473,7 @@ class TestRunSweep:
                              delta=[1e-16, 0.01, 0.05],
                              seeds=list(range(1, 11)), grid_resolution=128)
         out = run_sweep(load_config(path), str(tmp_path / "out"))
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert sum(ln.startswith("cell,") for ln in lines) == 90
         assert sum(ln.startswith("median,") for ln in lines) == 9
         assert not any(ln.startswith("cell,") and not ln.endswith(",")
@@ -537,7 +547,7 @@ class TestRunSvdStudy:
         path = _write_config(tmp_path / "cfg.json")
         out = run_svd_study(load_config(path), str(tmp_path / "out"),
                             list(range(4, 25, 2)))
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         data = [ln for ln in lines if ln and not ln.startswith("#")]
         assert data[0] == "N,mu_min,bound_product"
         assert len(data) == 1 + 11
@@ -549,13 +559,13 @@ class TestRunSvdStudy:
         # "auto" sizes one rule for the largest order and writes its size
         path = _write_config(tmp_path / "cfg.json", M_q=node_count)
         out = run_svd_study(load_config(path), str(tmp_path / "out"), orders)
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert f"# M_q={written}" in lines
 
     def test_single_order_footer(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json")
         out = run_svd_study(load_config(path), str(tmp_path / "out"), [6])
-        assert open(out, encoding="utf-8").read().splitlines()[-1] \
+        assert Path(out).read_text(encoding="utf-8").splitlines()[-1] \
             == "# fitted_slope=n/a"
 
     def test_unresolvable_wavenumber_exits_2(self, tmp_path, capsys):
@@ -571,7 +581,7 @@ class TestRunSvdStudy:
     def test_large_k_all_positive(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", k=5.0)
         out = run_svd_study(load_config(path), str(tmp_path / "out"), [4, 8, 12])
-        rows = [ln.split(",") for ln in open(out, encoding="utf-8").read().splitlines()
+        rows = [ln.split(",") for ln in Path(out).read_text(encoding="utf-8").splitlines()
                 if ln and not ln.startswith("#") and not ln.startswith("N,")]
         assert all(float(r[1]) > 0.0 for r in rows)
 
@@ -603,8 +613,8 @@ class TestRunTracePlot:
         path = _write_config(tmp_path / "cfg.json", grid_resolution=96)
         exact_path, _ = run_trace_plot(load_config(path), str(tmp_path / "out"),
                                        k=1.0, delta=1e-16, seed=1)
-        header = [ln for ln in open(exact_path, encoding="utf-8")
-                  if ln.startswith("#")]
+        header = [ln for ln in Path(exact_path).read_text(encoding="utf-8")
+                  .splitlines() if ln.startswith("#")]
         keys = {ln.split("=", 1)[0].lstrip("# ") for ln in header}
         for need in ("k", "delta", "eta", "tau0", "N", "alpha", "M_q",
                      "grid_resolution", "seed", "m_overridden"):
@@ -648,3 +658,49 @@ class TestConfigFuzz:
             assert code in (0, 2, 3), (raw, command, code)
             if code:
                 assert len(records) == 1 and "error" in records[0], (raw, err)
+
+    # entries that make a k, delta or seeds list invalid
+    BAD_ENTRIES = ["x", None, True, float("nan"), float("inf"), -1, 1.0, 2.5,
+                   [1.0]]
+
+    def test_long_lists_exit_contract(self, tmp_path, capsys):
+        # Fourier series of 65..200 terms exit 2 as curve_too_complex under
+        # every command; sweeps over long seeds, k and delta lists, valid or
+        # with one bad entry, keep the exit-code contract
+        rng = random.Random(20261019)
+        cases = [("curve", False)] * 5 + [(name, bad) for bad in (False, False, True)
+                                          for name in ("seeds", "k", "delta")]
+        for case, (name, bad) in enumerate(cases):
+            raw = dict(self.BASE)
+            command = ["sweep"]
+            if name == "curve":
+                command = rng.choice([["solve"], ["svd", "--N", "4..12:4"],
+                                      ["sweep"]])
+                curve = {"x1_cos": [0.0, 1.0], "x2_sin": [0.0, 1.0]}
+                series = rng.choice(["x1_cos", "x1_sin", "x2_cos", "x2_sin"])
+                head = curve.get(series, [])
+                curve[series] = head + [rng.uniform(-1e-3, 1e-3) for _ in
+                                        range(rng.randint(65, 200) - len(head))]
+                raw["curve"] = curve
+            else:
+                if name == "seeds":
+                    items = rng.sample(range(2 ** 31), rng.randint(100, 300))
+                elif name == "k":
+                    items = [rng.uniform(0.05, 80.0)
+                             for _ in range(rng.randint(20, 40))]
+                else:
+                    items = [10.0 ** rng.uniform(-16.0, -0.01)
+                             for _ in range(rng.randint(20, 40))]
+                if bad:
+                    items[rng.randrange(len(items))] = rng.choice(self.BAD_ENTRIES)
+                raw[name] = items
+            path = tmp_path / f"cfg{case}.json"
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            code = main([command[0], "--config", str(path),
+                         "--out", str(tmp_path / f"out{case}"), *command[1:]])
+            records = [json.loads(ln) for ln in
+                       capsys.readouterr().err.splitlines() if ln.startswith("{")]
+            assert code in (0, 2, 3), (raw, command, code)
+            assert len(records) == (1 if code else 0), (raw, command, records)
+            if name == "curve":
+                assert code == 2 and records[0]["error"] == "curve_too_complex"

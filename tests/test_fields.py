@@ -19,7 +19,7 @@ from oracles import basis_gradient_oracle, central_difference
 @pytest.fixture(scope="module")
 def solved_case(kite, kite_radii, direction):
     """Noise-free solve at a moderate order, shared by several tests."""
-    prob = make_problem(kite, kite_radii, 1.0, 2.2, 8)
+    prob = make_problem(kite_radii, 1.0, 2.2, 8)
     rule = build_quadrature(kite, default_node_count(8))
     data = plane_wave_data(prob, rule, direction)
     coeffs = tikhonov_solve(svd(assemble_operator(prob, rule)), data, 1e-30)
@@ -91,18 +91,18 @@ class TestInteriorGridCull:
 
 class TestEvaluateField:
     def test_center_mode_at_origin(self, kite, kite_radii):
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 3)
+        prob = make_problem(kite_radii, 1.0, 2.2, 3)
         c = CoefficientVector(coeffs=np.eye(7, dtype=complex)[3])
         assert evaluate_field(prob, c, [0.0, 0.0]) == 1.0 + 0.0j
 
     def test_zero_coefficients(self, kite, kite_radii):
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 3)
+        prob = make_problem(kite_radii, 1.0, 2.2, 3)
         c = CoefficientVector(coeffs=np.zeros(7, dtype=complex))
         pts = np.array([[0.1, 0.2], [-0.5, 0.4]])
         assert np.all(evaluate_field(prob, c, pts) == 0.0)
 
     def test_summation_order_robustness(self, kite, kite_radii):
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 12)
+        prob = make_problem(kite_radii, 1.0, 2.2, 12)
         rng = np.random.default_rng(6)
         coeffs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         c = CoefficientVector(coeffs=coeffs)
@@ -124,7 +124,7 @@ def _gradient(prob, c: CoefficientVector, points) -> np.ndarray:
 
 class TestEvaluateGradient:
     def test_zero_cases(self, kite, kite_radii):
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 2)
+        prob = make_problem(kite_radii, 1.0, 2.2, 2)
         zero = CoefficientVector(coeffs=np.zeros(5, dtype=complex))
         assert np.all(_gradient(prob, zero, [0.4, 0.1]) == 0.0)
         center = CoefficientVector(coeffs=np.eye(5, dtype=complex)[2])
@@ -132,7 +132,7 @@ class TestEvaluateGradient:
 
     def test_matches_sum_of_basis_gradients(self, kite, kite_radii):
         # against the 60-digit polar oracle, summed term by term
-        prob = make_problem(kite, kite_radii, 5.0, 2.2, 12)
+        prob = make_problem(kite_radii, 5.0, 2.2, 12)
         rng = np.random.default_rng(14)
         coeffs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         c = CoefficientVector(coeffs=coeffs)
@@ -175,7 +175,7 @@ class TestHelmholtzResidual:
 class TestErrorReport:
     def test_zero_candidate_gives_unit_errors(self, kite, kite_radii,
                                               kite_grid, direction):
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 2)
+        prob = make_problem(kite_radii, 1.0, 2.2, 2)
         rule = build_quadrature(kite, 64)
         c = CoefficientVector(coeffs=np.zeros(5, dtype=complex))
         rep = error_report(prob, c, PlaneWave(1.0, direction), kite_grid, rule)
@@ -187,7 +187,7 @@ class TestErrorReport:
     def test_dense_fit_self_consistency(self, kite, kite_radii, kite_grid,
                                         direction):
         # a high-order noise-free fit reproduces the plane wave everywhere
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 25)
+        prob = make_problem(kite_radii, 1.0, 2.2, 25)
         rule = build_quadrature(kite, default_node_count(25))
         data = plane_wave_data(prob, rule, direction)
         coeffs = tikhonov_solve(svd(assemble_operator(prob, rule)), data, 1e-30)
@@ -198,7 +198,7 @@ class TestErrorReport:
         assert rep.rel_l2_normal_derivative < 1e-8
 
     def test_degenerate_exact_rejected(self, kite, kite_radii, kite_grid):
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 2)
+        prob = make_problem(kite_radii, 1.0, 2.2, 2)
         rule = build_quadrature(kite, 64)
         c = CoefficientVector(coeffs=np.zeros(5, dtype=complex))
 
@@ -249,7 +249,7 @@ class TestErrorReport:
         # from the same values of order N + 1; noise of 1 % keeps the
         # errors far above rounding
         plan = select_parameters(k, 0.01, 5.0, kite_radii, 2.2)
-        prob = make_problem(kite, kite_radii, k, 2.2, plan.N)
+        prob = make_problem(kite_radii, k, 2.2, plan.N)
         rule = build_quadrature(kite, default_node_count(plan.N))
         data = add_noise(plane_wave_data(prob, rule, direction), 0.01, 3, rule)
         coeffs = tikhonov_solve(svd(assemble_operator(prob, rule)), data,
@@ -281,12 +281,3 @@ class TestErrorReport:
         }
         for name, value in expected.items():
             assert getattr(rep, name) == pytest.approx(value, rel=1e-12)
-
-    def test_metadata_passthrough(self, kite, kite_radii, kite_grid, direction):
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 2)
-        rule = build_quadrature(kite, 64)
-        c = CoefficientVector(coeffs=np.zeros(5, dtype=complex))
-        rep = error_report(prob, c, PlaneWave(1.0, direction), kite_grid, rule,
-                           metadata={"seed": 7})
-        assert rep.metadata == {"seed": 7}
-        assert rep.as_dict()["rel_l2_interior"] == rep.rel_l2_interior

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from fbm.assembly import (DiscreteTraceOperator, assemble_operator,
-                          boundary_data_from_weighted, make_problem)
+from fbm.assembly import (assemble_operator, boundary_data_from_weighted,
+                          make_problem)
 from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
                           compute_radii, default_node_count)
@@ -13,14 +13,9 @@ from fbm.tikhonov import (mu_min_bound, select_parameters, svd,
                           svd_decay_study, tikhonov_solve)
 
 
-def _operator_from_matrix(matrix):
-    # SVD and solves only look at .matrix; geometry handles are not needed
-    return DiscreteTraceOperator(matrix=np.asarray(matrix, dtype=complex))
-
-
 @pytest.fixture(scope="module")
 def kite_system(kite, kite_radii):
-    prob = make_problem(kite, kite_radii, 1.0, 2.2, 10)
+    prob = make_problem(kite_radii, 1.0, 2.2, 10)
     rule = build_quadrature(kite, default_node_count(10))
     op = assemble_operator(prob, rule)
     return prob, rule, op, svd(op)
@@ -30,20 +25,20 @@ class TestSvd:
     def test_diagonal_matrix(self):
         matrix = np.zeros((6, 3), dtype=complex)
         matrix[0, 0], matrix[1, 1], matrix[2, 2] = 3.0, 1.0, 2.0
-        system = svd(_operator_from_matrix(matrix))
+        system = svd(matrix)
         assert np.allclose(system.singular_values, [3.0, 2.0, 1.0])
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((20, 5))
                             + 1j * rng.standard_normal((20, 5)))
-        system = svd(_operator_from_matrix(q))
+        system = svd(q)
         assert np.allclose(system.singular_values, 1.0, atol=1e-12)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(8)
         matrix = rng.standard_normal((64, 9)) + 1j * rng.standard_normal((64, 9))
-        system = svd(_operator_from_matrix(matrix))
+        system = svd(matrix)
         rebuilt = (system.left_vectors * system.singular_values) \
             @ system.right_vectors.conj().T
         assert np.linalg.norm(rebuilt - matrix) <= 1e-10 * np.linalg.norm(matrix)
@@ -53,7 +48,7 @@ class TestSvd:
         assert system.singular_values.shape == (21,)
         assert np.all(np.diff(system.singular_values) <= 0.0)
         for j in (0, 10, 20):
-            lhs = op.matrix @ system.right_vectors[:, j]
+            lhs = op @ system.right_vectors[:, j]
             rhs = system.singular_values[j] * system.left_vectors[:, j]
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * system.mu_max
         gram_left = system.left_vectors.conj().T @ system.left_vectors
@@ -63,7 +58,7 @@ class TestSvd:
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValidationError):
-            svd(_operator_from_matrix(np.ones((3, 5))))
+            svd(np.ones((3, 5)))
 
 
 class TestTikhonovSolve:
@@ -77,7 +72,7 @@ class TestTikhonovSolve:
         _, rule, op, system = kite_system
         rng = np.random.default_rng(10)
         c_true = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-        rhs = boundary_data_from_weighted(op.matrix @ c_true, rule)
+        rhs = boundary_data_from_weighted(op @ c_true, rule)
         c = tikhonov_solve(system, rhs, 1e-30)
         rel = np.linalg.norm(c.coeffs - c_true) / np.linalg.norm(c_true)
         assert rel <= 1e-8
@@ -97,8 +92,8 @@ class TestTikhonovSolve:
         prob, rule, op, system = kite_system
         rhs = plane_wave_data(prob, rule, direction)
         c = tikhonov_solve(system, rhs, 0.0)
-        residual = op.matrix @ c.coeffs - rhs.weighted
-        assert np.linalg.norm(op.matrix.conj().T @ residual) \
+        residual = op @ c.coeffs - rhs.weighted
+        assert np.linalg.norm(op.conj().T @ residual) \
             <= 1e-10 * np.linalg.norm(rhs.weighted) * system.mu_max
 
     def test_normal_equation_residual(self, kite_system, direction):
@@ -107,14 +102,14 @@ class TestTikhonovSolve:
         rhs = plane_wave_data(prob, rule, direction)
         for alpha in (1e-8, 1e-4, 1e-1):
             c = tikhonov_solve(system, rhs, alpha)
-            gram_rhs = op.matrix.conj().T @ rhs.weighted
-            lhs = alpha * c.coeffs + op.matrix.conj().T @ (op.matrix @ c.coeffs)
+            gram_rhs = op.conj().T @ rhs.weighted
+            lhs = alpha * c.coeffs + op.conj().T @ (op @ c.coeffs)
             assert np.linalg.norm(lhs - gram_rhs) <= 1e-10 * np.linalg.norm(gram_rhs)
 
     def test_rank_guard(self):
         matrix = np.zeros((4, 3), dtype=complex)
         matrix[0, 0], matrix[1, 1], matrix[2, 2] = 1.0, 1.0, 1e-15
-        system = svd(_operator_from_matrix(matrix))
+        system = svd(matrix)
         rhs_vec = np.ones(4, dtype=complex)
         rhs = type("Rhs", (), {"weighted": rhs_vec})()
         with pytest.raises(NumericalError) as err:
@@ -201,12 +196,12 @@ class TestMuMinBound:
 class TestDecayStudy:
     def test_single_order_has_column_norm(self, kite, kite_radii):
         study = svd_decay_study(kite, kite_radii, 1.0, 2.2, [0])
-        prob = make_problem(kite, kite_radii, 1.0, 2.2, 0)
+        prob = make_problem(kite_radii, 1.0, 2.2, 0)
         rule = build_quadrature(kite, default_node_count(0))
         op = assemble_operator(prob, rule)
         assert study.slope is None
         assert study.mu_min[0] == pytest.approx(
-            np.linalg.norm(op.matrix[:, 0]), rel=1e-12)
+            np.linalg.norm(op[:, 0]), rel=1e-12)
 
     def test_circle_decay_near_log_tau0(self):
         # near-diagonal structure on the circle: slope within 15% of -ln 2
@@ -221,7 +216,7 @@ class TestDecayStudy:
         orders = range(4, 41, 4)
         study = svd_decay_study(kite, kite_radii, 1.0, 2.2, orders)
         for n_exp, mu in zip(orders, study.mu_min):
-            prob = make_problem(kite, kite_radii, 1.0, 2.2, n_exp)
+            prob = make_problem(kite_radii, 1.0, 2.2, n_exp)
             rule = build_quadrature(kite, default_node_count(n_exp))
             system = svd(assemble_operator(prob, rule))
             assert abs(mu - system.mu_min) <= 1e-13 * system.mu_max
@@ -236,7 +231,7 @@ class TestDecayStudy:
         rule = build_quadrature(kite, node_count)
         assert study.node_count == node_count
         for n_exp, mu in zip(orders, study.mu_min):
-            prob = make_problem(kite, kite_radii, 1.0, 2.2, n_exp)
+            prob = make_problem(kite_radii, 1.0, 2.2, n_exp)
             system = svd(assemble_operator(prob, rule))
             assert abs(mu - system.mu_min) <= 1e-13 * system.mu_max
 

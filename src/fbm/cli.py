@@ -7,9 +7,16 @@ the regularized normal equation and report relative errors.
 solve, sweep and plot all run one ``Cell`` per (k, delta). A cell holds
 everything that does not depend on the noise seed: the plan, problem,
 quadrature rule, SVD, exact data and the basis values of order N + 1 on
-the interior grid and on the boundary, each evaluated once. A seed then
-costs noise and a Tikhonov solve; the error norms of a cell's seeds come
-from one matrix product per point set, over as many seeds at a time as
+the boundary, evaluated once, and on the interior grid. The grid part
+depends on k alone (the basis functions depend on k and the scaling
+radius M; delta only picks N), so it is a ``WaveGrid``: the grid basis
+of order N_top + 1 and the exact grid samples, evaluated once per k, with
+N_top the largest order among the k's cells that pass validation. A
+cell's grid basis is the row block of its orders in that array, a view.
+A sweep runs the cells of one k at a time and holds one WaveGrid; solve
+and plot build theirs with N_top = N. A seed then costs noise and a
+Tikhonov solve; the error norms of a cell's seeds come from one matrix
+product per point set, over as many seeds at a time as
 ERROR_PASS_BUDGET_BYTES allows (all ten of the reference sweep).
 
 Configuration is a single JSON document::
@@ -56,7 +63,7 @@ from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
                        default_node_count, named_curve)
-from .special import N_MAX, basis_values
+from .special import N_MAX, BasisContext, basis_values
 from .tikhonov import (CoefficientVector, RegularizationPlan, SingularSystem,
                        select_parameters, svd, svd_decay_study, tikhonov_solve)
 
@@ -69,9 +76,10 @@ _DEFAULT_SEEDS = tuple(range(1, 11))
 # reference grid is 200, so these leave wide headroom.
 MAX_NODE_COUNT = 65536
 MAX_GRID_RESOLUTION = 2048
-# Memory a cell may spend on its grid and boundary bases. make_cell counts 48
-# bytes (values and gradients) per point and order, an over-count of the
-# values of order N + 1 a cell now holds, kept so that the same inputs exit 2.
+# Memory a cell may spend on its bases and its error pass, counted before any
+# basis is evaluated: 16 bytes per point (grid and boundary) and order for the
+# values of order N + 1, and 48 per point and seed for one error pass's
+# products. A WaveGrid has the order of a cell that passed this check.
 BASIS_BUDGET_BYTES = 2 ** 30
 # Memory of one error pass's products: 48 bytes (u_N and its gradient, complex)
 # per seed and point, grid and boundary. Cell.solve passes its seeds in slices
@@ -294,15 +302,50 @@ def case_metadata(cell: Cell, result: CaseResult,
 
 
 @dataclass(frozen=True)
+class WaveGrid:
+    """The interior grid as the cells of one wavenumber see it.
+
+    ``values`` are the basis values of order ``order`` + 1 at
+    grid.points, as basis_values returns them: the transposed view of an
+    order-major (2 order + 3, P) array. The values of any order N + 1 <=
+    order + 1 are its middle rows, so rows(N) hands a cell of order N the
+    bits that basis_values(basis, N + 1, grid.points) returns, as a view.
+    """
+
+    grid: InteriorGrid
+    basis: BasisContext
+    order: int                       # N_top
+    values: np.ndarray               # (P, 2 order + 3)
+    exact: tuple                     # exact (values, gradients) at grid.points
+
+    def rows(self, basis: BasisContext, N: int) -> np.ndarray:
+        """The values of order N + 1 for a cell on ``basis``, shape (P, 2N+3)."""
+        if basis != self.basis or not 0 <= N <= self.order:
+            raise ValueError(f"order {N} on {basis} is not in the grid basis "
+                             f"of order {self.order} on {self.basis}")
+        return self.values.T[self.order - N:self.order + N + 3].T
+
+
+def _wave_grid(grid: InteriorGrid, basis: BasisContext, order: int,
+               exact: PlaneWave) -> WaveGrid:
+    """Evaluate the grid basis of order ``order`` + 1 and sample ``exact``
+    on the grid, once each."""
+    return WaveGrid(grid=grid, basis=basis, order=order,
+                    values=basis_values(basis, order + 1, grid.points),
+                    exact=exact.samples(grid.points))
+
+
+@dataclass(frozen=True)
 class Cell:
     """The seed-independent half of one (k, delta) case.
 
-    The basis values of order N + 1 on the interior grid and on the
-    boundary are evaluated once, by one basis_values call each; the
-    boundary values also form the trace operator. The plane wave's values
-    and gradients there are sampled once too. Each seed then costs noise
-    and a Tikhonov solve, and each slice of the seeds solved together
-    shares one matrix product with each basis.
+    The basis values of order N + 1 on the boundary are evaluated once, by
+    one basis_values call, and also form the trace operator; the plane
+    wave's values and gradients there are sampled once. The grid basis
+    and samples are those of the k's WaveGrid, the basis a view of its
+    rows. Each seed then costs noise and a Tikhonov solve, and each slice
+    of the seeds solved together shares one matrix product with each
+    basis.
     """
 
     plan: RegularizationPlan
@@ -331,8 +374,8 @@ class Cell:
             except FbmError as exc:
                 outcomes.append(exc)
         solved = [c for c in outcomes if not isinstance(c, FbmError)]
-        points = self.grid_basis.shape[0] + self.boundary_basis.shape[0]
-        width = max(1, ERROR_PASS_BUDGET_BYTES // (48 * points))
+        width = _pass_width(self.grid_basis.shape[0]
+                            + self.boundary_basis.shape[0])
         try:
             reports = iter([report for start in range(0, len(solved), width)
                             for report in error_norms(
@@ -347,6 +390,11 @@ class Cell:
                 for seed, c in zip(seeds, outcomes)]
 
 
+def _pass_width(points: int) -> int:
+    """Seeds per error pass over ``points`` grid and boundary points."""
+    return max(1, ERROR_PASS_BUDGET_BYTES // (48 * points))
+
+
 def _solve_one(cell: Cell, seed: int) -> CaseResult:
     [result] = cell.solve([seed])
     if isinstance(result, FbmError):
@@ -354,10 +402,11 @@ def _solve_one(cell: Cell, seed: int) -> CaseResult:
     return result
 
 
-def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
-              grid: InteriorGrid, node_count: int | None, k: float,
-              delta: float) -> Cell:
-    """Plan -> problem -> quadrature -> bases -> operator -> SVD -> data."""
+def _plan_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
+               grid: InteriorGrid, node_count: int | None, k: float,
+               delta: float) -> tuple[RegularizationPlan, int, WaveProblem]:
+    """Plan, quadrature size and problem of a (k, delta) cell, with every
+    check that must pass before any of its bases is evaluated."""
     plan = select_parameters(k, delta, config.eta, radii, tau0)
     if plan.N >= N_MAX:
         raise ValidationError(
@@ -365,27 +414,44 @@ def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
             f"k={k}, delta={delta} selects N >= N_MAX={N_MAX}, "
             "beyond what the basis can resolve")
     nodes = node_count or default_node_count(plan.N)
-    basis_bytes = 48 * (2 * plan.N + 1) * (grid.points.shape[0] + nodes)
-    if basis_bytes > BASIS_BUDGET_BYTES:
+    points = grid.points.shape[0] + nodes
+    seeds = min(len(config.seeds), _pass_width(points))
+    needed = 16 * (2 * plan.N + 3 + 3 * seeds) * points
+    if needed > BASIS_BUDGET_BYTES:
         raise ValidationError(
             "problem_too_large",
             f"k={k}, delta={delta} (N={plan.N}, M_q={nodes}, "
-            f"{grid.points.shape[0]} grid points) needs {basis_bytes} bytes "
-            f"of basis values and gradients, above {BASIS_BUDGET_BYTES}")
-    problem = make_problem(radii, k, tau0, plan.N)
+            f"{grid.points.shape[0]} grid points, {seeds} seeds per error "
+            f"pass) needs {needed} bytes of basis values and error-pass "
+            f"products, above {BASIS_BUDGET_BYTES}")
+    return plan, nodes, make_problem(radii, k, tau0, plan.N)
+
+
+def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
+              grid: InteriorGrid | WaveGrid, node_count: int | None,
+              k: float, delta: float) -> Cell:
+    """Plan -> problem -> quadrature -> bases -> operator -> SVD -> data.
+
+    ``grid`` is the k's WaveGrid, or a plain InteriorGrid for a cell that
+    evaluates its own, of order N, after its boundary stages.
+    """
+    shared = grid if isinstance(grid, WaveGrid) else None
+    if shared is not None:
+        grid = shared.grid
+    plan, nodes, problem = _plan_cell(config, radii, tau0, grid,
+                                      node_count, k, delta)
     rule = build_quadrature(config.curve, nodes)
     boundary_basis = basis_values(problem.basis, plan.N + 1, rule.points)
     system = svd(trace_operator(problem, rule, boundary_basis))
     data = plane_wave_data(problem, rule, config.direction)
-    grid_basis = basis_values(problem.basis, plan.N + 1, grid.points)
     exact = PlaneWave(k=k, direction=config.direction)
+    if shared is None:
+        shared = _wave_grid(grid, problem.basis, plan.N, exact)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
-                data=data, exact=exact, grid=grid, grid_basis=grid_basis,
-                boundary_basis=boundary_basis,
-                grid_exact=(exact.value(grid.points),
-                            exact.gradient(grid.points)),
-                boundary_exact=(exact.value(rule.points),
-                                exact.gradient(rule.points)))
+                data=data, exact=exact, grid=grid,
+                grid_basis=shared.rows(problem.basis, plan.N),
+                boundary_basis=boundary_basis, grid_exact=shared.exact,
+                boundary_exact=exact.samples(rule.points))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +560,8 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
 def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
                 k: float, delta: float) -> tuple[list[str], list[FbmError]]:
     """The rows of one (k, delta) cell, one per seed and then a median row
-    if any seed solved, with the errors of the rows that failed. The cell
-    is dropped on return, so the sweep holds one cell's bases at a time."""
+    if any seed solved, with the errors of the rows that failed. ``grid``
+    is make_cell's; the cell is dropped on return."""
     try:
         cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     except FbmError as exc:
@@ -519,6 +585,36 @@ def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
     return rows, errors
 
 
+def _sweep_wavenumber(config: ExperimentConfig, radii, tau0,
+                      grid: InteriorGrid, node_count,
+                      k: float) -> tuple[list[str], list[FbmError]]:
+    """The rows and errors of k's cells, delta by delta. The cells share
+    one WaveGrid, of the largest order among the deltas whose cells pass
+    _plan_cell; a cell that fails it raises again in make_cell, before its
+    grid is read. With no such delta no grid basis is evaluated. The
+    WaveGrid is dropped on return, so a sweep holds one k's at a time."""
+    passed = []
+    for delta in config.delta_list:
+        try:
+            passed.append(_plan_cell(config, radii, tau0, grid, node_count,
+                                     k, delta))
+        except FbmError:
+            continue
+    if passed:
+        [(_, _, problem), *_] = passed       # one basis (k, M) for every delta
+        grid = _wave_grid(grid, problem.basis,
+                          max(plan.N for plan, _, _ in passed),
+                          PlaneWave(k=k, direction=config.direction))
+    rows: list[str] = []
+    errors: list[FbmError] = []
+    for delta in config.delta_list:
+        cell_rows, failures = _sweep_cell(config, radii, tau0, grid,
+                                          node_count, k, delta)
+        rows += cell_rows
+        errors += failures
+    return rows, errors
+
+
 def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
     """Sweep the (k, delta, seed) lattice into one CSV table.
 
@@ -530,11 +626,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
     all_rows: list[str] = []
     errors: list[FbmError] = []
     for k in config.k_list:
-        for delta in config.delta_list:
-            rows, failures = _sweep_cell(config, radii, tau0, grid,
-                                         node_count, k, delta)
-            all_rows += rows
-            errors += failures
+        rows, failures = _sweep_wavenumber(config, radii, tau0, grid,
+                                           node_count, k)
+        all_rows += rows
+        errors += failures
     # a cell writes its median row exactly when one of its seeds solved
     if not any(row.startswith("median,") for row in all_rows):
         if all(isinstance(exc, ValidationError) for exc in errors):

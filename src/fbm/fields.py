@@ -54,10 +54,11 @@ class PlaneWave:
         pts = np.atleast_2d(points)
         return np.exp(1j * self.k * (pts @ np.asarray(self.direction)))
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        d = np.asarray(self.direction)
+    def samples(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (P,) and gradients (P, 2) at points, the gradients formed
+        from the values: one exponential per point."""
         u = self.value(points)
-        return 1j * self.k * u[:, None] * d[None, :]
+        return u, 1j * self.k * u[:, None] * np.asarray(self.direction)[None, :]
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,14 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
                  grid: InteriorGrid, rule: QuadratureRule) -> ErrorReport:
     """Relative L2/H1-seminorm interior errors and L2 boundary errors.
 
-    ``exact`` must provide vectorized value(points) and gradient(points).
+    ``exact`` must provide samples(points) -> (values, gradients), as
+    PlaneWave does.
     """
     [report] = error_norms(
         problem.basis, [c], grid, rule,
         basis_values(problem.basis, c.order + 1, grid.points),
         basis_values(problem.basis, c.order + 1, rule.points),
-        (exact.value(grid.points), exact.gradient(grid.points)),
-        (exact.value(rule.points), exact.gradient(rule.points)))
+        exact.samples(grid.points), exact.samples(rule.points))
     return report
 
 

@@ -265,6 +265,26 @@ class TestConfigValidationExit:
         assert [r["error"] for r in records] == ["problem_too_large"]
         assert basis_calls == []
 
+    @pytest.mark.parametrize("spare, status", [(0, 0), (-1, 2)],
+                             ids=["at_limit", "one_byte_over"])
+    def test_basis_budget_counts_values_and_error_pass(
+            self, tmp_path, capsys, monkeypatch, spare, status):
+        # k=1, delta=0.01 selects N=8 on the kite; grid 64 keeps 1022
+        # points and "auto" takes 256 nodes. The cell holds 19 orders of
+        # values, 16 bytes per point each, and one error pass over the
+        # three seeds holds 48 bytes per point and seed
+        points = 1022 + 256
+        monkeypatch.setattr(cli, "BASIS_BUDGET_BYTES",
+                            16 * 19 * points + 48 * 3 * points + spare)
+        path = _write_config(tmp_path / "cfg.json", delta=0.01,
+                             grid_resolution=64, seeds=[1, 2, 3])
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == status
+        assert [r["error"] for r in records] == (
+            [] if status == 0 else ["problem_too_large"])
+
 
 @pytest.fixture
 def basis_calls(monkeypatch):
@@ -326,6 +346,91 @@ class TestCellPipeline:
         assert [float(v) for v in row[9:13]] == [
             single["rel_l2_interior"], single["rel_h1semi_interior"],
             single["rel_l2_boundary"], single["rel_l2_normal_derivative"]]
+
+
+class TestWaveGrid:
+    # the cells of one k share its grid basis, of the largest order among
+    # its deltas; a cell of order N reads the rows of orders -(N+1)..N+1
+    @pytest.mark.parametrize("k, deltas", [
+        (0.5, [1e-16, 0.01, 0.05]), (5.0, [1e-16, 0.01, 0.05]),
+        (20.0, [1e-16, 1e-3, 0.2])])
+    def test_rows_equal_fresh_evaluation(self, tmp_path, k, deltas):
+        config = load_config(_write_config(tmp_path / "cfg.json", k=k,
+                                           delta=deltas, grid_resolution=96))
+        radii, tau0, grid, node_count = cli._prepare(config)
+        cells = [cli.make_cell(config, radii, tau0, grid, node_count, k, d)
+                 for d in deltas]
+        top = max(cell.plan.N for cell in cells)
+        shared = cli._wave_grid(grid, cells[0].problem.basis, top,
+                                cells[0].exact)
+        for cell in cells:
+            view = shared.rows(cell.problem.basis, cell.plan.N)
+            assert view.T.flags.c_contiguous
+            assert np.array_equal(view, cell.grid_basis)
+            assert np.array_equal(view, basis_values(
+                cell.problem.basis, cell.plan.N + 1, grid.points))
+
+    def test_grid_basis_evaluated_once_per_wavenumber(
+            self, tmp_path, monkeypatch, basis_calls):
+        sampled = []
+        value = PlaneWave.value
+
+        def counted(self, points):
+            sampled.append(len(points))
+            return value(self, points)
+
+        monkeypatch.setattr(PlaneWave, "value", counted)
+        # N = 19, 8 and 6 on the kite with M_q 368, 256 and 256; grid 64
+        # keeps 1022 points
+        path = _write_config(tmp_path / "cfg.json", k=[1.0],
+                             delta=[1e-16, 0.01, 0.05], seeds=[1, 2],
+                             grid_resolution=64)
+        run_sweep(load_config(path), str(tmp_path / "sweep"))
+        assert basis_calls == [20, 20, 9, 7]  # the grid's, then 3 boundaries
+        assert sampled == [1022, 368, 256, 256]
+
+    @pytest.mark.parametrize("k", [1.0, 5.0])
+    def test_multi_delta_rows_match_single_solve(self, tmp_path, k):
+        # each row's norms are bitwise those of solving its (k, delta, seed)
+        # alone, whose grid basis is evaluated at the cell's own order
+        deltas, seeds = [1e-16, 0.01, 0.05], [1, 2]
+        path = _write_config(tmp_path / "cfg.json", k=[k], delta=deltas,
+                             seeds=seeds, grid_resolution=96)
+        rows = [row.split(",") for row in _data_rows(
+            run_sweep(load_config(path), str(tmp_path / "sweep")))
+            if row.startswith("cell,")]
+        assert [(float(r[2]), int(r[3])) for r in rows] == [
+            (d, s) for d in deltas for s in seeds]
+        for row in rows:
+            single = run_solve(load_config(_write_config(
+                tmp_path / "one.json", k=k, delta=float(row[2]),
+                seeds=[int(row[3])], grid_resolution=96)),
+                str(tmp_path / "solve"))
+            assert [float(v) for v in row[9:13]] == [
+                single["rel_l2_interior"], single["rel_h1semi_interior"],
+                single["rel_l2_boundary"], single["rel_l2_normal_derivative"]]
+
+    def test_failed_cells_keep_their_codes(self, tmp_path, capsys,
+                                           basis_calls):
+        # eta = 40 sends delta = 1e-16 past the order cap at both k and
+        # selects N = 44 and 20 for the others; k = 65 exceeds
+        # N_MAX / r_ex_min on the kite, so its cells that pass the cap fail
+        # as unresolvable and it evaluates no basis at all
+        path = _write_config(tmp_path / "cfg.json", k=[1.0, 65.0],
+                             delta=[1e-16, 0.05, 0.2], eta=40.0,
+                             seeds=[1, 2], grid_resolution=64)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert code == 0
+        assert basis_calls == [45, 45, 21]    # the k = 1 grid, 2 boundaries
+        failed = [row for row in _data_rows(tmp_path / "o" / "sweep.csv")
+                  if not row.endswith(",")]
+        expected = [(1.0, 1e-16, "order_cap_reached"),
+                    (65.0, 1e-16, "order_cap_reached"),
+                    (65.0, 0.05, "wavenumber_unresolvable"),
+                    (65.0, 0.2, "wavenumber_unresolvable")]
+        assert failed == [cli._failed_row(k, d, seed, code)
+                          for k, d, code in expected for seed in (1, 2)]
 
 
 def _norms(report) -> list:

@@ -7,16 +7,20 @@ the regularized normal equation and report relative errors.
 solve, sweep and plot all run one ``Cell`` per (k, delta). A cell holds
 everything that does not depend on the noise seed: the plan, problem,
 quadrature rule, SVD, exact data and the basis values of order N + 1 on
-the boundary, evaluated once, and on the interior grid. The grid part
-depends on k alone (the basis functions depend on k and the scaling
-radius M; delta only picks N), so it is a ``WaveGrid``: the grid basis
-of order N_top + 1 and the exact grid samples, evaluated once per k, with
-N_top the largest order among the k's cells that pass validation. A
-cell's grid basis is the row block of its orders in that array, a view.
-A sweep runs the cells of one k at a time and holds one WaveGrid; solve
-and plot build theirs with N_top = N. A seed then costs noise and a
-Tikhonov solve; the error norms of a cell's seeds come from one matrix
-product per point set, over as many seeds at a time as
+the boundary, evaluated once, and on the interior grid. The error pass
+reads both bases in the real nested form (special.nested_values: rows
+Re phi_0, Re phi_1, Im phi_1, ...), the boundary's a copy of the complex
+values that form the trace operator. The grid part depends on k alone
+(the basis functions depend on k and the scaling radius M; delta only
+picks N), so it is a ``WaveGrid``: the nested grid basis of order
+N_top + 1 and the exact grid samples, evaluated once per k, with N_top
+the largest order among the k's cells that pass validation, and the
+plans of those cells, each made once. A cell's grid basis is the
+leading 2N + 3 rows of that array, a view. A sweep runs the cells of one
+k at a time and holds one WaveGrid; solve and plot build theirs with
+N_top = N. A seed then costs noise and a Tikhonov solve; the error norms
+of a cell's seeds come from one real matrix product per point set (the
+grid's in blocks of points), over as many seeds at a time as
 ERROR_PASS_BUDGET_BYTES allows (all ten of the reference sweep).
 
 Configuration is a single JSON document::
@@ -63,7 +67,8 @@ from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
                        default_node_count, named_curve)
-from .special import N_MAX, BasisContext, basis_values
+from .special import (N_MAX, BasisContext, basis_values, nested_rows,
+                      nested_values)
 from .tikhonov import (CoefficientVector, RegularizationPlan, SingularSystem,
                        select_parameters, svd, svd_decay_study, tikhonov_solve)
 
@@ -79,12 +84,16 @@ MAX_GRID_RESOLUTION = 2048
 # Memory a cell may spend on its bases and its error pass, counted before any
 # basis is evaluated: 16 bytes per point (grid and boundary) and order for the
 # values of order N + 1, and 48 per point and seed for one error pass's
-# products. A WaveGrid has the order of a cell that passed this check.
+# products. The nested values a cell keeps take 8 bytes per point and row, and
+# the grid's products are made a block of points at a time, so the count is an
+# upper bound. A WaveGrid has the order of a cell that passed this check.
 BASIS_BUDGET_BYTES = 2 ** 30
-# Memory of one error pass's products: 48 bytes (u_N and its gradient, complex)
-# per seed and point, grid and boundary. Cell.solve passes its seeds in slices
-# that stay under it; a slice holds one seed at least. Ten seeds on the
-# reference grid (11,296 points) take about 6 MB.
+# Memory of one error pass's products, counted as 48 bytes (Re and Im of u_N
+# and its gradient) per seed and point, grid and boundary; the grid's products
+# are made fields._GRID_BLOCK points at a time, so the count is an upper
+# bound. Cell.solve passes its seeds in slices that stay under it; a slice
+# holds one seed at least. Ten seeds on the reference grid (11,296 points)
+# count about 6 MB and hold about 1.3 MB.
 ERROR_PASS_BUDGET_BYTES = 2 ** 25
 # Allowed ranges of k and delta, for the config and for plot's --k/--delta.
 _K_RANGE = {"lower": 0.0, "lower_open": True}
@@ -305,14 +314,18 @@ def case_metadata(cell: Cell, result: CaseResult,
 class WaveGrid:
     """The interior grid as the cells of one wavenumber see it.
 
-    ``values`` are the basis values of order ``order`` + 1 at
-    grid.points, as basis_values returns them: the transposed view of an
-    order-major (2 order + 3, P) array. The values of any order N + 1 <=
-    order + 1 are its middle rows, so rows(N) hands a cell of order N the
-    bits that basis_values(basis, N + 1, grid.points) returns, as a view.
+    ``plans`` holds _plan_cell's (plan, node count, problem) of each delta
+    of the k whose cell passed it, so that no cell plans twice. ``values``
+    are the nested basis values of order ``order`` + 1 at grid.points, as
+    nested_values returns them: the transposed view of an order-major
+    (2 order + 3, P) float array, with order the largest N among the
+    plans. The nested values of any order N + 1 <= order + 1 are its
+    leading 2N + 3 rows, so rows(N) hands a cell of order N the bits that
+    nested_values(basis, N + 1, grid.points) returns, as a view.
     """
 
     grid: InteriorGrid
+    plans: dict                      # delta -> (plan, node count, problem)
     basis: BasisContext
     order: int                       # N_top
     values: np.ndarray               # (P, 2 order + 3)
@@ -323,15 +336,16 @@ class WaveGrid:
         if basis != self.basis or not 0 <= N <= self.order:
             raise ValueError(f"order {N} on {basis} is not in the grid basis "
                              f"of order {self.order} on {self.basis}")
-        return self.values.T[self.order - N:self.order + N + 3].T
+        return self.values.T[:2 * N + 3].T
 
 
-def _wave_grid(grid: InteriorGrid, basis: BasisContext, order: int,
-               exact: PlaneWave) -> WaveGrid:
-    """Evaluate the grid basis of order ``order`` + 1 and sample ``exact``
-    on the grid, once each."""
-    return WaveGrid(grid=grid, basis=basis, order=order,
-                    values=basis_values(basis, order + 1, grid.points),
+def _wave_grid(grid: InteriorGrid, plans: dict, exact: PlaneWave) -> WaveGrid:
+    """Evaluate the grid basis of the largest order among ``plans``, which
+    share one basis (k, M), and sample ``exact`` on the grid, once each."""
+    [basis] = {problem.basis for _, _, problem in plans.values()}
+    order = max(plan.N for plan, _, _ in plans.values())
+    return WaveGrid(grid=grid, plans=plans, basis=basis, order=order,
+                    values=nested_values(basis, order + 1, grid.points),
                     exact=exact.samples(grid.points))
 
 
@@ -340,12 +354,12 @@ class Cell:
     """The seed-independent half of one (k, delta) case.
 
     The basis values of order N + 1 on the boundary are evaluated once, by
-    one basis_values call, and also form the trace operator; the plane
-    wave's values and gradients there are sampled once. The grid basis
-    and samples are those of the k's WaveGrid, the basis a view of its
-    rows. Each seed then costs noise and a Tikhonov solve, and each slice
-    of the seeds solved together shares one matrix product with each
-    basis.
+    one basis_values call; they form the trace operator, and the cell
+    keeps their nested copy (nested_rows). The plane wave's values and
+    gradients there are sampled once. The grid basis and samples are those
+    of the k's WaveGrid, the basis a view of its leading rows. Each seed
+    then costs noise and a Tikhonov solve, and each slice of the seeds
+    solved together shares one real matrix product with each basis.
     """
 
     plan: RegularizationPlan
@@ -355,8 +369,8 @@ class Cell:
     data: BoundaryData
     exact: PlaneWave
     grid: InteriorGrid
-    grid_basis: np.ndarray           # values of order N + 1 at grid.points
-    boundary_basis: np.ndarray       # values of order N + 1 at rule.points
+    grid_basis: np.ndarray           # nested values of order N + 1, grid
+    boundary_basis: np.ndarray       # nested values of order N + 1, nodes
     grid_exact: tuple                # exact (values, gradients) at grid.points
     boundary_exact: tuple            # exact (values, gradients) at rule.points
 
@@ -432,25 +446,29 @@ def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
               k: float, delta: float) -> Cell:
     """Plan -> problem -> quadrature -> bases -> operator -> SVD -> data.
 
-    ``grid`` is the k's WaveGrid, or a plain InteriorGrid for a cell that
-    evaluates its own, of order N, after its boundary stages.
+    ``grid`` is the k's WaveGrid, which holds the cell's plan, or a plain
+    InteriorGrid for a cell that plans itself and evaluates its own grid
+    basis, of order N, after its boundary stages.
     """
-    shared = grid if isinstance(grid, WaveGrid) else None
-    if shared is not None:
-        grid = shared.grid
-    plan, nodes, problem = _plan_cell(config, radii, tau0, grid,
-                                      node_count, k, delta)
+    if isinstance(grid, WaveGrid):
+        shared = grid
+        plan, nodes, problem = shared.plans[delta]
+    else:
+        shared = None
+        plan, nodes, problem = _plan_cell(config, radii, tau0, grid,
+                                          node_count, k, delta)
     rule = build_quadrature(config.curve, nodes)
     boundary_basis = basis_values(problem.basis, plan.N + 1, rule.points)
     system = svd(trace_operator(problem, rule, boundary_basis))
     data = plane_wave_data(problem, rule, config.direction)
     exact = PlaneWave(k=k, direction=config.direction)
     if shared is None:
-        shared = _wave_grid(grid, problem.basis, plan.N, exact)
+        shared = _wave_grid(grid, {delta: (plan, nodes, problem)}, exact)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
-                data=data, exact=exact, grid=grid,
+                data=data, exact=exact, grid=shared.grid,
                 grid_basis=shared.rows(problem.basis, plan.N),
-                boundary_basis=boundary_basis, grid_exact=shared.exact,
+                boundary_basis=nested_rows(boundary_basis),
+                grid_exact=shared.exact,
                 boundary_exact=exact.samples(rule.points))
 
 
@@ -557,6 +575,13 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     return report
 
 
+def _failed_cell(config: ExperimentConfig, k: float, delta: float,
+                 exc: FbmError) -> tuple[list[str], list[FbmError]]:
+    logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
+    return [_failed_row(k, delta, seed, exc.code)
+            for seed in config.seeds], [exc]
+
+
 def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
                 k: float, delta: float) -> tuple[list[str], list[FbmError]]:
     """The rows of one (k, delta) cell, one per seed and then a median row
@@ -565,9 +590,7 @@ def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
     try:
         cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
     except FbmError as exc:
-        logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
-        return [_failed_row(k, delta, seed, exc.code)
-                for seed in config.seeds], [exc]
+        return _failed_cell(config, k, delta, exc)
     rows: list[str] = []
     errors: list[FbmError] = []
     group: list[CaseResult] = []
@@ -588,28 +611,31 @@ def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
 def _sweep_wavenumber(config: ExperimentConfig, radii, tau0,
                       grid: InteriorGrid, node_count,
                       k: float) -> tuple[list[str], list[FbmError]]:
-    """The rows and errors of k's cells, delta by delta. The cells share
-    one WaveGrid, of the largest order among the deltas whose cells pass
-    _plan_cell; a cell that fails it raises again in make_cell, before its
-    grid is read. With no such delta no grid basis is evaluated. The
-    WaveGrid is dropped on return, so a sweep holds one k's at a time."""
-    passed = []
+    """The rows and errors of k's cells, delta by delta. Each delta is
+    planned once (_plan_cell). The cells that pass share one WaveGrid,
+    which holds their plans and the grid basis of the largest order among
+    them; a cell that fails is written as failed without planning again.
+    With no passing delta no grid basis is evaluated. The WaveGrid is
+    dropped on return, so a sweep holds one k's at a time."""
+    plans: dict = {}
+    failed: dict = {}
     for delta in config.delta_list:
         try:
-            passed.append(_plan_cell(config, radii, tau0, grid, node_count,
-                                     k, delta))
-        except FbmError:
-            continue
-    if passed:
-        [(_, _, problem), *_] = passed       # one basis (k, M) for every delta
-        grid = _wave_grid(grid, problem.basis,
-                          max(plan.N for plan, _, _ in passed),
+            plans[delta] = _plan_cell(config, radii, tau0, grid, node_count,
+                                      k, delta)
+        except FbmError as exc:
+            failed[delta] = exc
+    if plans:
+        grid = _wave_grid(grid, plans,
                           PlaneWave(k=k, direction=config.direction))
     rows: list[str] = []
     errors: list[FbmError] = []
     for delta in config.delta_list:
-        cell_rows, failures = _sweep_cell(config, radii, tau0, grid,
-                                          node_count, k, delta)
+        if delta in failed:
+            cell_rows, failures = _failed_cell(config, k, delta, failed[delta])
+        else:
+            cell_rows, failures = _sweep_cell(config, radii, tau0, grid,
+                                              node_count, k, delta)
         rows += cell_rows
         errors += failures
     return rows, errors

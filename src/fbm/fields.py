@@ -2,14 +2,19 @@
 
 Interior norms are cell-area-weighted sums over a uniform grid masked to
 the domain; points closer to the boundary than one cell diagonal are
-dropped (the exclusion fraction is logged). Only the points in a band
-around the boundary are measured for that; the rest are kept unmeasured.
+dropped (the exclusion fraction is logged). Each point is measured for
+that only against the boundary edges near it; the rest are kept
+unmeasured.
 Boundary norms reuse the quadrature rule of the solve. Every relative
 error divides by the same norm of the exact solution.
 
 error_norms reports on several coefficient vectors of one problem at
-once, as on a sweep cell's seeds: their coefficient blocks form one row
-block, multiplied by the basis values once per point set.
+once, as on a sweep cell's seeds: their coefficient blocks, folded onto
+the real nested basis rows Re phi_0, Re phi_1, Im phi_1, ..., form one
+real row block, multiplied by the nested basis values once per point
+set (the grid's in blocks of points, so that no product spans the whole
+grid); the squared errors of every vector then come from an in-place
+subtraction and a sum per row of each product.
 """
 
 from __future__ import annotations
@@ -22,15 +27,19 @@ import numpy as np
 from .assembly import WaveProblem
 from .errors import NumericalError, ValidationError
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
-                       boundary_distance, grid_interior_mask,
-                       grid_near_boundary)
-from .special import BasisContext, basis_values, ladder_coefficients
+                       grid_boundary_distance, grid_interior_mask)
+from .special import (BasisContext, basis_values, ladder_coefficients,
+                      nested_coefficients, nested_values)
 from .tikhonov import CoefficientVector
 
 logger = logging.getLogger(__name__)
 
 # edges of the polygon that measures the grid's clearance from the boundary
 _DISTANCE_EDGES = 256
+# Grid points per product of the error pass. A fixed count, so that a
+# vector's sums do not depend on the others in its pass; at ten seeds a
+# block's product takes 1 MB, where the whole reference grid's took 5.4.
+_GRID_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -84,11 +93,12 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
     """Tensor grid over [-r_ex_min, r_ex_min]^2 masked to the interior.
 
     Points closer than one cell diagonal to a 256-edge polygon of the
-    boundary are dropped. A broad phase marks the cells within the
-    clearance plus one grid step of some edge's bounding box; only the
-    interior points among them are measured with boundary_distance, and
-    the others are kept. The points, their row-major order and
-    ``excluded_fraction`` are those of measuring every interior point.
+    boundary are dropped. Each interior point is measured only against the
+    edges whose bounding boxes, widened by the clearance plus one grid
+    step, contain it (grid_boundary_distance); a point in no such box is
+    farther than that from every edge and is kept unmeasured. The points,
+    their row-major order and ``excluded_fraction`` are those of measuring
+    every interior point against every edge (boundary_distance).
     """
     if resolution < 32:
         raise ValidationError("grid_too_coarse",
@@ -100,13 +110,11 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
     xx, yy = np.meshgrid(centers, centers)
     interior_pts = np.column_stack([xx[inside], yy[inside]])
     clearance = step * np.sqrt(2.0)                      # one cell diagonal
-    # only points in the broad-phase band can lie within the clearance;
-    # a step of slack keeps rounding from deciding any case
-    near = grid_near_boundary(curve, centers, centers, clearance + step,
-                              resolution=_DISTANCE_EDGES)[inside]
-    keep = np.ones(interior_pts.shape[0], dtype=bool)
-    keep[near] = boundary_distance(curve, interior_pts[near],
-                                   resolution=_DISTANCE_EDGES) >= clearance
+    # a step of slack beyond the clearance keeps rounding from deciding
+    # whether an edge is measured against a point that it could exclude
+    keep = grid_boundary_distance(curve, centers, centers, inside,
+                                  clearance + step,
+                                  _DISTANCE_EDGES) >= clearance
     excluded = 1.0 - keep.sum() / max(1, interior_pts.shape[0])
     logger.debug("interior grid: %d points, %.2f%% near-boundary cells dropped",
                  int(keep.sum()), 100.0 * excluded)
@@ -142,10 +150,18 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
     """
     [report] = error_norms(
         problem.basis, [c], grid, rule,
-        basis_values(problem.basis, c.order + 1, grid.points),
-        basis_values(problem.basis, c.order + 1, rule.points),
+        nested_values(problem.basis, c.order + 1, grid.points),
+        nested_values(problem.basis, c.order + 1, rule.points),
         exact.samples(grid.points), exact.samples(rule.points))
     return report
+
+
+def _real_rows(values: np.ndarray, gradients: np.ndarray) -> np.ndarray:
+    """Re and Im of u, du/dx and du/dy, in that order, as (6, P) rows."""
+    both = np.vstack([values, gradients.T])
+    rows = np.empty((6, both.shape[1]))
+    rows[0::2], rows[1::2] = both.real, both.imag
+    return rows
 
 
 def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
@@ -156,17 +172,22 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     and exact samples in hand.
 
     The vectors share one order N. ``grid_values`` and ``boundary_values``
-    are the basis values of order N + 1 at grid.points and rule.points, as
-    basis_values returns them; ``grid_exact`` and ``boundary_exact`` are
-    the exact solution's (values, gradients) there. None of them depends
-    on the data, so every solve on one problem can share them.
+    are the nested basis values of order N + 1 at grid.points and
+    rule.points, as nested_values returns them; ``grid_exact`` and
+    ``boundary_exact`` are the exact solution's (values, gradients) there.
+    None of them depends on the data, so every solve on one problem can
+    share them.
 
-    The vectors' ladder_coefficients blocks are stacked into one
-    (3S, 2N+3) row block and multiplied by the order-major values, one
-    product per point set. In this layout (not in values @ block) a
-    vector's rows of the product come out bitwise the same whatever the
-    number and position of the other vectors, so a report does not depend
-    on which others it was computed with; tests/test_cli.py pins this. A
+    The vectors' ladder_coefficients blocks, folded by
+    nested_coefficients, form one real (6S, 2N+3) row block: Re and Im of
+    u_N, du_N/dx and du_N/dy per vector. One product with the order-major
+    values per point set gives them all, on the grid _GRID_BLOCK points at
+    a time; the exact rows are subtracted in place and each row's squares
+    summed. In this layout (not in
+    values @ block) a vector's rows of the product come out bitwise the
+    same whatever the number and position of the other vectors, and every
+    later step works row by row, so a report does not depend on which
+    others it was computed with; tests/test_cli.py pins this. A
     degenerate exact norm raises before any product.
     """
     u_ex, g_ex = grid_exact
@@ -177,24 +198,35 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     h1_den = _nonzero(root_area * np.linalg.norm(g_ex), "interior H1 seminorm")
     lb_den = _nonzero(rule.boundary_norm(ub_ex), "boundary L2")
     dn_den = _nonzero(rule.boundary_norm(dn_ex), "normal derivative")
-    g_ex = g_ex.T                                       # (2, P) view
 
-    block = np.concatenate([ladder_coefficients(basis, c.coeffs).T
-                            for c in coefficients])     # u_N, d/dx, d/dy rows
-    on_grid = (block @ grid_values.T).reshape(-1, 3, grid_values.shape[0])
-    on_boundary = (block @ boundary_values.T).reshape(
-        -1, 3, boundary_values.shape[0])
-    reports = []
-    for rows, boundary_rows in zip(on_grid, on_boundary):
-        u_num, g_num = rows[0], rows[1:]
-        ub_num, (gx, gy) = boundary_rows[0], boundary_rows[1:]
-        dn_num = rule.normals[:, 0] * gx + rule.normals[:, 1] * gy
-        l2_num = root_area * np.linalg.norm(u_num - u_ex)
-        h1_num = root_area * np.linalg.norm(g_num - g_ex)
-        reports.append(ErrorReport(
-            rel_l2_interior=float(l2_num / l2_den),
-            rel_h1semi_interior=float(h1_num / h1_den),
-            rel_l2_boundary=float(rule.boundary_norm(ub_num - ub_ex) / lb_den),
-            rel_l2_normal_derivative=float(
-                rule.boundary_norm(dn_num - dn_ex) / dn_den)))
-    return reports
+    count = len(coefficients)
+    block = nested_coefficients(ladder_coefficients(
+        basis, np.stack([c.coeffs for c in coefficients])))
+    block = block.reshape(6 * count, -1)
+    grid_rows = _real_rows(u_ex, g_ex)
+    grid_sq = np.zeros((count, 6))
+    for start in range(0, grid_rows.shape[1], _GRID_BLOCK):
+        part = slice(start, start + _GRID_BLOCK)
+        on_grid = (block @ grid_values[part].T).reshape(count, 6, -1)
+        on_grid -= grid_rows[:, part]
+        on_grid *= on_grid
+        grid_sq += on_grid.sum(axis=-1)
+    on_boundary = (block @ boundary_values.T).reshape(count, 6, -1)
+    on_boundary -= _real_rows(ub_ex, gb_ex)
+    nx, ny = rule.normals.T
+    traces = np.concatenate([on_boundary[:, :2],        # Re, Im of u_N - u
+                             on_boundary[:, 2:4] * nx   # and of its normal
+                             + on_boundary[:, 4:] * ny],  # derivative
+                            axis=1)
+    traces *= traces
+    traces *= rule.arc_weights
+    boundary_sq = traces.sum(axis=-1)                   # (S, 4)
+    l2 = root_area * np.sqrt(grid_sq[:, 0] + grid_sq[:, 1]) / l2_den
+    h1 = root_area * np.sqrt(grid_sq[:, 2:].sum(axis=1)) / h1_den
+    lb = np.sqrt(boundary_sq[:, 0] + boundary_sq[:, 1]) / lb_den
+    dn = np.sqrt(boundary_sq[:, 2] + boundary_sq[:, 3]) / dn_den
+    return [ErrorReport(rel_l2_interior=float(a),
+                        rel_h1semi_interior=float(b),
+                        rel_l2_boundary=float(c),
+                        rel_l2_normal_derivative=float(d))
+            for a, b, c, d in zip(l2, h1, lb, dn)]

@@ -29,6 +29,7 @@ _VALIDATION_GRID = 4096
 _MIN_SPEED = 1e-9
 _GOLDEN_TOL = 1e-6
 _DISTANCE_CHUNK = 256            # points per block of boundary_distance
+_PAIR_CHUNK = 2 ** 16            # (cell, edge) pairs per narrow-phase block
 _INSIDE_CHUNK = 2048             # points per block of the even-odd test
 _INTERIOR_EDGES = 2048           # polygon edges of the interior tests
 # Terms per Fourier series of a curve. Curve validation, the quadrature and
@@ -301,6 +302,12 @@ def is_interior(curve: BoundaryCurve, points):
     return result
 
 
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c of counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+
+
 def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray,
                        ys: np.ndarray) -> np.ndarray:
     """Even-odd interior mask for a tensor grid, shape (len(ys), len(xs)).
@@ -318,8 +325,7 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray,
     first = np.searchsorted(ys, np.minimum(y1, y2), side="left")
     counts = np.searchsorted(ys, np.maximum(y1, y2), side="left") - first
     edge = np.repeat(np.arange(y1.size), counts)        # one per crossing
-    start = np.cumsum(counts) - counts                  # each edge's first
-    row = first[edge] + np.arange(edge.size) - start[edge]
+    row = first[edge] + _ramp(counts)
     x_cross = (x1[edge] + (ys[row] - y1[edge]) * (x2 - x1)[edge]
                / (y2 - y1)[edge])
     # a crossing flips the side of every centre at or right of it, so a
@@ -332,46 +338,88 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray,
     return np.cumsum(flips, axis=1, dtype=np.uint8) % 2 == 1
 
 
-def grid_near_boundary(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
-                       reach: float, resolution: int = 2048) -> np.ndarray:
-    """Tensor-grid cells near the polygon, shape (len(ys), len(xs)).
+def _segments(poly: np.ndarray):
+    """Starts (ax, ay), vectors (abx, aby) and squared lengths, floored
+    away from zero, of the closed polygon's edges, each shape (E,)."""
+    ax, ay = poly[:, 0], poly[:, 1]
+    abx = np.roll(ax, -1) - ax
+    aby = np.roll(ay, -1) - ay
+    return ax, ay, abx, aby, np.maximum(abx * abx + aby * aby, 1e-300)
 
-    A cell is marked when its centre lies in the bounding box of some
-    edge widened by ``reach``. The distance to a segment is at least the
-    distance to its bounding box along each axis, so an unmarked cell is
-    farther than ``reach`` from the polygon, up to the rounding of the
-    box corners. This is the broad phase for :func:`boundary_distance`;
-    xs and ys must be ascending.
+
+def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
+                           ys: np.ndarray, cells: np.ndarray, reach: float,
+                           resolution: int) -> np.ndarray:
+    """Distance from the centres of the marked cells of a tensor grid to
+    the polygon, each measured only against the edges whose bounding
+    boxes, widened by ``reach``, contain it.
+
+    ``cells`` is a (len(ys), len(xs)) bool mask; the result holds one
+    distance per marked cell, in row-major order. The distance to a
+    segment is at least the distance to its bounding box along each axis,
+    so an edge whose widened box misses a centre lies farther than
+    ``reach`` from it, up to the rounding of the box corners. Where the
+    distance is at most ``reach`` it is therefore boundary_distance's, bit
+    for bit (the same formula, term by term, on the same pairs), and
+    elsewhere it exceeds ``reach``; it is inf where no box contains the
+    centre. Each edge's box is a block of grid rows and columns found by
+    searchsorted, so no centre is tested against an edge far from it; the
+    (centre, edge) pairs are measured _PAIR_CHUNK at a time. xs and ys
+    must be ascending.
     """
     poly = _polygon(curve, resolution)
     ends = np.roll(poly, -1, axis=0)
-    lo = np.minimum(poly, ends) - reach         # (E, 2) widened boxes
+    lo = np.minimum(poly, ends) - reach                 # widened boxes (E, 2)
     hi = np.maximum(poly, ends) + reach
-    cols = zip(np.searchsorted(xs, lo[:, 0], side="left"),
-               np.searchsorted(xs, hi[:, 0], side="right"))
-    rows = zip(np.searchsorted(ys, lo[:, 1], side="left"),
-               np.searchsorted(ys, hi[:, 1], side="right"))
-    near = np.zeros((ys.size, xs.size), dtype=bool)
-    for (c0, c1), (r0, r1) in zip(cols, rows):
-        near[r0:r1, c0:c1] = True
-    return near
+    c0 = np.searchsorted(xs, lo[:, 0], side="left")
+    width = np.searchsorted(xs, hi[:, 0], side="right") - c0
+    r0 = np.searchsorted(ys, lo[:, 1], side="left")
+    height = np.searchsorted(ys, hi[:, 1], side="right") - r0
+    # one span per (edge, row) of its box, covering that row's box columns
+    edge = np.repeat(np.arange(poly.shape[0]), height)
+    row = r0[edge] + _ramp(height)
+    span_width = width[edge]
+    # each marked cell's place in the result, -1 for the others
+    position = np.full(cells.shape, -1)
+    position[cells] = np.arange(np.count_nonzero(cells))
+    best = np.full(np.count_nonzero(cells), np.inf)      # squared distances
+    ax, ay, abx, aby, ab_len2 = _segments(poly)
+    block = np.cumsum(span_width) // _PAIR_CHUNK        # ascending per span
+    for spans in np.split(np.arange(edge.size),
+                          np.flatnonzero(np.diff(block)) + 1):
+        pair = np.repeat(spans, span_width[spans])       # one per (cell, edge)
+        col = c0[edge[pair]] + _ramp(span_width[spans])
+        at = position[row[pair], col]
+        marked = at >= 0
+        pair, col, at = pair[marked], col[marked], at[marked]
+        e = edge[pair]
+        px, py = xs[col], ys[row[pair]]
+        # boundary_distance's formula, term by term, one pair per entry
+        s = (px - ax[e]) * abx[e]
+        s += (py - ay[e]) * aby[e]
+        s /= ab_len2[e]
+        np.clip(s, 0.0, 1.0, out=s)
+        dx = px - (ax[e] + s * abx[e])
+        dy = py - (ay[e] + s * aby[e])
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.minimum.at(best, at, dx)
+    return np.sqrt(best)
 
 
 def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
-                      resolution: int = 2048) -> np.ndarray:
-    """Distance from each point to the polygonal approximation of the curve.
+                      resolution: int) -> np.ndarray:
+    """Distance from each point to the polygonal approximation of the curve
+    with ``resolution`` edges, measured against every edge.
 
-    Points are measured 256 at a time against all ``resolution`` edges.
-    Each x/y component is its own (256, resolution) float array and a few
-    are alive at once: 0.5 MB each at the 256 edges that
-    build_interior_grid passes, 2 KB per edge in general.
+    This is the reference that grid_boundary_distance, the narrow phase
+    of build_interior_grid, is tested against. Points are measured 256 at
+    a time; each x/y component is its own (256, resolution) float array
+    and a few are alive at once, 2 KB per edge (0.5 MB each at 256 edges).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = _polygon(curve, resolution)
-    ax, ay = poly[:, 0], poly[:, 1]            # segment starts (E,)
-    abx = np.roll(ax, -1) - ax                 # segment vectors
-    aby = np.roll(ay, -1) - ay
-    ab_len2 = np.maximum(abx * abx + aby * aby, 1e-300)
+    ax, ay, abx, aby, ab_len2 = _segments(_polygon(curve, resolution))
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _DISTANCE_CHUNK):
         block = slice(start, start + _DISTANCE_CHUNK)

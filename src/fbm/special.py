@@ -47,6 +47,19 @@ in one of two forms, both to the values of order N + 1:
 - basis side (assembly.trace_operator): the values are shifted, which
   the impedance trace needs because the normal varies by node.
 
+Nested real form
+----------------
+Since phi_{-n} = (-1)^n conj(phi_n), the real rows
+
+    Re phi_0, Re phi_1, Im phi_1, ..., Re phi_N, Im phi_N   (nested_values)
+
+span what phi_{-N}..phi_N span, in half the bytes, and the form of order
+N' < N is their leading 2N'+1 rows (the n = 0, 1, -1, 2, -2, ... order of
+tikhonov.svd_decay_study). nested_coefficients folds complex
+coefficients onto them, so that the real and imaginary parts of u and
+its gradient come from one real product, at half the flops of the
+complex one; fields.error_norms takes this form.
+
 All functions here are pure; nothing is cached or mutated.
 """
 
@@ -97,13 +110,16 @@ def _miller_start(n_max: int, t: float) -> int:
     return int(math.ceil(top)) + 24 + int(4.0 * math.sqrt(top))
 
 
-def _bessel_ratios(n_max: int, t: np.ndarray) -> np.ndarray:
+def _bessel_ratios(n_max: int, t: np.ndarray, out=None) -> np.ndarray:
     """J_0(t) in row 0 and rho_n(t) = J_n(t) / J_{n-1}(t) in rows 1..n_max.
 
     t is a 1-D array of nonnegative arguments; the result has shape
-    (n_max+1, len(t)), and row n of its cumulative product is J_n(t).
+    (n_max+1, len(t)), and row n of its cumulative product is J_n(t). It
+    is written into ``out`` if given, a C-contiguous float array of that
+    shape.
     """
-    out = np.empty((n_max + 1, t.shape[0]))
+    if out is None:
+        out = np.empty((n_max + 1, t.shape[0]))
     rho = np.zeros_like(t)               # rho_{m+1}; zero above the start
     even = np.zeros_like(t)              # (sum of J_j, even j >= m-1) / J_{m-1}
     step = np.empty_like(t)
@@ -148,17 +164,19 @@ def bessel_j(n: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Scaled radial profiles R_n(r) = pref_n * J_n(k r), vectorized over points
 # ---------------------------------------------------------------------------
-def radial_profiles(ctx: BasisContext, n_max: int, r: np.ndarray) -> np.ndarray:
+def radial_profiles(ctx: BasisContext, n_max: int, r: np.ndarray,
+                    out=None) -> np.ndarray:
     """Scaled radial profiles R_n(r) for n = 0..n_max at points r >= 0.
 
-    R_n(r) = [2^n n!/(kM)^n] J_n(k r); returns shape (n_max+1, len(r)).
+    R_n(r) = [2^n n!/(kM)^n] J_n(k r); returns shape (n_max+1, len(r)),
+    written into ``out`` if given (as _bessel_ratios takes it).
     """
     if n_max > N_MAX + 1:
         raise ValueError(f"order cap exceeded: {n_max} > {N_MAX + 1}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radii must be nonnegative")
-    out = _bessel_ratios(n_max, ctx.k * r)
+    out = _bessel_ratios(n_max, ctx.k * r, out)
     # R_n / R_{n-1} = (2n / kM) J_n / J_{n-1}
     out[1:] *= (2.0 / (ctx.k * ctx.M)) * np.arange(1, n_max + 1)[:, None]
     return np.cumprod(out, axis=0, out=out)
@@ -186,22 +204,43 @@ def ladder_constants(ctx: BasisContext, N: int):
 
 def ladder_coefficients(ctx: BasisContext, coeffs: np.ndarray) -> np.ndarray:
     """The coefficients of u, du/dx and du/dy on phi_{-N-1}..phi_{N+1}
-    for u = sum_n coeffs[N + n] phi_n, as the columns of a (2N+3, 3) block.
+    for u = sum_n coeffs[..., N + n] phi_n, as the columns of a (2N+3, 3)
+    block; a stack of coefficient vectors (..., 2N+1) gives a stack of
+    blocks (..., 2N+3, 3), each bitwise the block of its vector alone.
 
     The basis values of order N + 1 (basis_values) times this block give
     u and its gradient at those points by one product.
     """
-    size = coeffs.shape[0]
+    size = coeffs.shape[-1]
+    lead = coeffs.shape[:-1]
     a, b = ladder_constants(ctx, (size - 1) // 2)
-    d_plus = np.zeros(size + 2, dtype=np.complex128)
-    d_plus[2:] = a * coeffs                      # D+ u on phi_{n+1}
-    d_minus = np.zeros(size + 2, dtype=np.complex128)
-    d_minus[:-2] = b * coeffs                    # D- u on phi_{n-1}
-    block = np.zeros((size + 2, 3), dtype=np.complex128)
-    block[1:-1, 0] = coeffs
-    block[:, 1] = 0.5 * (d_plus + d_minus)
-    block[:, 2] = -0.5j * (d_plus - d_minus)
+    d_plus = np.zeros(lead + (size + 2,), dtype=np.complex128)
+    d_plus[..., 2:] = a * coeffs                 # D+ u on phi_{n+1}
+    d_minus = np.zeros(lead + (size + 2,), dtype=np.complex128)
+    d_minus[..., :-2] = b * coeffs               # D- u on phi_{n-1}
+    block = np.zeros(lead + (size + 2, 3), dtype=np.complex128)
+    block[..., 1:-1, 0] = coeffs
+    block[..., 1] = 0.5 * (d_plus + d_minus)
+    block[..., 2] = -0.5j * (d_plus - d_minus)
     return block
+
+
+def _profiles_and_unit(ctx: BasisContext, N: int, points, spare: int = 0):
+    """The radial profiles R_0..R_N of points (P, 2), in the last N+1 rows
+    of a fresh (spare + N + 1, P) float array, and e^{i theta} (P,), 1 at
+    the origin: for basis_values and for nested_values, which fills the
+    ``spare`` rows from the profiles in place."""
+    if N < 0 or N > N_MAX + 1:
+        raise ValueError(f"basis order N={N} outside [0, {N_MAX + 1}]")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    npts = pts.shape[0]
+    r = np.hypot(pts[:, 0], pts[:, 1])           # (P,)
+    unit = np.empty(npts, dtype=np.complex128)
+    unit.real = np.divide(pts[:, 0], r, out=np.ones(npts), where=r > 0.0)
+    unit.imag = np.divide(pts[:, 1], r, out=np.zeros(npts), where=r > 0.0)
+    buffer = np.empty((spare + N + 1, npts))
+    radial_profiles(ctx, N, r, out=buffer[spare:])
+    return buffer, unit
 
 
 def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
@@ -213,17 +252,9 @@ def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
     exactly. The result is the transposed view of a C-contiguous
     (2N+1, P) array: each order is one contiguous row.
     """
-    if N < 0 or N > N_MAX + 1:
-        raise ValueError(f"basis order N={N} outside [0, {N_MAX + 1}]")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = pts.shape[0]
-    r = np.hypot(pts[:, 0], pts[:, 1])           # (P,)
-    prof = radial_profiles(ctx, N, r)            # (N+1, P)
-    unit = np.empty(npts, dtype=np.complex128)   # e^{i theta}, 1 at the origin
-    unit.real = np.divide(pts[:, 0], r, out=np.ones(npts), where=r > 0.0)
-    unit.imag = np.divide(pts[:, 1], r, out=np.zeros(npts), where=r > 0.0)
-    phase = np.ones(npts, dtype=np.complex128)   # e^{i n theta}
-    values = np.empty((2 * N + 1, npts), dtype=np.complex128)
+    prof, unit = _profiles_and_unit(ctx, N, points)
+    phase = np.ones_like(unit)                   # e^{i n theta}
+    values = np.empty((2 * N + 1, unit.shape[0]), dtype=np.complex128)
     values[N] = prof[0]
     for n in range(1, N + 1):
         phase *= unit
@@ -232,6 +263,66 @@ def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
         if n % 2 == 1:
             np.negative(mirror, out=mirror)
     return values.T
+
+
+def nested_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
+    """The real nested form of basis_values(ctx, N, points): the rows
+    Re phi_0, Re phi_1, Im phi_1, ..., Re phi_N, Im phi_N, shape (P, 2N+1),
+    the transposed view of a C-contiguous (2N+1, P) float array.
+
+    Its rows are the real and imaginary parts of basis_values' orders
+    0..N bit for bit (the same profiles and phase recurrence), and the
+    form of order N' < N is its leading 2N'+1 rows. Since
+    phi_{-n} = (-1)^n conj(phi_n), these rows span what the complex basis
+    spans; nested_coefficients gives the coefficients on them.
+    """
+    # row N + n holds R_n; filling rows 2n - 1 and 2n from it, n upward,
+    # overwrites only R_m with m = 2n - 1 - N or 2n - N <= n, already read,
+    # so the profiles take no memory besides the rows
+    rows, unit = _profiles_and_unit(ctx, N, points, spare=N)
+    phase = np.ones_like(unit)                   # e^{i n theta}
+    rows[0] = rows[N]
+    for n in range(1, N + 1):
+        phase *= unit
+        np.multiply(rows[N + n], phase.real, out=rows[2 * n - 1])
+        np.multiply(rows[N + n], phase.imag, out=rows[2 * n])
+    return rows.T
+
+
+def nested_rows(values: np.ndarray) -> np.ndarray:
+    """nested_values from the basis_values output ``values`` (P, 2N+1) in
+    hand, by a copy of its orders 0..N: bitwise what nested_values returns
+    at the same points."""
+    N = (values.shape[1] - 1) // 2
+    upper = values.T[N:]                         # orders 0..N, (N+1, P)
+    rows = np.empty((2 * N + 1, values.shape[0]))
+    rows[0] = upper[0].real
+    rows[1::2] = upper[1:].real
+    rows[2::2] = upper[1:].imag
+    return rows.T
+
+
+def nested_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """Fold coefficients on phi_{-N}..phi_N onto the nested rows.
+
+    ``coeffs`` has shape (..., 2N+1, J), column j the complex coefficients
+    of one expansion f_j = sum_n coeffs[..., N + n, j] phi_n, as
+    ladder_coefficients gives them. By phi_{-n} = (-1)^n conj(phi_n), f_j
+    has the coefficient c_0 on Re phi_0, c_n + (-1)^n c_{-n} on Re phi_n
+    and i (c_n - (-1)^n c_{-n}) on Im phi_n. Returned as the real array
+    (..., 2J, 2N+1) whose rows 2j and 2j + 1 give Re f_j and Im f_j by one
+    product with nested_values' rows.
+    """
+    N = (coeffs.shape[-2] - 1) // 2
+    upper = coeffs[..., N + 1:, :]                         # c_n, n = 1..N
+    lower = coeffs[..., :N, :][..., ::-1, :] * np.where(   # (-1)^n c_{-n}
+        np.arange(1, N + 1) % 2 == 1, -1.0, 1.0)[:, None]
+    folded = np.empty(coeffs.shape, dtype=np.complex128)
+    folded[..., 0, :] = coeffs[..., N, :]
+    folded[..., 1::2, :] = upper + lower
+    folded[..., 2::2, :] = 1j * (upper - lower)
+    real = folded.view(np.float64)               # (..., 2N+1, 2J): Re, Im
+    return np.ascontiguousarray(np.swapaxes(real, -1, -2))
 
 
 def basis_value(ctx: BasisContext, n: int, point) -> complex:

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import random
@@ -15,7 +16,7 @@ from fbm.cli import (build_config, load_config, main, resolve_tau0,
 from fbm.errors import NumericalError, ValidationError
 from fbm.fields import PlaneWave, error_report
 from fbm.geometry import compute_radii
-from fbm.special import basis_values
+from fbm.special import basis_values, nested_values
 
 
 def _write_config(path, **overrides):
@@ -254,8 +255,8 @@ class TestConfigValidationExit:
 
     def test_basis_over_budget_rejected_before_evaluation(
             self, tmp_path, capsys, monkeypatch, basis_calls):
-        # k=1, delta=1e-16 selects N=8 on the kite: 17 orders at 1022
-        # grid points and 256 quadrature nodes need about 1 MB
+        # k=1, delta=1e-16 selects N=19 on the kite: 41 orders at 1022
+        # grid points and 368 quadrature nodes count about 0.98 MB
         monkeypatch.setattr(cli, "BASIS_BUDGET_BYTES", 10 ** 5)
         path = _write_config(tmp_path / "cfg.json", grid_resolution=64)
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -288,18 +289,24 @@ class TestConfigValidationExit:
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """Count basis_values calls through every fbm module that binds it,
-    fbm.special included."""
+    """Record (function name, order) of each basis_values and nested_values
+    call through every fbm module that binds them, fbm.special included.
+    The interior grid's basis is nested_values', the boundary's
+    basis_values'."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return basis_values(*args, **kwargs)
+    def counting(function):
+        def counted(*args, **kwargs):
+            calls.append((function.__name__, args[1]))
+            return function(*args, **kwargs)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if (name == "fbm" or name.startswith("fbm.")) and \
-                getattr(module, "basis_values", None) is basis_values:
-            monkeypatch.setattr(module, "basis_values", counted)
+    for function in (basis_values, nested_values):
+        for name, module in list(sys.modules.items()):
+            if (name == "fbm" or name.startswith("fbm.")) and \
+                    getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__,
+                                    counting(function))
     return calls
 
 
@@ -308,12 +315,14 @@ class TestCellPipeline:
         path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], delta=[0.01],
                              seeds=[1, 2, 3], grid_resolution=64)
         run_sweep(load_config(path), str(tmp_path / "sweep"))
-        assert len(basis_calls) == 4          # grid + boundary, per cell
+        # N = 8 at both k: per k one grid basis, then the cell's boundary
+        assert basis_calls == [("nested_values", 9), ("basis_values", 9)] * 2
         basis_calls.clear()
         run_solve(load_config(_write_config(tmp_path / "one.json",
                                             grid_resolution=64)),
                   str(tmp_path / "solve"))
-        assert len(basis_calls) == 2
+        # N = 19: the boundary first, then the cell's own grid basis
+        assert basis_calls == [("basis_values", 20), ("nested_values", 20)]
 
     def test_exact_solution_sampled_once_per_cell(self, tmp_path, monkeypatch):
         calls = []
@@ -349,8 +358,8 @@ class TestCellPipeline:
 
 
 class TestWaveGrid:
-    # the cells of one k share its grid basis, of the largest order among
-    # its deltas; a cell of order N reads the rows of orders -(N+1)..N+1
+    # the cells of one k share its nested grid basis, of the largest order
+    # among its deltas; a cell of order N reads its leading 2N + 3 rows
     @pytest.mark.parametrize("k, deltas", [
         (0.5, [1e-16, 0.01, 0.05]), (5.0, [1e-16, 0.01, 0.05]),
         (20.0, [1e-16, 1e-3, 0.2])])
@@ -360,15 +369,25 @@ class TestWaveGrid:
         radii, tau0, grid, node_count = cli._prepare(config)
         cells = [cli.make_cell(config, radii, tau0, grid, node_count, k, d)
                  for d in deltas]
-        top = max(cell.plan.N for cell in cells)
-        shared = cli._wave_grid(grid, cells[0].problem.basis, top,
-                                cells[0].exact)
+        shared = cli._wave_grid(
+            grid, {cell.plan.delta: (cell.plan, cell.rule.size, cell.problem)
+                   for cell in cells}, cells[0].exact)
+        assert shared.order == max(cell.plan.N for cell in cells)
         for cell in cells:
+            n = cell.plan.N + 1
             view = shared.rows(cell.problem.basis, cell.plan.N)
             assert view.T.flags.c_contiguous
             assert np.array_equal(view, cell.grid_basis)
-            assert np.array_equal(view, basis_values(
-                cell.problem.basis, cell.plan.N + 1, grid.points))
+            assert np.array_equal(view, nested_values(cell.problem.basis, n,
+                                                      grid.points))
+            # Re phi_0, Re phi_1, Im phi_1, ... of the complex basis
+            fresh = basis_values(cell.problem.basis, n, grid.points)
+            assert np.array_equal(view[:, 0], fresh[:, n].real)
+            assert np.array_equal(view[:, 1::2], fresh[:, n + 1:].real)
+            assert np.array_equal(view[:, 2::2], fresh[:, n + 1:].imag)
+            # the boundary's nested copy, as if evaluated nested
+            assert np.array_equal(cell.boundary_basis, nested_values(
+                cell.problem.basis, n, cell.rule.points))
 
     def test_grid_basis_evaluated_once_per_wavenumber(
             self, tmp_path, monkeypatch, basis_calls):
@@ -386,7 +405,9 @@ class TestWaveGrid:
                              delta=[1e-16, 0.01, 0.05], seeds=[1, 2],
                              grid_resolution=64)
         run_sweep(load_config(path), str(tmp_path / "sweep"))
-        assert basis_calls == [20, 20, 9, 7]  # the grid's, then 3 boundaries
+        # the grid's, then 3 boundaries
+        assert basis_calls == [("nested_values", 20), ("basis_values", 20),
+                               ("basis_values", 9), ("basis_values", 7)]
         assert sampled == [1022, 368, 256, 256]
 
     @pytest.mark.parametrize("k", [1.0, 5.0])
@@ -422,7 +443,9 @@ class TestWaveGrid:
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         capsys.readouterr()
         assert code == 0
-        assert basis_calls == [45, 45, 21]    # the k = 1 grid, 2 boundaries
+        # the k = 1 grid, 2 boundaries
+        assert basis_calls == [("nested_values", 45), ("basis_values", 45),
+                               ("basis_values", 21)]
         failed = [row for row in _data_rows(tmp_path / "o" / "sweep.csv")
                   if not row.endswith(",")]
         expected = [(1.0, 1e-16, "order_cap_reached"),
@@ -431,6 +454,18 @@ class TestWaveGrid:
                     (65.0, 0.2, "wavenumber_unresolvable")]
         assert failed == [cli._failed_row(k, d, seed, code)
                           for k, d, code in expected for seed in (1, 2)]
+
+    def test_capped_order_warns_once_per_cell(self, tmp_path, caplog):
+        # the sweep above: delta = 1e-16 passes the order cap at k = 1 and
+        # k = 65, and each cell is planned once, so each warns once
+        path = _write_config(tmp_path / "cfg.json", k=[1.0, 65.0],
+                             delta=[1e-16, 0.05, 0.2], eta=40.0,
+                             seeds=[1, 2], grid_resolution=64)
+        with caplog.at_level(logging.WARNING, logger="fbm"):
+            run_sweep(load_config(path), str(tmp_path / "o"))
+        capped = [r.getMessage() for r in caplog.records
+                  if "capped at N_MAX" in r.getMessage()]
+        assert len(capped) == 2
 
 
 def _norms(report) -> list:

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fbm.assembly import (add_noise, assemble_operator, make_problem,
                           plane_wave_data)
+from fbm import fields, geometry
 from fbm.errors import NumericalError, ValidationError
-from fbm.fields import (PlaneWave, build_interior_grid, error_report,
-                        evaluate_field)
+from fbm.fields import (PlaneWave, build_interior_grid, error_norms,
+                        error_report, evaluate_field)
 from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
                           compute_radii, default_node_count,
                           grid_interior_mask, is_interior, named_curve)
-from fbm.special import basis_values, ladder_coefficients, ladder_constants
+from fbm.special import (basis_values, ladder_coefficients, ladder_constants,
+                         nested_values)
 from fbm.tikhonov import (CoefficientVector, select_parameters, svd,
                           tikhonov_solve)
 
@@ -87,6 +91,15 @@ class TestInteriorGridCull:
         assert np.array_equal(grid.points, points)
         assert grid.excluded_fraction == excluded
         assert 0.0 < excluded < 0.5
+
+    def test_pair_blocks_do_not_change_the_grid(self, kite, kite_radii,
+                                                kite_grid, monkeypatch):
+        # the narrow phase measures its (cell, edge) pairs in blocks;
+        # blocks of 64 pairs give the grid of one block
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", 64)
+        grid = build_interior_grid(kite, kite_radii, 200)
+        assert np.array_equal(grid.points, kite_grid.points)
+        assert grid.excluded_fraction == kite_grid.excluded_fraction
 
 
 class TestEvaluateField:
@@ -282,3 +295,37 @@ class TestErrorReport:
         }
         for name, value in expected.items():
             assert getattr(rep, name) == pytest.approx(value, rel=1e-12)
+
+    def test_grid_products_made_in_blocks(self, kite, kite_radii, kite_grid,
+                                          direction, monkeypatch):
+        # ten seeds' error pass on the 200 grid never holds a product over
+        # the whole grid (6 rows per seed of 8-byte values, 5.4 MB here),
+        # and one block over the whole grid gives the norms up to rounding
+        k, delta = 5.0, 0.01
+        plan = select_parameters(k, delta, 5.0, kite_radii, 2.2)
+        prob = make_problem(kite_radii, k, 2.2, plan.N)
+        rule = build_quadrature(kite, default_node_count(plan.N))
+        system = svd(assemble_operator(prob, rule))
+        data = plane_wave_data(prob, rule, direction)
+        coeffs = [tikhonov_solve(system, add_noise(data, delta, seed, rule),
+                                 plan.alpha) for seed in range(10)]
+        exact = PlaneWave(k, direction)
+        args = (prob.basis, coeffs, kite_grid, rule,
+                nested_values(prob.basis, plan.N + 1, kite_grid.points),
+                nested_values(prob.basis, plan.N + 1, rule.points),
+                exact.samples(kite_grid.points), exact.samples(rule.points))
+        tracemalloc.start()
+        try:
+            blocked = error_norms(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 6 * len(coeffs) * kite_grid.points.shape[0] * 8
+        monkeypatch.setattr(fields, "_GRID_BLOCK", kite_grid.points.shape[0])
+        for one, report in zip(error_norms(*args), blocked):
+            for name in ("rel_l2_interior", "rel_h1semi_interior"):
+                assert getattr(report, name) == pytest.approx(
+                    getattr(one, name), rel=1e-13)
+            assert report.rel_l2_boundary == one.rel_l2_boundary
+            assert (report.rel_l2_normal_derivative
+                    == one.rel_l2_normal_derivative)

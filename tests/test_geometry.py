@@ -7,7 +7,7 @@ from fbm.errors import ValidationError
 from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
                           circle_curve, compute_radii, curve_derivative,
                           curve_point, default_node_count, ellipse_curve,
-                          grid_interior_mask, grid_near_boundary,
+                          grid_boundary_distance, grid_interior_mask,
                           is_interior, kite_curve, named_curve,
                           outward_normal)
 
@@ -139,7 +139,7 @@ class TestInterior:
 
     def test_kite_point(self, kite):
         # (0.5, 0) is well separated from the boundary and inside
-        assert boundary_distance(kite, np.array([[0.5, 0.0]]))[0] > 0.1
+        assert boundary_distance(kite, np.array([[0.5, 0.0]]), 256)[0] > 0.1
         assert is_interior(kite, [0.5, 0.0]) is True
 
     def test_nonconvex_pocket(self, kite):
@@ -178,17 +178,23 @@ class TestInterior:
 
     @pytest.mark.parametrize("reach", [0.0, 0.05, 0.3])
     def test_near_boundary_marks_every_close_cell(self, kite, reach):
+        # the narrow phase gives every marked centre within reach the full
+        # distance, bit for bit, and every other one a distance beyond
+        # reach; inf where no widened edge box contains the centre
         xs = np.linspace(-2.1, 2.1, 57)
         ys = np.linspace(-1.7, 1.7, 45)
-        near = grid_near_boundary(kite, xs, ys, reach, resolution=256)
+        cells = np.random.default_rng(3).random((45, 57)) < 0.7
+        near = grid_boundary_distance(kite, xs, ys, cells, reach, 256)
         xx, yy = np.meshgrid(xs, ys)
-        dist = boundary_distance(kite, np.column_stack([xx.ravel(), yy.ravel()]),
-                                 resolution=256).reshape(near.shape)
-        assert np.all(dist[~near] > reach)
-        assert near.any() and not near.all()
+        dist = boundary_distance(kite, np.column_stack([xx[cells], yy[cells]]),
+                                 resolution=256)
+        close = dist <= reach
+        assert np.array_equal(near[close], dist[close])
+        assert np.all(near[~close] > reach)
+        assert np.isfinite(near).any() and not np.isfinite(near).all()
 
     def test_distance_from_center_of_circle(self, unit_circle):
-        d = boundary_distance(unit_circle, np.array([[0.0, 0.0]]))
+        d = boundary_distance(unit_circle, np.array([[0.0, 0.0]]), 256)
         assert d[0] == pytest.approx(1.0, abs=1e-4)
 
 

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from fbm.assembly import make_problem
 from fbm.special import (N_MAX, BasisContext, basis_value, basis_values,
-                         bessel_j, ladder_coefficients, ladder_constants)
+                         bessel_j, ladder_coefficients, ladder_constants,
+                         nested_coefficients, nested_rows, nested_values)
 
 from oracles import (basis_gradient_oracle, basis_value_oracle,
                      bessel_j_oracle, central_difference)
@@ -128,6 +131,24 @@ class TestBasisValue:
                 lhs = abs(bessel_j(n, k_r_in))
                 rhs = 0.75 * (0.5 * k_r_in) ** n / math.factorial(n)
                 assert lhs >= rhs
+
+    def test_nested_values_against_composed_oracle(self):
+        # Re phi_0, Re phi_1, Im phi_1, ...: column 2n - 1 holds Re phi_n
+        # and column 2n Im phi_n
+        ctx = BasisContext(k=2.0, M=2.5)
+        rng = np.random.default_rng(8)
+        ang = rng.uniform(0, 2 * np.pi, size=6)
+        rad = rng.uniform(0.05, 2.4, size=6)
+        pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+        nested = nested_values(ctx, 12, pts)
+        assert nested.shape == (6, 25)
+        for p, row in zip(pts, nested):
+            assert row[0] == pytest.approx(
+                basis_value_oracle(ctx.k, ctx.M, 0, p).real, abs=1e-12)
+            for n in (1, 2, 5, 12):
+                ref = basis_value_oracle(ctx.k, ctx.M, n, p)
+                assert row[2 * n - 1] == pytest.approx(ref.real, abs=1e-12)
+                assert row[2 * n] == pytest.approx(ref.imag, abs=1e-12)
 
     @pytest.mark.parametrize("n", [64, 100, 128])
     def test_high_order_phases(self, n):
@@ -270,6 +291,58 @@ class TestBatchConsistency:
         for n in range(1, N + 1):
             sign = (-1.0) ** n
             assert np.array_equal(values[:, N - n], sign * np.conj(values[:, N + n]))
+
+    @pytest.mark.parametrize("k", [0.5, 5.0, 20.0])
+    def test_nested_rows_equal_basis_values(self, kite_radii, kite_grid, k):
+        # the real nested rows are the parts of the complex basis bit for
+        # bit, whether evaluated (the grid) or copied from it (the boundary)
+        ctx = make_problem(kite_radii, k, 2.2, 33).basis
+        values = basis_values(ctx, 33, kite_grid.points)
+        nested = nested_values(ctx, 33, kite_grid.points)
+        assert nested.shape == (kite_grid.points.shape[0], 67)
+        assert nested.T.flags.c_contiguous
+        assert np.array_equal(nested[:, 0], values[:, 33].real)
+        assert np.array_equal(nested[:, 1::2], values[:, 34:].real)
+        assert np.array_equal(nested[:, 2::2], values[:, 34:].imag)
+        copied = nested_rows(values)
+        assert copied.T.flags.c_contiguous
+        assert np.array_equal(copied, nested)
+
+    def test_nested_values_fill_their_rows_in_place(self, kite_radii,
+                                                    kite_grid):
+        # the radial profiles R_0..R_N are computed in the rows they then
+        # fill, so evaluating holds little beyond the result; a separate
+        # profile array would add half of it
+        ctx = make_problem(kite_radii, 5.0, 2.2, 33).basis
+        tracemalloc.start()
+        try:
+            nested = nested_values(ctx, 33, kite_grid.points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * nested.nbytes
+
+    def test_nested_fold_matches_complex_expansion(self):
+        # nested values times the folded coefficients give Re and Im of u,
+        # du/dx and du/dy; a stack of vectors folds vector by vector
+        ctx = BasisContext(k=5.0, M=1.985)
+        rng = np.random.default_rng(37)
+        pts = rng.uniform(-1.8, 1.8, size=(40, 2))
+        coeffs = (rng.standard_normal((4, 25))
+                  + 1j * rng.standard_normal((4, 25)))
+        blocks = ladder_coefficients(ctx, coeffs)
+        folded = nested_coefficients(blocks)
+        assert blocks.shape == (4, 27, 3) and folded.shape == (4, 6, 27)
+        values = basis_values(ctx, 13, pts)
+        nested = nested_values(ctx, 13, pts)
+        for c, block, rows in zip(coeffs, blocks, folded):
+            assert np.array_equal(block, ladder_coefficients(ctx, c))
+            assert np.array_equal(rows, nested_coefficients(block))
+            ref = (values @ block).T                     # (3, 40) complex
+            got = rows @ nested.T                        # (6, 40) real
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got[0::2] + 1j * got[1::2] - ref)
+                          <= 1e-13 * scale)
 
     def test_pure_functions_are_reproducible(self):
         ctx = BasisContext(k=2.0, M=1.5)

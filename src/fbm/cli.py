@@ -4,24 +4,20 @@ The driver executes the three-step algorithm behind every case:
 measure the domain radii, select (N, alpha) from (k, delta), then solve
 the regularized normal equation and report relative errors.
 
-solve, sweep and plot all run one ``Cell`` per (k, delta). A cell holds
-everything that does not depend on the noise seed: the plan, problem,
-quadrature rule, SVD, exact data and the basis values of order N + 1 on
-the boundary, evaluated once, and on the interior grid. The error pass
-reads both bases in the real nested form (special.nested_values: rows
-Re phi_0, Re phi_1, Im phi_1, ...), the boundary's a copy of the complex
-values that form the trace operator. The grid part depends on k alone
-(the basis functions depend on k and the scaling radius M; delta only
-picks N), so it is a ``WaveGrid``: the nested grid basis of order
-N_top + 1 and the exact grid samples, evaluated once per k, with N_top
-the largest order among the k's cells that pass validation, and the
-plans of those cells, each made once. A cell's grid basis is the
-leading 2N + 3 rows of that array, a view. A sweep runs the cells of one
-k at a time and holds one WaveGrid; solve and plot build theirs with
-N_top = N. A seed then costs noise and a Tikhonov solve; the error norms
-of a cell's seeds come from one real matrix product per point set (the
-grid's in blocks of points), over as many seeds at a time as
-ERROR_PASS_BUDGET_BYTES allows (all ten of the reference sweep).
+solve, sweep and plot reach their cells through one function,
+wavenumber_cells, which yields one ``Cell`` (or the error that stopped
+it) per (k, delta); solve and plot are its one-k, one-delta case. A cell
+holds everything that does not depend on the noise seed: the plan,
+problem, quadrature rule, SVD, exact data and the basis values of order
+N + 1 on the boundary and on the interior grid, in the real nested form
+(special.nested_values: rows Re phi_0, Re phi_1, Im phi_1, ...). The
+grid part depends on k alone (delta only picks N), so it is a
+``WaveGrid``: the nested grid basis of order N_top + 1 and the exact grid
+samples, evaluated once per k, with N_top the largest order among the
+k's cells that pass validation. A cell's grid basis is the leading
+2N + 3 rows of that array, a view. A seed then costs noise and a
+Tikhonov solve; the error norms of a cell's seeds come from one
+fields.error_norms pass, which blocks its products by points and seeds.
 
 Configuration is a single JSON document::
 
@@ -54,6 +50,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +60,11 @@ from .assembly import (BoundaryData, WaveProblem, add_noise, make_problem,
                        plane_wave_data, trace_operator)
 from .errors import FbmError, NumericalError, ValidationError
 from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
-                     error_norms, evaluate_field)
+                     error_norms, error_pass_bytes, evaluate_field)
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
                        default_node_count, named_curve)
-from .special import (N_MAX, BasisContext, basis_values, nested_rows,
-                      nested_values)
+from .special import N_MAX, basis_values, nested_rows, nested_values
 from .tikhonov import (CoefficientVector, RegularizationPlan, SingularSystem,
                        select_parameters, svd, svd_decay_study, tikhonov_solve)
 
@@ -81,20 +77,12 @@ _DEFAULT_SEEDS = tuple(range(1, 11))
 # reference grid is 200, so these leave wide headroom.
 MAX_NODE_COUNT = 65536
 MAX_GRID_RESOLUTION = 2048
-# Memory a cell may spend on its bases and its error pass, counted before any
-# basis is evaluated: 16 bytes per point (grid and boundary) and order for the
-# values of order N + 1, and 48 per point and seed for one error pass's
-# products. The nested values a cell keeps take 8 bytes per point and row, and
-# the grid's products are made a block of points at a time, so the count is an
-# upper bound. A WaveGrid has the order of a cell that passed this check.
+# Memory a cell may spend, counted before any basis is evaluated: its nested
+# basis rows of order N + 1 (8 bytes per point and row, grid and boundary),
+# the boundary's complex values and the SVD's left vectors (at most 16 bytes
+# per node and row each), and one error-pass product (fields.error_pass_bytes).
+# A WaveGrid has the order of a cell that passed this check.
 BASIS_BUDGET_BYTES = 2 ** 30
-# Memory of one error pass's products, counted as 48 bytes (Re and Im of u_N
-# and its gradient) per seed and point, grid and boundary; the grid's products
-# are made fields._GRID_BLOCK points at a time, so the count is an upper
-# bound. Cell.solve passes its seeds in slices that stay under it; a slice
-# holds one seed at least. Ten seeds on the reference grid (11,296 points)
-# count about 6 MB and hold about 1.3 MB.
-ERROR_PASS_BUDGET_BYTES = 2 ** 25
 # Allowed ranges of k and delta, for the config and for plot's --k/--delta.
 _K_RANGE = {"lower": 0.0, "lower_open": True}
 _DELTA_RANGE = {"lower": 0.0, "upper": 1.0, "upper_open": True}
@@ -311,42 +299,36 @@ def case_metadata(cell: Cell, result: CaseResult,
 
 
 @dataclass(frozen=True)
+class Setup:
+    """What every cell of a config shares: the domain radii, the numeric
+    tau0, the interior grid and the quadrature size (None for "auto")."""
+
+    config: ExperimentConfig
+    radii: DomainRadii
+    tau0: float
+    grid: InteriorGrid
+    node_count: int | None
+
+
+@dataclass(frozen=True)
 class WaveGrid:
     """The interior grid as the cells of one wavenumber see it.
 
-    ``plans`` holds _plan_cell's (plan, node count, problem) of each delta
-    of the k whose cell passed it, so that no cell plans twice. ``values``
-    are the nested basis values of order ``order`` + 1 at grid.points, as
-    nested_values returns them: the transposed view of an order-major
-    (2 order + 3, P) float array, with order the largest N among the
-    plans. The nested values of any order N + 1 <= order + 1 are its
-    leading 2N + 3 rows, so rows(N) hands a cell of order N the bits that
-    nested_values(basis, N + 1, grid.points) returns, as a view.
+    ``values`` are the nested basis values of order N_top + 1 at
+    grid.points, as nested_values returns them: the transposed view of an
+    order-major (2 N_top + 3, P) float array, with N_top the largest N
+    among the k's cells. The nested values of any order N + 1 <= N_top + 1
+    are its leading 2N + 3 rows, so rows(N) hands a cell of order N the
+    bits that nested_values(basis, N + 1, grid.points) returns, as a view.
     """
 
     grid: InteriorGrid
-    plans: dict                      # delta -> (plan, node count, problem)
-    basis: BasisContext
-    order: int                       # N_top
-    values: np.ndarray               # (P, 2 order + 3)
+    values: np.ndarray               # (P, 2 N_top + 3)
     exact: tuple                     # exact (values, gradients) at grid.points
 
-    def rows(self, basis: BasisContext, N: int) -> np.ndarray:
-        """The values of order N + 1 for a cell on ``basis``, shape (P, 2N+3)."""
-        if basis != self.basis or not 0 <= N <= self.order:
-            raise ValueError(f"order {N} on {basis} is not in the grid basis "
-                             f"of order {self.order} on {self.basis}")
+    def rows(self, N: int) -> np.ndarray:
+        """The values of order N + 1, shape (P, 2N+3)."""
         return self.values.T[:2 * N + 3].T
-
-
-def _wave_grid(grid: InteriorGrid, plans: dict, exact: PlaneWave) -> WaveGrid:
-    """Evaluate the grid basis of the largest order among ``plans``, which
-    share one basis (k, M), and sample ``exact`` on the grid, once each."""
-    [basis] = {problem.basis for _, _, problem in plans.values()}
-    order = max(plan.N for plan, _, _ in plans.values())
-    return WaveGrid(grid=grid, plans=plans, basis=basis, order=order,
-                    values=nested_values(basis, order + 1, grid.points),
-                    exact=exact.samples(grid.points))
 
 
 @dataclass(frozen=True)
@@ -358,8 +340,8 @@ class Cell:
     keeps their nested copy (nested_rows). The plane wave's values and
     gradients there are sampled once. The grid basis and samples are those
     of the k's WaveGrid, the basis a view of its leading rows. Each seed
-    then costs noise and a Tikhonov solve, and each slice of the seeds
-    solved together shares one real matrix product with each basis.
+    then costs noise and a Tikhonov solve, and the seeds that solve share
+    one error pass (fields.error_norms).
     """
 
     plan: RegularizationPlan
@@ -375,10 +357,9 @@ class Cell:
     boundary_exact: tuple            # exact (values, gradients) at rule.points
 
     def solve(self, seeds: list[int]) -> list[CaseResult | FbmError]:
-        """Noise -> Tikhonov solve per seed, then the error pass over the
-        seeds that solved, in slices whose products fit
-        ERROR_PASS_BUDGET_BYTES. Each seed gets its CaseResult or its
-        FbmError; a failure of the error pass is every solved seed's."""
+        """Noise -> Tikhonov solve per seed, then one error pass over the
+        seeds that solved. Each seed gets its CaseResult or its FbmError; a
+        failure of the error pass is every solved seed's."""
         outcomes: list[CoefficientVector | FbmError] = []
         for seed in seeds:
             try:
@@ -388,15 +369,11 @@ class Cell:
             except FbmError as exc:
                 outcomes.append(exc)
         solved = [c for c in outcomes if not isinstance(c, FbmError)]
-        width = _pass_width(self.grid_basis.shape[0]
-                            + self.boundary_basis.shape[0])
         try:
-            reports = iter([report for start in range(0, len(solved), width)
-                            for report in error_norms(
-                                self.problem.basis, solved[start:start + width],
-                                self.grid, self.rule, self.grid_basis,
-                                self.boundary_basis, self.grid_exact,
-                                self.boundary_exact)])
+            reports = iter(error_norms(
+                self.problem.basis, solved, self.grid, self.rule,
+                self.grid_basis, self.boundary_basis, self.grid_exact,
+                self.boundary_exact))
         except FbmError as exc:
             return [c if isinstance(c, FbmError) else exc for c in outcomes]
         return [c if isinstance(c, FbmError) else
@@ -404,72 +381,84 @@ class Cell:
                 for seed, c in zip(seeds, outcomes)]
 
 
-def _pass_width(points: int) -> int:
-    """Seeds per error pass over ``points`` grid and boundary points."""
-    return max(1, ERROR_PASS_BUDGET_BYTES // (48 * points))
-
-
-def _solve_one(cell: Cell, seed: int) -> CaseResult:
-    [result] = cell.solve([seed])
-    if isinstance(result, FbmError):
-        raise result
-    return result
-
-
-def _plan_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
-               grid: InteriorGrid, node_count: int | None, k: float,
+def _plan_cell(setup: Setup, k: float,
                delta: float) -> tuple[RegularizationPlan, int, WaveProblem]:
     """Plan, quadrature size and problem of a (k, delta) cell, with every
     check that must pass before any of its bases is evaluated."""
-    plan = select_parameters(k, delta, config.eta, radii, tau0)
+    config = setup.config
+    plan = select_parameters(k, delta, config.eta, setup.radii, setup.tau0)
     if plan.N >= N_MAX:
         raise ValidationError(
             "order_cap_reached",
             f"k={k}, delta={delta} selects N >= N_MAX={N_MAX}, "
             "beyond what the basis can resolve")
-    nodes = node_count or default_node_count(plan.N)
-    points = grid.points.shape[0] + nodes
-    seeds = min(len(config.seeds), _pass_width(points))
-    needed = 16 * (2 * plan.N + 3 + 3 * seeds) * points
+    nodes = setup.node_count or default_node_count(plan.N)
+    grid_points = setup.grid.points.shape[0]
+    rows = 2 * plan.N + 3
+    needed = (8 * rows * (grid_points + nodes) + 32 * rows * nodes
+              + error_pass_bytes(len(config.seeds), grid_points, nodes))
     if needed > BASIS_BUDGET_BYTES:
         raise ValidationError(
             "problem_too_large",
             f"k={k}, delta={delta} (N={plan.N}, M_q={nodes}, "
-            f"{grid.points.shape[0]} grid points, {seeds} seeds per error "
-            f"pass) needs {needed} bytes of basis values and error-pass "
+            f"{grid_points} grid points, {len(config.seeds)} seeds) needs "
+            f"{needed} bytes of bases, singular vectors and error-pass "
             f"products, above {BASIS_BUDGET_BYTES}")
-    return plan, nodes, make_problem(radii, k, tau0, plan.N)
+    return plan, nodes, make_problem(setup.radii, k, setup.tau0, plan.N)
 
 
-def make_cell(config: ExperimentConfig, radii: DomainRadii, tau0: float,
-              grid: InteriorGrid | WaveGrid, node_count: int | None,
-              k: float, delta: float) -> Cell:
-    """Plan -> problem -> quadrature -> bases -> operator -> SVD -> data.
-
-    ``grid`` is the k's WaveGrid, which holds the cell's plan, or a plain
-    InteriorGrid for a cell that plans itself and evaluates its own grid
-    basis, of order N, after its boundary stages.
-    """
-    if isinstance(grid, WaveGrid):
-        shared = grid
-        plan, nodes, problem = shared.plans[delta]
-    else:
-        shared = None
-        plan, nodes, problem = _plan_cell(config, radii, tau0, grid,
-                                          node_count, k, delta)
+def make_cell(config: ExperimentConfig, shared: WaveGrid,
+              plan: RegularizationPlan, nodes: int,
+              problem: WaveProblem) -> Cell:
+    """Quadrature -> boundary basis -> operator -> SVD -> data of a cell
+    planned by _plan_cell, on its k's WaveGrid."""
     rule = build_quadrature(config.curve, nodes)
-    boundary_basis = basis_values(problem.basis, plan.N + 1, rule.points)
-    system = svd(trace_operator(problem, rule, boundary_basis))
-    data = plane_wave_data(problem, rule, config.direction)
-    exact = PlaneWave(k=k, direction=config.direction)
-    if shared is None:
-        shared = _wave_grid(grid, {delta: (plan, nodes, problem)}, exact)
+    values = basis_values(problem.basis, plan.N + 1, rule.points)
+    operator = trace_operator(problem, rule, values)
+    boundary_basis = nested_rows(values)
+    del values                   # not held through the SVD, as the grid basis is
+    system = svd(operator)
+    exact = PlaneWave(k=problem.k, direction=config.direction)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
-                data=data, exact=exact, grid=shared.grid,
-                grid_basis=shared.rows(problem.basis, plan.N),
-                boundary_basis=nested_rows(boundary_basis),
+                data=plane_wave_data(problem, rule, config.direction),
+                exact=exact, grid=shared.grid,
+                grid_basis=shared.rows(plan.N),
+                boundary_basis=boundary_basis,
                 grid_exact=shared.exact,
                 boundary_exact=exact.samples(rule.points))
+
+
+def wavenumber_cells(setup: Setup, k: float,
+                     deltas: list) -> Iterator[Cell | FbmError]:
+    """The cells of k, one Cell or FbmError per delta in order: the path of
+    every command to a Cell. Each delta is planned once (_plan_cell); the
+    cells that pass share one WaveGrid of the largest order among them,
+    and a delta that fails yields its error without planning again. With
+    no passing delta no basis is evaluated. Each cell is built when asked
+    for, after the generator has dropped the one before, so a consumer
+    that drops a cell before asking for the next holds one at a time."""
+    plans: list = []
+    for delta in deltas:
+        try:
+            plans.append(_plan_cell(setup, k, delta))
+        except FbmError as exc:
+            plans.append(exc)
+    passed = [p for p in plans if not isinstance(p, FbmError)]
+    if passed:
+        [basis] = {problem.basis for _, _, problem in passed}
+        top = max(plan.N for plan, _, _ in passed)
+        points = setup.grid.points
+        exact = PlaneWave(k=k, direction=setup.config.direction)
+        shared = WaveGrid(grid=setup.grid,
+                          values=nested_values(basis, top + 1, points),
+                          exact=exact.samples(points))
+    for outcome in plans:
+        if not isinstance(outcome, FbmError):
+            try:
+                outcome = make_cell(setup.config, shared, *outcome)
+            except FbmError as exc:
+                outcome = exc
+        yield outcome
 
 
 # ---------------------------------------------------------------------------
@@ -549,21 +538,33 @@ def _single(values: list, what: str) -> float:
     return values[0]
 
 
-def _prepare(config: ExperimentConfig):
+def _prepare(config: ExperimentConfig) -> Setup:
     radii = compute_radii(config.curve)
-    tau0 = resolve_tau0(config, radii)
-    grid = build_interior_grid(config.curve, radii, config.grid_resolution)
-    node_count = None if config.node_count == "auto" else int(config.node_count)
-    return radii, tau0, grid, node_count
+    return Setup(config=config, radii=radii, tau0=resolve_tau0(config, radii),
+                 grid=build_interior_grid(config.curve, radii,
+                                          config.grid_resolution),
+                 node_count=(None if config.node_count == "auto"
+                             else int(config.node_count)))
+
+
+def _solve_case(config: ExperimentConfig, k: float, delta: float,
+                seed: int) -> tuple[Cell, CaseResult]:
+    """The cell of one (k, delta) and its result for one seed, the one-k,
+    one-delta case of wavenumber_cells; raises the FbmError of either."""
+    [cell] = wavenumber_cells(_prepare(config), k, [delta])
+    if isinstance(cell, FbmError):
+        raise cell
+    [result] = cell.solve([seed])
+    if isinstance(result, FbmError):
+        raise result
+    return cell, result
 
 
 def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     """Solve a single (k, delta) case and write report + coefficients."""
     k = _single(config.k_list, "k")
     delta = _single(config.delta_list, "delta")
-    radii, tau0, grid, node_count = _prepare(config)
-    cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
-    result = _solve_one(cell, config.seeds[0])
+    cell, result = _solve_case(config, k, delta, config.seeds[0])
     meta = case_metadata(cell, result, config)
     report = {**result.report.as_dict(), "metadata": meta}
     write_report_json(os.path.join(out_dir, "report.json"), report)
@@ -575,22 +576,14 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     return report
 
 
-def _failed_cell(config: ExperimentConfig, k: float, delta: float,
-                 exc: FbmError) -> tuple[list[str], list[FbmError]]:
-    logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
-    return [_failed_row(k, delta, seed, exc.code)
-            for seed in config.seeds], [exc]
-
-
-def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
-                k: float, delta: float) -> tuple[list[str], list[FbmError]]:
+def _cell_rows(config: ExperimentConfig, k: float, delta: float,
+               cell: Cell | FbmError) -> tuple[list[str], list[FbmError]]:
     """The rows of one (k, delta) cell, one per seed and then a median row
-    if any seed solved, with the errors of the rows that failed. ``grid``
-    is make_cell's; the cell is dropped on return."""
-    try:
-        cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
-    except FbmError as exc:
-        return _failed_cell(config, k, delta, exc)
+    if any seed solved, with the errors of the rows that failed."""
+    if isinstance(cell, FbmError):
+        logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, cell)
+        return [_failed_row(k, delta, seed, cell.code)
+                for seed in config.seeds], [cell]
     rows: list[str] = []
     errors: list[FbmError] = []
     group: list[CaseResult] = []
@@ -608,39 +601,6 @@ def _sweep_cell(config: ExperimentConfig, radii, tau0, grid, node_count,
     return rows, errors
 
 
-def _sweep_wavenumber(config: ExperimentConfig, radii, tau0,
-                      grid: InteriorGrid, node_count,
-                      k: float) -> tuple[list[str], list[FbmError]]:
-    """The rows and errors of k's cells, delta by delta. Each delta is
-    planned once (_plan_cell). The cells that pass share one WaveGrid,
-    which holds their plans and the grid basis of the largest order among
-    them; a cell that fails is written as failed without planning again.
-    With no passing delta no grid basis is evaluated. The WaveGrid is
-    dropped on return, so a sweep holds one k's at a time."""
-    plans: dict = {}
-    failed: dict = {}
-    for delta in config.delta_list:
-        try:
-            plans[delta] = _plan_cell(config, radii, tau0, grid, node_count,
-                                      k, delta)
-        except FbmError as exc:
-            failed[delta] = exc
-    if plans:
-        grid = _wave_grid(grid, plans,
-                          PlaneWave(k=k, direction=config.direction))
-    rows: list[str] = []
-    errors: list[FbmError] = []
-    for delta in config.delta_list:
-        if delta in failed:
-            cell_rows, failures = _failed_cell(config, k, delta, failed[delta])
-        else:
-            cell_rows, failures = _sweep_cell(config, radii, tau0, grid,
-                                              node_count, k, delta)
-        rows += cell_rows
-        errors += failures
-    return rows, errors
-
-
 def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
     """Sweep the (k, delta, seed) lattice into one CSV table.
 
@@ -648,14 +608,17 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
     ValidationError when every failure was one (a config error, exit 2),
     otherwise NumericalError all_cells_failed (exit 3).
     """
-    radii, tau0, grid, node_count = _prepare(config)
+    setup = _prepare(config)
     all_rows: list[str] = []
     errors: list[FbmError] = []
     for k in config.k_list:
-        rows, failures = _sweep_wavenumber(config, radii, tau0, grid,
-                                           node_count, k)
-        all_rows += rows
-        errors += failures
+        # next() rather than zip, whose reused result tuple would keep each
+        # cell alive while the next one is built
+        cells = wavenumber_cells(setup, k, config.delta_list)
+        for delta in config.delta_list:
+            rows, failures = _cell_rows(config, k, delta, next(cells))
+            all_rows += rows
+            errors += failures
     # a cell writes its median row exactly when one of its seeds solved
     if not any(row.startswith("median,") for row in all_rows):
         if all(isinstance(exc, ValidationError) for exc in errors):
@@ -664,7 +627,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
     meta = {
         "command": "sweep", "curve": config.curve.name,
         "k": config.k_list, "delta": config.delta_list, "eta": config.eta,
-        "tau0": tau0, "tau_min": radii.tau_min,
+        "tau0": setup.tau0, "tau_min": setup.radii.tau_min,
         "M_q": config.node_count, "grid_resolution": config.grid_resolution,
         "seeds": config.seeds, "direction": list(map(float, config.direction)),
         "column_order": "n=-N..N",
@@ -710,9 +673,7 @@ def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
     [k] = _as_number_list(k, "k", **_K_RANGE)
     [delta] = _as_number_list(delta, "delta", **_DELTA_RANGE)
     [seed] = _as_seed_list([seed])
-    radii, tau0, grid, node_count = _prepare(config)
-    cell = make_cell(config, radii, tau0, grid, node_count, k, delta)
-    result = _solve_one(cell, seed)
+    cell, result = _solve_case(config, k, delta, seed)
     t = 2.0 * np.pi * np.arange(_TRACE_SAMPLES) / _TRACE_SAMPLES
     points = curve_point(config.curve, t)
     u_exact = np.real(cell.exact.value(points))

@@ -9,12 +9,13 @@ Boundary norms reuse the quadrature rule of the solve. Every relative
 error divides by the same norm of the exact solution.
 
 error_norms reports on several coefficient vectors of one problem at
-once, as on a sweep cell's seeds: their coefficient blocks, folded onto
-the real nested basis rows Re phi_0, Re phi_1, Im phi_1, ..., form one
-real row block, multiplied by the nested basis values once per point
-set (the grid's in blocks of points, so that no product spans the whole
-grid); the squared errors of every vector then come from an in-place
-subtraction and a sum per row of each product.
+once, as on a cell's seeds: their coefficient blocks, folded onto the
+real nested basis rows Re phi_0, Re phi_1, Im phi_1, ..., form real row
+blocks of _SEED_BLOCK vectors each, multiplied by the nested basis values
+once per point set (the grid's in blocks of _GRID_BLOCK points, so that
+no product spans the whole grid or every seed); the squared errors of
+every vector then come from an in-place subtraction and a sum per row of
+each product. error_pass_bytes counts what one such product holds.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ logger = logging.getLogger(__name__)
 
 # edges of the polygon that measures the grid's clearance from the boundary
 _DISTANCE_EDGES = 256
-# Grid points per product of the error pass. A fixed count, so that a
-# vector's sums do not depend on the others in its pass; at ten seeds a
-# block's product takes 1 MB, where the whole reference grid's took 5.4.
+# Grid points and coefficient vectors per product of the error pass. Fixed
+# counts, so that a vector's sums do not depend on how many others share its
+# pass; at ten seeds a block's product takes 1 MB, where the whole reference
+# grid's took 5.4. The seed block holds the ten seeds of the reference sweep
+# in one pass and bounds a pass over many seeds to 48 B x 16 x (2048 + M_q).
 _GRID_BLOCK = 2048
+_SEED_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,27 @@ def _real_rows(values: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _product(block: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """block @ values.T for a row block of 6 rows per vector. OpenBLAS
+    (0.3.31, Haswell kernels, measured) rounds a row of this product the
+    same way for any number of rows when the point count is a multiple of
+    8, but not otherwise; then the product is made 6 rows at a time, as a
+    one-vector pass makes it."""
+    if values.shape[0] % 8 == 0:
+        return block @ values.T
+    return np.concatenate([block[row:row + 6] @ values.T
+                           for row in range(0, block.shape[0], 6)])
+
+
+def error_pass_bytes(vectors: int, grid_points: int, nodes: int) -> int:
+    """Bytes of the largest products error_norms holds at once for
+    ``vectors`` coefficient vectors: 48 (Re and Im of u_N and its gradient)
+    per vector of one seed block and point of one grid block, and of the
+    ``nodes`` boundary points."""
+    return (48 * min(vectors, _SEED_BLOCK)
+            * (min(grid_points, _GRID_BLOCK) + nodes))
+
+
 def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
                 grid: InteriorGrid, rule: QuadratureRule,
                 grid_values: np.ndarray, boundary_values: np.ndarray,
@@ -179,13 +204,14 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     share them.
 
     The vectors' ladder_coefficients blocks, folded by
-    nested_coefficients, form one real (6S, 2N+3) row block: Re and Im of
-    u_N, du_N/dx and du_N/dy per vector. One product with the order-major
-    values per point set gives them all, on the grid _GRID_BLOCK points at
+    nested_coefficients, form real (6S, 2N+3) row blocks of S =
+    _SEED_BLOCK vectors at most: Re and Im of u_N, du_N/dx and du_N/dy per
+    vector. One product of a row block with the order-major values per
+    point set gives them all (_product), on the grid _GRID_BLOCK points at
     a time; the exact rows are subtracted in place and each row's squares
-    summed. In this layout (not in
-    values @ block) a vector's rows of the product come out bitwise the
-    same whatever the number and position of the other vectors, and every
+    summed. In this layout (not in values @ block) a vector's rows of the
+    product come out bitwise the same whatever the number and position of
+    the other vectors, and every
     later step works row by row, so a report does not depend on which
     others it was computed with; tests/test_cli.py pins this. A
     degenerate exact norm raises before any product.
@@ -199,28 +225,33 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     lb_den = _nonzero(rule.boundary_norm(ub_ex), "boundary L2")
     dn_den = _nonzero(rule.boundary_norm(dn_ex), "normal derivative")
 
-    count = len(coefficients)
-    block = nested_coefficients(ladder_coefficients(
-        basis, np.stack([c.coeffs for c in coefficients])))
-    block = block.reshape(6 * count, -1)
     grid_rows = _real_rows(u_ex, g_ex)
-    grid_sq = np.zeros((count, 6))
-    for start in range(0, grid_rows.shape[1], _GRID_BLOCK):
-        part = slice(start, start + _GRID_BLOCK)
-        on_grid = (block @ grid_values[part].T).reshape(count, 6, -1)
-        on_grid -= grid_rows[:, part]
-        on_grid *= on_grid
-        grid_sq += on_grid.sum(axis=-1)
-    on_boundary = (block @ boundary_values.T).reshape(count, 6, -1)
-    on_boundary -= _real_rows(ub_ex, gb_ex)
+    boundary_rows = _real_rows(ub_ex, gb_ex)
     nx, ny = rule.normals.T
-    traces = np.concatenate([on_boundary[:, :2],        # Re, Im of u_N - u
-                             on_boundary[:, 2:4] * nx   # and of its normal
-                             + on_boundary[:, 4:] * ny],  # derivative
-                            axis=1)
-    traces *= traces
-    traces *= rule.arc_weights
-    boundary_sq = traces.sum(axis=-1)                   # (S, 4)
+    grid_sq = np.zeros((len(coefficients), 6))
+    boundary_sq = np.empty((len(coefficients), 4))
+    for first in range(0, len(coefficients), _SEED_BLOCK):
+        group = slice(first, first + _SEED_BLOCK)
+        vectors = coefficients[group]
+        count = len(vectors)
+        block = nested_coefficients(ladder_coefficients(
+            basis, np.stack([c.coeffs for c in vectors])))
+        block = block.reshape(6 * count, -1)
+        for start in range(0, grid_rows.shape[1], _GRID_BLOCK):
+            points = slice(start, start + _GRID_BLOCK)
+            on_grid = _product(block, grid_values[points]).reshape(count, 6, -1)
+            on_grid -= grid_rows[:, points]
+            on_grid *= on_grid
+            grid_sq[group] += on_grid.sum(axis=-1)
+        on_boundary = _product(block, boundary_values).reshape(count, 6, -1)
+        on_boundary -= boundary_rows
+        traces = np.concatenate([on_boundary[:, :2],        # Re, Im of u_N - u
+                                 on_boundary[:, 2:4] * nx   # and of its normal
+                                 + on_boundary[:, 4:] * ny],  # derivative
+                                axis=1)
+        traces *= traces
+        traces *= rule.arc_weights
+        boundary_sq[group] = traces.sum(axis=-1)
     l2 = root_area * np.sqrt(grid_sq[:, 0] + grid_sq[:, 1]) / l2_den
     h1 = root_area * np.sqrt(grid_sq[:, 2:].sum(axis=1)) / h1_den
     lb = np.sqrt(boundary_sq[:, 0] + boundary_sq[:, 1]) / lb_den

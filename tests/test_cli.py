@@ -4,12 +4,13 @@ import math
 import os
 import random
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbm import cli
+from fbm import cli, fields
 from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      run_solve, run_sweep, run_svd_study, run_trace_plot,
                      _parse_order_list)
@@ -255,8 +256,8 @@ class TestConfigValidationExit:
 
     def test_basis_over_budget_rejected_before_evaluation(
             self, tmp_path, capsys, monkeypatch, basis_calls):
-        # k=1, delta=1e-16 selects N=19 on the kite: 41 orders at 1022
-        # grid points and 368 quadrature nodes count about 0.98 MB
+        # k=1, delta=1e-16 selects N=19 on the kite: 41 rows at 1022
+        # grid points and 368 quadrature nodes count about 1.0 MB
         monkeypatch.setattr(cli, "BASIS_BUDGET_BYTES", 10 ** 5)
         path = _write_config(tmp_path / "cfg.json", grid_resolution=64)
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -271,12 +272,16 @@ class TestConfigValidationExit:
     def test_basis_budget_counts_values_and_error_pass(
             self, tmp_path, capsys, monkeypatch, spare, status):
         # k=1, delta=0.01 selects N=8 on the kite; grid 64 keeps 1022
-        # points and "auto" takes 256 nodes. The cell holds 19 orders of
-        # values, 16 bytes per point each, and one error pass over the
-        # three seeds holds 48 bytes per point and seed
-        points = 1022 + 256
+        # points and "auto" takes 256 nodes. The cell holds 19 nested rows,
+        # 8 bytes per point each, the boundary's complex values and the
+        # SVD's left vectors, 16 bytes per node and row each, and one error
+        # pass over the three seeds, 48 bytes per point and seed:
+        # 533,936 bytes in all
+        rows, grid_points, nodes = 19, 1022, 256
         monkeypatch.setattr(cli, "BASIS_BUDGET_BYTES",
-                            16 * 19 * points + 48 * 3 * points + spare)
+                            8 * rows * (grid_points + nodes)
+                            + 2 * 16 * rows * nodes
+                            + 48 * 3 * (grid_points + nodes) + spare)
         path = _write_config(tmp_path / "cfg.json", delta=0.01,
                              grid_resolution=64, seeds=[1, 2, 3])
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -321,8 +326,27 @@ class TestCellPipeline:
         run_solve(load_config(_write_config(tmp_path / "one.json",
                                             grid_resolution=64)),
                   str(tmp_path / "solve"))
-        # N = 19: the boundary first, then the cell's own grid basis
-        assert basis_calls == [("basis_values", 20), ("nested_values", 20)]
+        # N = 19: one k and one delta of the sweep's path, so the grid
+        # basis first, then the cell's boundary
+        assert basis_calls == [("nested_values", 20), ("basis_values", 20)]
+
+    def test_sweep_holds_one_cell_at_a_time(self, tmp_path, monkeypatch):
+        # no cell of the sweep is alive while the next one is built
+        built, alive = [], []
+        make_cell = cli.make_cell
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            cell = make_cell(*args)
+            built.append(weakref.ref(cell))
+            return cell
+
+        monkeypatch.setattr(cli, "make_cell", tracked)
+        path = _write_config(tmp_path / "cfg.json", k=[1.0, 5.0],
+                             delta=[1e-16, 0.01, 0.05], seeds=[1, 2],
+                             grid_resolution=64)
+        run_sweep(load_config(path), str(tmp_path / "sweep"))
+        assert alive == [0] * 6
 
     def test_exact_solution_sampled_once_per_cell(self, tmp_path, monkeypatch):
         calls = []
@@ -366,18 +390,17 @@ class TestWaveGrid:
     def test_rows_equal_fresh_evaluation(self, tmp_path, k, deltas):
         config = load_config(_write_config(tmp_path / "cfg.json", k=k,
                                            delta=deltas, grid_resolution=96))
-        radii, tau0, grid, node_count = cli._prepare(config)
-        cells = [cli.make_cell(config, radii, tau0, grid, node_count, k, d)
-                 for d in deltas]
-        shared = cli._wave_grid(
-            grid, {cell.plan.delta: (cell.plan, cell.rule.size, cell.problem)
-                   for cell in cells}, cells[0].exact)
-        assert shared.order == max(cell.plan.N for cell in cells)
+        setup = cli._prepare(config)
+        grid = setup.grid
+        cells = list(cli.wavenumber_cells(setup, k, deltas))
+        top = max(cell.plan.N for cell in cells)
+        shared = cells[0].grid_basis.base    # the k's (2 N_top + 3, P) rows
+        assert shared.shape == (2 * top + 3, grid.points.shape[0])
         for cell in cells:
             n = cell.plan.N + 1
-            view = shared.rows(cell.problem.basis, cell.plan.N)
+            view = cell.grid_basis
+            assert view.base is shared
             assert view.T.flags.c_contiguous
-            assert np.array_equal(view, cell.grid_basis)
             assert np.array_equal(view, nested_values(cell.problem.basis, n,
                                                       grid.points))
             # Re phi_0, Re phi_1, Im phi_1, ... of the complex basis
@@ -488,8 +511,7 @@ class TestBatchedSeeds:
                                                order):
         config = load_config(_write_config(tmp_path / "cfg.json", k=k,
                                            delta=delta))
-        radii, tau0, grid, node_count = cli._prepare(config)
-        cell = cli.make_cell(config, radii, tau0, grid, node_count, k, delta)
+        [cell] = cli.wavenumber_cells(cli._prepare(config), k, [delta])
         assert cell.plan.N == order
         seeds = [3, 1, 4, 5, 9]
         for seed, batched in zip(seeds, cell.solve(seeds)):
@@ -538,9 +560,8 @@ class TestBatchedSeeds:
         config = load_config(_write_config(
             tmp_path / "cfg.json", k=[1.0], delta=[0.01], seeds=[1, 2, 3],
             grid_resolution=64))
-        radii, tau0, grid, node_count = cli._prepare(config)
-        rows, errors = cli._sweep_cell(config, radii, tau0, grid, node_count,
-                                       1.0, 0.01)
+        [cell] = cli.wavenumber_cells(cli._prepare(config), 1.0, [0.01])
+        rows, errors = cli._cell_rows(config, 1.0, 0.01, cell)
         assert calls == [3]                   # one error pass for the cell
         assert [r.split(",")[3] for r in rows] == ["1", "2", "3"]
         assert all(r.startswith("cell,") and r.endswith(",degenerate_exact_norm")
@@ -554,28 +575,44 @@ class TestBatchedSeeds:
         assert record["error"] == "all_cells_failed"
 
     def test_sliced_error_pass_matches_one_pass(self, tmp_path, monkeypatch):
-        # a budget of two seeds' products splits five seeds 2 + 2 + 1
+        # a seed block of two splits the error pass over five seeds into
+        # products of 2 + 2 + 1 seeds, and every row stays bitwise
         config = load_config(_write_config(
             tmp_path / "cfg.json", k=[1.0], delta=[0.01], seeds=[3, 1, 4, 5, 9],
             grid_resolution=64))
-        radii, tau0, grid, node_count = cli._prepare(config)
-        cell = cli.make_cell(config, radii, tau0, grid, node_count, 1.0, 0.01)
-        points = cell.grid_basis.shape[0] + cell.boundary_basis.shape[0]
         outputs, widths = [], []
-        error_norms = cli.error_norms
+        ladder_coefficients = fields.ladder_coefficients
 
-        def counted(basis, coefficients, *args):
-            widths.append(len(coefficients))
-            return error_norms(basis, coefficients, *args)
+        def counted(basis, coeffs):
+            widths.append(coeffs.shape[0])
+            return ladder_coefficients(basis, coeffs)
 
-        monkeypatch.setattr(cli, "error_norms", counted)
-        for budget in (cli.ERROR_PASS_BUDGET_BYTES, 2 * 48 * points):
-            monkeypatch.setattr(cli, "ERROR_PASS_BUDGET_BYTES", budget)
+        monkeypatch.setattr(fields, "ladder_coefficients", counted)
+        for block in (fields._SEED_BLOCK, 2):
+            monkeypatch.setattr(fields, "_SEED_BLOCK", block)
             widths.clear()
-            out = run_sweep(config, str(tmp_path / str(budget)))
+            out = run_sweep(config, str(tmp_path / str(block)))
             outputs.append(Path(out).read_bytes())
         assert widths == [2, 2, 1]
         assert outputs[0] == outputs[1]
+
+    def test_more_seeds_than_a_block_match_one_seed_passes(self, tmp_path):
+        # 35 seeds take blocks of 16, 16 and 3; each report is bitwise its
+        # one-seed pass's. Grid 64 keeps 1022 points, not a multiple of 8,
+        # and the 384 nodes are one, so both forms of fields._product run
+        seeds = list(range(2 * fields._SEED_BLOCK + 3))
+        config = load_config(_write_config(
+            tmp_path / "cfg.json", k=[5.0], delta=[0.01], seeds=seeds,
+            grid_resolution=64))
+        [cell] = cli.wavenumber_cells(cli._prepare(config), 5.0, [0.01])
+        coeffs = [result.coefficients for result in cell.solve(seeds)]
+        args = (cell.grid, cell.rule, cell.grid_basis, cell.boundary_basis,
+                cell.grid_exact, cell.boundary_exact)
+        together = fields.error_norms(cell.problem.basis, coeffs, *args)
+        assert len(together) == len(seeds)
+        for c, report in zip(coeffs, together):
+            [alone] = fields.error_norms(cell.problem.basis, [c], *args)
+            assert _norms(report) == _norms(alone)
 
 
 class TestRunSweep:
@@ -653,10 +690,10 @@ class TestRunSweep:
         # one cell fails validation (M_q = 8), the other numerically
         make_cell = cli.make_cell
 
-        def failing(config, radii, tau0, grid, node_count, k, delta):
-            if k == 1.0:
+        def failing(config, shared, plan, nodes, problem):
+            if problem.k == 1.0:
                 raise NumericalError("svd_failed", "no convergence")
-            return make_cell(config, radii, tau0, grid, node_count, k, delta)
+            return make_cell(config, shared, plan, nodes, problem)
 
         monkeypatch.setattr(cli, "make_cell", failing)
         path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], M_q=8,

@@ -1,6 +1,7 @@
 import logging
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,8 @@ from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
                           compute_radii, default_node_count)
 from fbm.tikhonov import (mu_min_bound, select_parameters, svd,
                           svd_decay_study, tikhonov_solve)
+
+from oracles import bessel_j_oracle
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,34 @@ class TestSvd:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValidationError):
             svd(np.ones((3, 5)))
+
+    @pytest.mark.parametrize("k, N, tau0, overridden", [
+        (1.0, 10, 1.5, False), (5.0, 20, 1.5, True)])
+    def test_disc_spectrum_in_closed_form(self, k, N, tau0, overridden):
+        # on a circle of radius R the trapezoid rule makes the columns
+        # orthogonal, so sigma_n = sqrt(2 pi R) pref_n k |i J_n(kR) + J_n'(kR)|
+        # with pref_n = 2^|n| |n|! / (k M)^|n|. N is passed explicitly: the
+        # disc's tau_min = 1 caps N in the selection rule
+        radius = 1.0
+        curve = circle_curve(radius)
+        problem = make_problem(compute_radii(curve), k, tau0, N)
+        assert problem.m_overridden is overridden
+        rule = build_quadrature(curve, default_node_count(N))
+        system = svd(assemble_operator(problem, rule))
+        t = k * radius
+        exact = []
+        with mp.workdps(60):
+            for n in range(-N, N + 1):
+                m = abs(n)
+                pref = (mp.mpf(2) ** m * mp.factorial(m)
+                        / (mp.mpf(k) * mp.mpf(problem.M)) ** m)
+                j_n = mp.mpf(bessel_j_oracle(n, t))
+                dj_n = (mp.mpf(bessel_j_oracle(n - 1, t))
+                        - mp.mpf(bessel_j_oracle(n + 1, t))) / 2
+                exact.append(float(mp.sqrt(2 * mp.pi * radius) * pref * k
+                                   * mp.sqrt(j_n ** 2 + dj_n ** 2)))
+        exact = np.sort(exact)[::-1]
+        assert np.max(np.abs(system.singular_values - exact) / exact) <= 1e-13
 
 
 class TestTikhonovSolve:

@@ -17,7 +17,8 @@ samples, evaluated once per k, with N_top the largest order among the
 k's cells that pass validation. A cell's grid basis is the leading
 2N + 3 rows of that array, a view. A seed then costs noise and a
 Tikhonov solve; the error norms of a cell's seeds come from one
-fields.error_norms pass, which blocks its products by points and seeds.
+fields.error_norms pass, which takes the seeds and the grid points in
+fixed blocks.
 
 Configuration is a single JSON document::
 
@@ -79,8 +80,9 @@ MAX_NODE_COUNT = 65536
 MAX_GRID_RESOLUTION = 2048
 # Memory a cell may spend, counted before any basis is evaluated: its nested
 # basis rows of order N + 1 (8 bytes per point and row, grid and boundary),
-# the boundary's complex values and the SVD's left vectors (at most 16 bytes
-# per node and row each), and one error-pass product (fields.error_pass_bytes).
+# the trace operator and the SVD's left vectors beside it (at most 16 bytes per
+# node and column each; LAPACK's workspace is not counted), and one error
+# pass's products (fields.error_pass_bytes).
 # A WaveGrid has the order of a cell that passed this check.
 BASIS_BUDGET_BYTES = 2 ** 30
 # Allowed ranges of k and delta, for the config and for plot's --k/--delta.

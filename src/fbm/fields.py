@@ -12,10 +12,11 @@ error_norms reports on several coefficient vectors of one problem at
 once, as on a cell's seeds: their coefficient blocks, folded onto the
 real nested basis rows Re phi_0, Re phi_1, Im phi_1, ..., form real row
 blocks of _SEED_BLOCK vectors each, multiplied by the nested basis values
-once per point set (the grid's in blocks of _GRID_BLOCK points, so that
-no product spans the whole grid or every seed); the squared errors of
-every vector then come from an in-place subtraction and a sum per row of
-each product. error_pass_bytes counts what one such product holds.
+one vector at a time per point set (the grid's in blocks of _GRID_BLOCK
+points, so that no pass's products span the whole grid or every seed); the
+squared errors of every vector then come from an in-place subtraction and
+a sum per row of each block's products. error_pass_bytes counts what one
+seed block's products hold.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ logger = logging.getLogger(__name__)
 
 # edges of the polygon that measures the grid's clearance from the boundary
 _DISTANCE_EDGES = 256
-# Grid points and coefficient vectors per product of the error pass. Fixed
-# counts, so that a vector's sums do not depend on how many others share its
-# pass; at ten seeds a block's product takes 1 MB, where the whole reference
-# grid's took 5.4. The seed block holds the ten seeds of the reference sweep
-# in one pass and bounds a pass over many seeds to 48 B x 16 x (2048 + M_q).
+# Grid points per product and coefficient vectors per pass of the error
+# pass. The grid block is fixed, so that a vector's sums do not depend on how
+# many others share its pass; at ten seeds a pass's products on one grid
+# block take 1 MB, where the whole reference grid's took 5.4. The seed block
+# holds the ten seeds of the reference sweep in one pass and bounds a pass
+# over many seeds to 48 B x 16 x (2048 + M_q).
 _GRID_BLOCK = 2048
 _SEED_BLOCK = 16
 
@@ -169,15 +171,15 @@ def _real_rows(values: np.ndarray, gradients: np.ndarray) -> np.ndarray:
 
 
 def _product(block: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """block @ values.T for a row block of 6 rows per vector. OpenBLAS
-    (0.3.31, Haswell kernels, measured) rounds a row of this product the
-    same way for any number of rows when the point count is a multiple of
-    8, but not otherwise; then the product is made 6 rows at a time, as a
-    one-vector pass makes it."""
-    if values.shape[0] % 8 == 0:
-        return block @ values.T
-    return np.concatenate([block[row:row + 6] @ values.T
-                           for row in range(0, block.shape[0], 6)])
+    """block @ values.T for a (S, 6, 2N+3) row block, as (S, 6, P): one
+    product per vector, each of the shape a one-vector pass makes. A BLAS
+    may round a row of one larger product differently as its row count
+    changes (OpenBLAS 0.3.31 does when P is not a multiple of 8), which
+    would make a vector's rows depend on how many others share its pass."""
+    out = np.empty(block.shape[:2] + values.shape[:1])
+    for rows, vector in zip(block, out):
+        np.matmul(rows, values.T, out=vector)
+    return out
 
 
 def error_pass_bytes(vectors: int, grid_points: int, nodes: int) -> int:
@@ -204,17 +206,16 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     share them.
 
     The vectors' ladder_coefficients blocks, folded by
-    nested_coefficients, form real (6S, 2N+3) row blocks of S =
+    nested_coefficients, form real (S, 6, 2N+3) row blocks of S =
     _SEED_BLOCK vectors at most: Re and Im of u_N, du_N/dx and du_N/dy per
-    vector. One product of a row block with the order-major values per
-    point set gives them all (_product), on the grid _GRID_BLOCK points at
-    a time; the exact rows are subtracted in place and each row's squares
-    summed. In this layout (not in values @ block) a vector's rows of the
-    product come out bitwise the same whatever the number and position of
-    the other vectors, and every
-    later step works row by row, so a report does not depend on which
-    others it was computed with; tests/test_cli.py pins this. A
-    degenerate exact norm raises before any product.
+    vector. Each vector's rows are multiplied by the order-major values
+    per point set in a product of their own (_product), on the grid
+    _GRID_BLOCK points at a time; the exact rows are subtracted in place
+    and each row's squares summed. Every product has the shape of a
+    one-vector pass's and every later step works row by row, so a report
+    does not depend on which others it was computed with;
+    tests/test_cli.py pins this. A degenerate exact norm raises before any
+    product.
     """
     u_ex, g_ex = grid_exact
     ub_ex, gb_ex = boundary_exact
@@ -233,17 +234,15 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     for first in range(0, len(coefficients), _SEED_BLOCK):
         group = slice(first, first + _SEED_BLOCK)
         vectors = coefficients[group]
-        count = len(vectors)
         block = nested_coefficients(ladder_coefficients(
             basis, np.stack([c.coeffs for c in vectors])))
-        block = block.reshape(6 * count, -1)
         for start in range(0, grid_rows.shape[1], _GRID_BLOCK):
             points = slice(start, start + _GRID_BLOCK)
-            on_grid = _product(block, grid_values[points]).reshape(count, 6, -1)
+            on_grid = _product(block, grid_values[points])
             on_grid -= grid_rows[:, points]
             on_grid *= on_grid
             grid_sq[group] += on_grid.sum(axis=-1)
-        on_boundary = _product(block, boundary_values).reshape(count, 6, -1)
+        on_boundary = _product(block, boundary_values)
         on_boundary -= boundary_rows
         traces = np.concatenate([on_boundary[:, :2],        # Re, Im of u_N - u
                                  on_boundary[:, 2:4] * nx   # and of its normal

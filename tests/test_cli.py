@@ -599,7 +599,8 @@ class TestBatchedSeeds:
     def test_more_seeds_than_a_block_match_one_seed_passes(self, tmp_path):
         # 35 seeds take blocks of 16, 16 and 3; each report is bitwise its
         # one-seed pass's. Grid 64 keeps 1022 points, not a multiple of 8,
-        # and the 384 nodes are one, so both forms of fields._product run
+        # where OpenBLAS 0.3.31 rounds a row of one product over several
+        # seeds unlike one over a single seed
         seeds = list(range(2 * fields._SEED_BLOCK + 3))
         config = load_config(_write_config(
             tmp_path / "cfg.json", k=[5.0], delta=[0.01], seeds=seeds,

@@ -115,8 +115,9 @@ def assemble_operator(problem: WaveProblem, rule: QuadratureRule) -> np.ndarray:
 def trace_operator(problem: WaveProblem, rule: QuadratureRule,
                    values: np.ndarray) -> np.ndarray:
     """The operator of assemble_operator from basis values of order N + 1
-    at the nodes (basis_values output): by the ladder, column n is i k phi_n
-    + (conj(nu) a_n phi_{n+1} + nu b_n phi_{n-1}) / 2, nu = nu_x + i nu_y."""
+    at the nodes, as basis_values or complex_values gives them. By the
+    ladder, column n is i k phi_n + (conj(nu) a_n phi_{n+1}
+    + nu b_n phi_{n-1}) / 2, with nu = nu_x + i nu_y."""
     cols = 2 * problem.N + 1
     if cols > rule.size:
         raise ValidationError(

@@ -10,15 +10,16 @@ it) per (k, delta); solve and plot are its one-k, one-delta case. A cell
 holds everything that does not depend on the noise seed: the plan,
 problem, quadrature rule, SVD, exact data and the basis values of order
 N + 1 on the boundary and on the interior grid, in the real nested form
-(special.nested_values: rows Re phi_0, Re phi_1, Im phi_1, ...). The
-grid part depends on k alone (delta only picks N), so it is a
-``WaveGrid``: the nested grid basis of order N_top + 1 and the exact grid
-samples, evaluated once per k, with N_top the largest order among the
-k's cells that pass validation. A cell's grid basis is the leading
-2N + 3 rows of that array, a view. A seed then costs noise and a
-Tikhonov solve; the error norms of a cell's seeds come from one
-fields.error_norms pass, which takes the seeds and the grid points in
-fixed blocks.
+(special.nested_values: rows Re phi_0, Re phi_1, Im phi_1, ...), the one
+form in which the basis is evaluated; the trace operator takes the
+boundary rows' complex form (special.complex_values). The grid part
+depends on k alone (delta only picks N), so it is a ``WaveGrid``: the
+nested grid basis of order N_top + 1 and the exact grid samples,
+evaluated once per k, with N_top the largest order among the k's cells
+that pass validation. A cell's grid basis is the leading 2N + 3 rows of
+that array, a view. A seed then costs noise and a Tikhonov solve; the
+error norms of a cell's seeds come from one fields.error_norms pass,
+which takes the seeds and the grid points in fixed blocks.
 
 Configuration is a single JSON document::
 
@@ -65,7 +66,7 @@ from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
                        default_node_count, named_curve)
-from .special import N_MAX, basis_values, nested_rows, nested_values
+from .special import N_MAX, complex_values, nested_values
 from .tikhonov import (CoefficientVector, RegularizationPlan, SingularSystem,
                        select_parameters, svd, svd_decay_study, tikhonov_solve)
 
@@ -338,12 +339,12 @@ class Cell:
     """The seed-independent half of one (k, delta) case.
 
     The basis values of order N + 1 on the boundary are evaluated once, by
-    one basis_values call; they form the trace operator, and the cell
-    keeps their nested copy (nested_rows). The plane wave's values and
-    gradients there are sampled once. The grid basis and samples are those
-    of the k's WaveGrid, the basis a view of its leading rows. Each seed
-    then costs noise and a Tikhonov solve, and the seeds that solve share
-    one error pass (fields.error_norms).
+    one nested_values call; the cell keeps these rows, and their complex
+    form (complex_values) forms the trace operator. The plane wave's
+    values and gradients there are sampled once. The grid basis and
+    samples are those of the k's WaveGrid, the basis a view of its leading
+    rows. Each seed then costs noise and a Tikhonov solve, and the seeds
+    that solve share one error pass (fields.error_norms).
     """
 
     plan: RegularizationPlan
@@ -415,11 +416,8 @@ def make_cell(config: ExperimentConfig, shared: WaveGrid,
     """Quadrature -> boundary basis -> operator -> SVD -> data of a cell
     planned by _plan_cell, on its k's WaveGrid."""
     rule = build_quadrature(config.curve, nodes)
-    values = basis_values(problem.basis, plan.N + 1, rule.points)
-    operator = trace_operator(problem, rule, values)
-    boundary_basis = nested_rows(values)
-    del values                   # not held through the SVD, as the grid basis is
-    system = svd(operator)
+    boundary_basis = nested_values(problem.basis, plan.N + 1, rule.points)
+    system = svd(trace_operator(problem, rule, complex_values(boundary_basis)))
     exact = PlaneWave(k=problem.k, direction=config.direction)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
                 data=plane_wave_data(problem, rule, config.direction),
@@ -540,13 +538,18 @@ def _single(values: list, what: str) -> float:
     return values[0]
 
 
-def _prepare(config: ExperimentConfig) -> Setup:
+def _resolve(config: ExperimentConfig) -> tuple[DomainRadii, float, int | None]:
+    """The domain radii, numeric tau0 and quadrature size (None for
+    "auto"), which every command needs."""
     radii = compute_radii(config.curve)
-    return Setup(config=config, radii=radii, tau0=resolve_tau0(config, radii),
-                 grid=build_interior_grid(config.curve, radii,
-                                          config.grid_resolution),
-                 node_count=(None if config.node_count == "auto"
-                             else int(config.node_count)))
+    return radii, resolve_tau0(config, radii), (
+        None if config.node_count == "auto" else int(config.node_count))
+
+
+def _prepare(config: ExperimentConfig) -> Setup:
+    radii, tau0, node_count = _resolve(config)
+    grid = build_interior_grid(config.curve, radii, config.grid_resolution)
+    return Setup(config, radii, tau0, grid, node_count)
 
 
 def _solve_case(config: ExperimentConfig, k: float, delta: float,
@@ -645,9 +648,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
 def run_svd_study(config: ExperimentConfig, out_dir: str, n_list) -> str:
     """Record mu_min against truncation order N, with the fitted slope."""
     k = _single(config.k_list, "k")
-    radii = compute_radii(config.curve)
-    tau0 = resolve_tau0(config, radii)
-    node_count = None if config.node_count == "auto" else int(config.node_count)
+    radii, tau0, node_count = _resolve(config)
     study = svd_decay_study(config.curve, radii, k, tau0, n_list,
                             node_count=node_count)
     products = study.bound_products(tau0)

@@ -142,9 +142,6 @@ class QuadratureRule:
         """Discrete L2(Gamma) norm of nodal samples."""
         return float(np.sqrt(np.sum(self.arc_weights * np.abs(values) ** 2)))
 
-    def length(self) -> float:
-        return float(np.sum(self.arc_weights))
-
 
 # ---------------------------------------------------------------------------
 # Curve evaluation
@@ -175,16 +172,6 @@ def curve_derivative(curve: BoundaryCurve, t) -> np.ndarray:
     return np.stack([_trig_eval(curve.x1_cos, curve.x1_sin, t_arr, True),
                      _trig_eval(curve.x2_cos, curve.x2_sin, t_arr, True)],
                     axis=-1)
-
-
-def outward_normal(curve: BoundaryCurve, t) -> np.ndarray:
-    """Outward unit normal nu(t) = (x2'(t), -x1'(t)) / |x'(t)|."""
-    d = curve_derivative(curve, t)
-    speed = np.hypot(d[..., 0], d[..., 1])
-    if np.any(speed < _MIN_SPEED):
-        raise ValidationError("curve_not_regular",
-                              "|x'(t)| below regularity threshold")
-    return np.stack([d[..., 1] / speed, -d[..., 0] / speed], axis=-1)
 
 
 # ---------------------------------------------------------------------------

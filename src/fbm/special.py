@@ -44,21 +44,26 @@ in one of two forms, both to the values of order N + 1:
 
 - coefficient side (ladder_coefficients): the coefficients are shifted
   once, and one product with the values gives u, du/dx and du/dy;
-- basis side (assembly.trace_operator): the values are shifted, which
-  the impedance trace needs because the normal varies by node.
+- basis side (assembly.trace_operator): the complex values, read off
+  the nested rows by complex_values, are shifted, which the impedance
+  trace needs because the normal varies by node.
 
 Nested real form
 ----------------
-Since phi_{-n} = (-1)^n conj(phi_n), the real rows
+The basis is evaluated in one form only, by nested_values: the real rows
 
-    Re phi_0, Re phi_1, Im phi_1, ..., Re phi_N, Im phi_N   (nested_values)
+    Re phi_0, Re phi_1, Im phi_1, ..., Re phi_N, Im phi_N
 
-span what phi_{-N}..phi_N span, in half the bytes, and the form of order
-N' < N is their leading 2N'+1 rows (the n = 0, 1, -1, 2, -2, ... order of
-tikhonov.svd_decay_study). nested_coefficients folds complex
-coefficients onto them, so that the real and imaginary parts of u and
-its gradient come from one real product, at half the flops of the
-complex one; fields.error_norms takes this form.
+Since phi_{-n} = (-1)^n conj(phi_n), they span what phi_{-N}..phi_N
+span, in half the bytes, and the form of order N' < N is their leading
+2N'+1 rows (the n = 0, 1, -1, 2, -2, ... order of
+tikhonov.svd_decay_study). complex_values reads the complex columns
+phi_{-N}..phi_N off them exactly, so basis_values is nested_values
+followed by complex_values and the two forms agree by construction.
+nested_coefficients folds complex coefficients onto the rows, so that
+the real and imaginary parts of u and its gradient come from one real
+product, at half the flops of the complex one; fields.error_norms takes
+this form.
 
 All functions here are pure; nothing is cached or mutated.
 """
@@ -225,61 +230,26 @@ def ladder_coefficients(ctx: BasisContext, coeffs: np.ndarray) -> np.ndarray:
     return block
 
 
-def _profiles_and_unit(ctx: BasisContext, N: int, points, spare: int = 0):
-    """The radial profiles R_0..R_N of points (P, 2), in the last N+1 rows
-    of a fresh (spare + N + 1, P) float array, and e^{i theta} (P,), 1 at
-    the origin: for basis_values and for nested_values, which fills the
-    ``spare`` rows from the profiles in place."""
+def nested_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
+    """Basis values phi_n, n = 0..N, at points (P, 2), the one evaluator of
+    the basis: the real rows Re phi_0, Re phi_1, Im phi_1, ..., Re phi_N,
+    Im phi_N, shape (P, 2N+1), the transposed view of a C-contiguous
+    (2N+1, P) float array. The form of order N' < N is its leading 2N'+1
+    rows. N may reach N_MAX + 1, so that the ladder can differentiate an
+    expansion of order N_MAX."""
     if N < 0 or N > N_MAX + 1:
         raise ValueError(f"basis order N={N} outside [0, {N_MAX + 1}]")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     npts = pts.shape[0]
     r = np.hypot(pts[:, 0], pts[:, 1])           # (P,)
-    unit = np.empty(npts, dtype=np.complex128)
+    unit = np.empty(npts, dtype=np.complex128)   # e^{i theta}, 1 at the origin
     unit.real = np.divide(pts[:, 0], r, out=np.ones(npts), where=r > 0.0)
     unit.imag = np.divide(pts[:, 1], r, out=np.zeros(npts), where=r > 0.0)
-    buffer = np.empty((spare + N + 1, npts))
-    radial_profiles(ctx, N, r, out=buffer[spare:])
-    return buffer, unit
-
-
-def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
-    """Basis values phi_n, n = -N..N, at points (P, 2): shape (P, 2N+1),
-    column j holding phi_n with n = j - N.
-
-    N may reach N_MAX + 1, so that the ladder can differentiate an
-    expansion of order N_MAX. Orders -n are written as (-1)^n conj(phi_n),
-    exactly. The result is the transposed view of a C-contiguous
-    (2N+1, P) array: each order is one contiguous row.
-    """
-    prof, unit = _profiles_and_unit(ctx, N, points)
-    phase = np.ones_like(unit)                   # e^{i n theta}
-    values = np.empty((2 * N + 1, unit.shape[0]), dtype=np.complex128)
-    values[N] = prof[0]
-    for n in range(1, N + 1):
-        phase *= unit
-        np.multiply(prof[n], phase, out=values[N + n])
-        mirror = np.conjugate(values[N + n], out=values[N - n])
-        if n % 2 == 1:
-            np.negative(mirror, out=mirror)
-    return values.T
-
-
-def nested_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
-    """The real nested form of basis_values(ctx, N, points): the rows
-    Re phi_0, Re phi_1, Im phi_1, ..., Re phi_N, Im phi_N, shape (P, 2N+1),
-    the transposed view of a C-contiguous (2N+1, P) float array.
-
-    Its rows are the real and imaginary parts of basis_values' orders
-    0..N bit for bit (the same profiles and phase recurrence), and the
-    form of order N' < N is its leading 2N'+1 rows. Since
-    phi_{-n} = (-1)^n conj(phi_n), these rows span what the complex basis
-    spans; nested_coefficients gives the coefficients on them.
-    """
     # row N + n holds R_n; filling rows 2n - 1 and 2n from it, n upward,
     # overwrites only R_m with m = 2n - 1 - N or 2n - N <= n, already read,
     # so the profiles take no memory besides the rows
-    rows, unit = _profiles_and_unit(ctx, N, points, spare=N)
+    rows = np.empty((2 * N + 1, npts))
+    radial_profiles(ctx, N, r, out=rows[N:])
     phase = np.ones_like(unit)                   # e^{i n theta}
     rows[0] = rows[N]
     for n in range(1, N + 1):
@@ -289,17 +259,29 @@ def nested_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-def nested_rows(values: np.ndarray) -> np.ndarray:
-    """nested_values from the basis_values output ``values`` (P, 2N+1) in
-    hand, by a copy of its orders 0..N: bitwise what nested_values returns
-    at the same points."""
-    N = (values.shape[1] - 1) // 2
-    upper = values.T[N:]                         # orders 0..N, (N+1, P)
-    rows = np.empty((2 * N + 1, values.shape[0]))
-    rows[0] = upper[0].real
-    rows[1::2] = upper[1:].real
-    rows[2::2] = upper[1:].imag
-    return rows.T
+def complex_values(nested: np.ndarray) -> np.ndarray:
+    """phi_n, n = -N..N, read exactly off nested_values' rows ``nested``
+    (P, 2N+1): phi_n = Re phi_n + i Im phi_n for n >= 0, and
+    phi_{-n} = (-1)^n conj(phi_n). Shape (P, 2N+1), column j holding phi_n
+    with n = j - N, the transposed view of a C-contiguous (2N+1, P) array."""
+    rows = nested.T
+    N = (rows.shape[0] - 1) // 2
+    values = np.empty(rows.shape, dtype=np.complex128)
+    upper = values[N:]                           # orders 0..N
+    upper[0] = rows[0]
+    upper[1:].real = rows[1::2]
+    upper[1:].imag = rows[2::2]
+    # orders -1..-N; values[N-1::-1] would wrap to the whole array at N = 0
+    lower = values[:N][::-1]
+    np.conjugate(upper[1:], out=lower)
+    np.negative(lower[::2], out=lower[::2])      # odd n
+    return values.T
+
+
+def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
+    """Basis values phi_n, n = -N..N, at points (P, 2), in complex_values'
+    layout."""
+    return complex_values(nested_values(ctx, N, points))
 
 
 def nested_coefficients(coeffs: np.ndarray) -> np.ndarray:

@@ -3,13 +3,16 @@
 These deliberately avoid the library's evaluation paths: Bessel values
 come from the defining power series summed in high-precision arithmetic,
 and derivatives from difference quotients or neighbor-order identities
-applied to oracle values.
+applied to oracle values. The geometric helpers at the end read only a
+curve's derivative series and a rule's arc weights.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+
+from fbm.geometry import BoundaryCurve, QuadratureRule, curve_derivative
 
 
 def bessel_j_oracle(n: int, t: float, dps: int = 60) -> float:
@@ -78,3 +81,15 @@ def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
         e[axis] = step
         out.append((f(x + e) - f(x - e)) / (2.0 * step))
     return np.array(out)
+
+
+def outward_normal(curve: BoundaryCurve, t) -> np.ndarray:
+    """Outward unit normal nu(t) = (x2'(t), -x1'(t)) / |x'(t)|."""
+    d = curve_derivative(curve, t)
+    speed = np.hypot(d[..., 0], d[..., 1])
+    return np.stack([d[..., 1] / speed, -d[..., 0] / speed], axis=-1)
+
+
+def rule_length(rule: QuadratureRule) -> float:
+    """Length of the boundary by the rule: the sum of its arc weights."""
+    return float(np.sum(rule.arc_weights))

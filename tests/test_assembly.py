@@ -5,9 +5,8 @@ from fbm.assembly import (add_noise, assemble_operator, boundary_data,
                           boundary_data_from_weighted, make_problem,
                           plane_wave_data, trace_operator)
 from fbm.errors import NumericalError, ValidationError
-from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
-                          compute_radii, curve_point, default_node_count,
-                          kite_curve, outward_normal)
+from fbm.geometry import (build_quadrature, circle_curve, compute_radii,
+                          default_node_count)
 from fbm.special import N_MAX, basis_values, bessel_j, ladder_coefficients
 
 from oracles import basis_gradient_oracle, basis_value_oracle, bessel_j_oracle

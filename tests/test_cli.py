@@ -294,15 +294,17 @@ class TestConfigValidationExit:
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """Record (function name, order) of each basis_values and nested_values
-    call through every fbm module that binds them, fbm.special included.
-    The interior grid's basis is nested_values', the boundary's
-    basis_values'."""
+    """Record (function name, order, point count) of each basis_values and
+    nested_values call through every fbm module that binds them,
+    fbm.special included, so that a basis_values call also records the
+    nested_values call it makes. The pipeline evaluates every basis by
+    nested_values: the interior grid's once per k, each cell's boundary
+    once."""
     calls = []
 
     def counting(function):
         def counted(*args, **kwargs):
-            calls.append((function.__name__, args[1]))
+            calls.append((function.__name__, args[1], len(args[2])))
             return function(*args, **kwargs)
         return counted
 
@@ -320,15 +322,18 @@ class TestCellPipeline:
         path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], delta=[0.01],
                              seeds=[1, 2, 3], grid_resolution=64)
         run_sweep(load_config(path), str(tmp_path / "sweep"))
-        # N = 8 at both k: per k one grid basis, then the cell's boundary
-        assert basis_calls == [("nested_values", 9), ("basis_values", 9)] * 2
+        # N = 8 at both k: per k one grid basis (1022 points), then the
+        # cell's boundary (256 nodes)
+        assert basis_calls == [("nested_values", 9, 1022),
+                               ("nested_values", 9, 256)] * 2
         basis_calls.clear()
         run_solve(load_config(_write_config(tmp_path / "one.json",
                                             grid_resolution=64)),
                   str(tmp_path / "solve"))
         # N = 19: one k and one delta of the sweep's path, so the grid
-        # basis first, then the cell's boundary
-        assert basis_calls == [("nested_values", 20), ("basis_values", 20)]
+        # basis first, then the cell's boundary (368 nodes)
+        assert basis_calls == [("nested_values", 20, 1022),
+                               ("nested_values", 20, 368)]
 
     def test_sweep_holds_one_cell_at_a_time(self, tmp_path, monkeypatch):
         # no cell of the sweep is alive while the next one is built
@@ -408,7 +413,7 @@ class TestWaveGrid:
             assert np.array_equal(view[:, 0], fresh[:, n].real)
             assert np.array_equal(view[:, 1::2], fresh[:, n + 1:].real)
             assert np.array_equal(view[:, 2::2], fresh[:, n + 1:].imag)
-            # the boundary's nested copy, as if evaluated nested
+            # the boundary's rows, as nested_values evaluates them
             assert np.array_equal(cell.boundary_basis, nested_values(
                 cell.problem.basis, n, cell.rule.points))
 
@@ -429,8 +434,10 @@ class TestWaveGrid:
                              grid_resolution=64)
         run_sweep(load_config(path), str(tmp_path / "sweep"))
         # the grid's, then 3 boundaries
-        assert basis_calls == [("nested_values", 20), ("basis_values", 20),
-                               ("basis_values", 9), ("basis_values", 7)]
+        assert basis_calls == [("nested_values", 20, 1022),
+                               ("nested_values", 20, 368),
+                               ("nested_values", 9, 256),
+                               ("nested_values", 7, 256)]
         assert sampled == [1022, 368, 256, 256]
 
     @pytest.mark.parametrize("k", [1.0, 5.0])
@@ -467,8 +474,9 @@ class TestWaveGrid:
         capsys.readouterr()
         assert code == 0
         # the k = 1 grid, 2 boundaries
-        assert basis_calls == [("nested_values", 45), ("basis_values", 45),
-                               ("basis_values", 21)]
+        assert basis_calls == [("nested_values", 45, 1022),
+                               ("nested_values", 45, 768),
+                               ("nested_values", 21, 384)]
         failed = [row for row in _data_rows(tmp_path / "o" / "sweep.csv")
                   if not row.endswith(",")]
         expected = [(1.0, 1e-16, "order_cap_reached"),

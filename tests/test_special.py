@@ -7,8 +7,8 @@ import pytest
 
 from fbm.assembly import make_problem
 from fbm.special import (N_MAX, BasisContext, basis_value, basis_values,
-                         bessel_j, ladder_coefficients, ladder_constants,
-                         nested_coefficients, nested_rows, nested_values)
+                         bessel_j, complex_values, ladder_coefficients,
+                         ladder_constants, nested_coefficients, nested_values)
 
 from oracles import (basis_gradient_oracle, basis_value_oracle,
                      bessel_j_oracle, central_difference)
@@ -292,21 +292,29 @@ class TestBatchConsistency:
             sign = (-1.0) ** n
             assert np.array_equal(values[:, N - n], sign * np.conj(values[:, N + n]))
 
+    @pytest.mark.parametrize("N", [0, 1, 33])
     @pytest.mark.parametrize("k", [0.5, 5.0, 20.0])
-    def test_nested_rows_equal_basis_values(self, kite_radii, kite_grid, k):
-        # the real nested rows are the parts of the complex basis bit for
-        # bit, whether evaluated (the grid) or copied from it (the boundary)
+    def test_complex_values_read_off_nested_rows(self, kite_radii, kite_grid,
+                                                 k, N):
+        # the complex columns are the nested rows' parts, orders -n mirrored
+        # as (-1)^n conj(phi_n), each order one contiguous row; at N = 0
+        # there is nothing to mirror
         ctx = make_problem(kite_radii, k, 2.2, 33).basis
-        values = basis_values(ctx, 33, kite_grid.points)
-        nested = nested_values(ctx, 33, kite_grid.points)
-        assert nested.shape == (kite_grid.points.shape[0], 67)
+        values = basis_values(ctx, N, kite_grid.points)
+        nested = nested_values(ctx, N, kite_grid.points)
+        assert nested.shape == values.shape == (kite_grid.points.shape[0],
+                                                2 * N + 1)
         assert nested.T.flags.c_contiguous
-        assert np.array_equal(nested[:, 0], values[:, 33].real)
-        assert np.array_equal(nested[:, 1::2], values[:, 34:].real)
-        assert np.array_equal(nested[:, 2::2], values[:, 34:].imag)
-        copied = nested_rows(values)
-        assert copied.T.flags.c_contiguous
-        assert np.array_equal(copied, nested)
+        assert np.array_equal(nested[:, 0], values[:, N].real)
+        assert np.array_equal(nested[:, 1::2], values[:, N + 1:].real)
+        assert np.array_equal(nested[:, 2::2], values[:, N + 1:].imag)
+        read = complex_values(nested)
+        assert read.T.flags.c_contiguous
+        assert np.array_equal(read, values)
+        assert not np.any(read[:, N].imag)
+        for n in range(1, N + 1):
+            assert np.array_equal(read[:, N - n],
+                                  (-1.0) ** n * np.conj(read[:, N + n]))
 
     def test_nested_values_fill_their_rows_in_place(self, kite_radii,
                                                     kite_grid):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fbm.assembly import (assemble_operator, boundary_data_from_weighted,
-                          make_problem)
+                          make_problem, plane_wave_data)
 from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
                           compute_radii, default_node_count)
@@ -14,6 +14,34 @@ from fbm.tikhonov import (mu_min_bound, select_parameters, svd,
                           svd_decay_study, tikhonov_solve)
 
 from oracles import bessel_j_oracle
+
+
+def _pref(problem, n: int):
+    """pref_n = 2^|n| |n|! / (k M)^|n|, in mpmath."""
+    m = abs(n)
+    return (mp.mpf(2) ** m * mp.factorial(m)
+            / (mp.mpf(problem.k) * mp.mpf(problem.M)) ** m)
+
+
+def _disc(k: float, N: int, tau0: float):
+    """Problem, rule and SVD of the unit circle at order N, with the
+    closed-form singular values sigma_n, n = -N..N: on a circle of radius
+    R, sigma_n = sqrt(2 pi R) pref_n k |i J_n(kR) + J_n'(kR)|. N is passed
+    explicitly: the disc's tau_min = 1 caps N in the selection rule."""
+    radius = 1.0
+    curve = circle_curve(radius)
+    problem = make_problem(compute_radii(curve), k, tau0, N)
+    rule = build_quadrature(curve, default_node_count(N))
+    t = k * radius
+    sigma = []
+    with mp.workdps(60):
+        for n in range(-N, N + 1):
+            j_n = mp.mpf(bessel_j_oracle(n, t))
+            dj_n = (mp.mpf(bessel_j_oracle(n - 1, t))
+                    - mp.mpf(bessel_j_oracle(n + 1, t))) / 2
+            sigma.append(float(mp.sqrt(2 * mp.pi * radius) * _pref(problem, n)
+                               * k * mp.sqrt(j_n ** 2 + dj_n ** 2)))
+    return problem, rule, svd(assemble_operator(problem, rule)), np.array(sigma)
 
 
 @pytest.fixture(scope="module")
@@ -66,29 +94,11 @@ class TestSvd:
     @pytest.mark.parametrize("k, N, tau0, overridden", [
         (1.0, 10, 1.5, False), (5.0, 20, 1.5, True)])
     def test_disc_spectrum_in_closed_form(self, k, N, tau0, overridden):
-        # on a circle of radius R the trapezoid rule makes the columns
-        # orthogonal, so sigma_n = sqrt(2 pi R) pref_n k |i J_n(kR) + J_n'(kR)|
-        # with pref_n = 2^|n| |n|! / (k M)^|n|. N is passed explicitly: the
-        # disc's tau_min = 1 caps N in the selection rule
-        radius = 1.0
-        curve = circle_curve(radius)
-        problem = make_problem(compute_radii(curve), k, tau0, N)
+        # on the disc the trapezoid rule makes the columns orthogonal, so
+        # the singular values are the closed-form sigma_n
+        problem, _, system, sigma = _disc(k, N, tau0)
         assert problem.m_overridden is overridden
-        rule = build_quadrature(curve, default_node_count(N))
-        system = svd(assemble_operator(problem, rule))
-        t = k * radius
-        exact = []
-        with mp.workdps(60):
-            for n in range(-N, N + 1):
-                m = abs(n)
-                pref = (mp.mpf(2) ** m * mp.factorial(m)
-                        / (mp.mpf(k) * mp.mpf(problem.M)) ** m)
-                j_n = mp.mpf(bessel_j_oracle(n, t))
-                dj_n = (mp.mpf(bessel_j_oracle(n - 1, t))
-                        - mp.mpf(bessel_j_oracle(n + 1, t))) / 2
-                exact.append(float(mp.sqrt(2 * mp.pi * radius) * pref * k
-                                   * mp.sqrt(j_n ** 2 + dj_n ** 2)))
-        exact = np.sort(exact)[::-1]
+        exact = np.sort(sigma)[::-1]
         assert np.max(np.abs(system.singular_values - exact) / exact) <= 1e-13
 
 
@@ -109,7 +119,6 @@ class TestTikhonovSolve:
         assert rel <= 1e-8
 
     def test_coefficient_norm_monotone_in_alpha(self, kite_system, direction):
-        from fbm.assembly import plane_wave_data
         prob, rule, _, system = kite_system
         rhs = plane_wave_data(prob, rule, direction)
         norms = [np.linalg.norm(tikhonov_solve(system, rhs, a).coeffs)
@@ -119,7 +128,6 @@ class TestTikhonovSolve:
         assert norms[-1] <= 1e-4 * norms[0]
 
     def test_alpha_zero_is_least_squares(self, kite_system, direction):
-        from fbm.assembly import plane_wave_data
         prob, rule, op, system = kite_system
         rhs = plane_wave_data(prob, rule, direction)
         c = tikhonov_solve(system, rhs, 0.0)
@@ -128,7 +136,6 @@ class TestTikhonovSolve:
             <= 1e-10 * np.linalg.norm(rhs.weighted) * system.mu_max
 
     def test_normal_equation_residual(self, kite_system, direction):
-        from fbm.assembly import plane_wave_data
         prob, rule, op, system = kite_system
         rhs = plane_wave_data(prob, rule, direction)
         for alpha in (1e-8, 1e-4, 1e-1):
@@ -136,6 +143,30 @@ class TestTikhonovSolve:
             gram_rhs = op.conj().T @ rhs.weighted
             lhs = alpha * c.coeffs + op.conj().T @ (op @ c.coeffs)
             assert np.linalg.norm(lhs - gram_rhs) <= 1e-10 * np.linalg.norm(gram_rhs)
+
+    @pytest.mark.parametrize("k, N, tau0", [(1.0, 10, 1.5), (5.0, 20, 1.5)])
+    def test_disc_filters_jacobi_anger_coefficients(self, k, N, tau0,
+                                                    direction):
+        # Jacobi-Anger (DLMF 10.12.1) gives the plane wave the coefficients
+        # c_n = i^n e^{-in theta_d} / pref_n, and the disc's orthogonal
+        # columns make the solve from exact data the filtered
+        # sigma_n^2 / (alpha + sigma_n^2) c_n; orders |m| >= M_q - N, which
+        # alias onto these, carry J_m(k) far below rounding. alpha = 1e-30
+        # damps no order, alpha = 100 most of them. Every order's error sits
+        # at rounding of the largest coefficient, while c_n falls like
+        # 1/pref_n, so only the low orders are held to their own size
+        problem, rule, system, sigma = _disc(k, N, tau0)
+        data = plane_wave_data(problem, rule, direction)
+        theta_d = math.atan2(direction[1], direction[0])
+        with mp.workdps(60):
+            c = [complex(mp.mpc(0, 1) ** n * mp.expj(-n * theta_d)
+                         / _pref(problem, n)) for n in range(-N, N + 1)]
+        low = np.abs(np.arange(-N, N + 1)) <= 5
+        for alpha in (1e-30, 1e-2, 1.0, 1e2):
+            exact = sigma ** 2 / (alpha + sigma ** 2) * np.array(c)
+            got = tikhonov_solve(system, data, alpha).coeffs
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+            assert np.max(np.abs(got - exact)[low] / np.abs(exact[low])) <= 1e-11
 
     def test_rank_guard(self):
         matrix = np.zeros((4, 3), dtype=complex)

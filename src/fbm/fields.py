@@ -104,7 +104,7 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
     step, contain it (grid_boundary_distance); a point in no such box is
     farther than that from every edge and is kept unmeasured. The points,
     their row-major order and ``excluded_fraction`` are those of measuring
-    every interior point against every edge (boundary_distance).
+    every interior point against every edge.
     """
     if resolution < 32:
         raise ValidationError("grid_too_coarse",

@@ -28,9 +28,7 @@ logger = logging.getLogger(__name__)
 _VALIDATION_GRID = 4096
 _MIN_SPEED = 1e-9
 _GOLDEN_TOL = 1e-6
-_DISTANCE_CHUNK = 256            # points per block of boundary_distance
 _PAIR_CHUNK = 2 ** 16            # (cell, edge) pairs per narrow-phase block
-_INSIDE_CHUNK = 2048             # points per block of the even-odd test
 _INTERIOR_EDGES = 2048           # polygon edges of the interior tests
 # Terms per Fourier series of a curve. Curve validation, the quadrature and
 # the boundary polygons each build (samples x terms) tables, so an uncapped
@@ -95,7 +93,7 @@ class BoundaryCurve:
                 "curve_not_ccw",
                 f"signed area {area:.3e} is not positive; "
                 "parametrization must be counterclockwise")
-        if not _points_inside(p, np.zeros((1, 2)))[0]:
+        if not _encloses_origin(p):
             raise ValidationError("origin_not_interior",
                                   "the origin must lie inside the curve")
 
@@ -256,37 +254,13 @@ def _polygon(curve: BoundaryCurve, resolution: int) -> np.ndarray:
                                           endpoint=False))
 
 
-def _points_inside(poly: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test of points against a closed polygon."""
-    x1 = poly[:, 0]
-    y1 = poly[:, 1]
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
-    dy = y2 - y1
-    # guard horizontal edges; they never satisfy the straddle condition
-    dy_safe = np.where(dy == 0.0, 1.0, dy)
-    inside = np.empty(points.shape[0], dtype=bool)
-    for start in range(0, points.shape[0], _INSIDE_CHUNK):
-        px = points[start:start + _INSIDE_CHUNK, 0][:, None]   # (C, 1)
-        py = points[start:start + _INSIDE_CHUNK, 1][:, None]
-        straddle = (y1[None, :] <= py) != (y2[None, :] <= py)   # (C, E)
-        x_cross = x1[None, :] + (py - y1[None, :]) * (x2 - x1)[None, :] / dy_safe[None, :]
-        crossings = np.sum(straddle & (px < x_cross), axis=1)
-        inside[start:start + _INSIDE_CHUNK] = crossings % 2 == 1
-    return inside
-
-
-def is_interior(curve: BoundaryCurve, points):
-    """Whether points lie inside the curve (polygonal even-odd test).
-
-    Points within ~1e-9 of the boundary should be filtered by the caller;
-    the polygon test still resolves them deterministically.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    result = _points_inside(_polygon(curve, _INTERIOR_EDGES), pts)
-    if np.ndim(points) == 1:
-        return bool(result[0])
-    return result
+def _encloses_origin(poly: np.ndarray) -> bool:
+    """Even-odd test: an odd number of edges cross the positive x axis."""
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    cut = (y1 <= 0.0) != (y2 <= 0.0)        # a horizontal edge never cuts
+    x_cross = x1[cut] - y1[cut] * (x2 - x1)[cut] / (y2 - y1)[cut]
+    return np.count_nonzero(x_cross > 0.0) % 2 == 1
 
 
 def _ramp(counts: np.ndarray) -> np.ndarray:
@@ -299,10 +273,11 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray,
                        ys: np.ndarray) -> np.ndarray:
     """Even-odd interior mask for a tensor grid, shape (len(ys), len(xs)).
 
-    Same polygon convention as :func:`is_interior`, but exploits the grid
-    structure: each edge crosses only the rows between its end points
-    (scanline), which is far cheaper than testing every point against
-    every edge. xs and ys must be ascending.
+    The curve stands in as its 2048-edge polygon, and a centre is inside
+    when a ray from it crosses an odd number of edges. The grid structure
+    makes this a scanline: each edge crosses only the rows between its end
+    points, which is far cheaper than testing every point against every
+    edge. xs and ys must be ascending.
     """
     poly = _polygon(curve, _INTERIOR_EDGES)
     x1, y1 = poly[:, 0], poly[:, 1]
@@ -325,15 +300,6 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray,
     return np.cumsum(flips, axis=1, dtype=np.uint8) % 2 == 1
 
 
-def _segments(poly: np.ndarray):
-    """Starts (ax, ay), vectors (abx, aby) and squared lengths, floored
-    away from zero, of the closed polygon's edges, each shape (E,)."""
-    ax, ay = poly[:, 0], poly[:, 1]
-    abx = np.roll(ax, -1) - ax
-    aby = np.roll(ay, -1) - ay
-    return ax, ay, abx, aby, np.maximum(abx * abx + aby * aby, 1e-300)
-
-
 def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
                            ys: np.ndarray, cells: np.ndarray, reach: float,
                            resolution: int) -> np.ndarray:
@@ -346,13 +312,13 @@ def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
     segment is at least the distance to its bounding box along each axis,
     so an edge whose widened box misses a centre lies farther than
     ``reach`` from it, up to the rounding of the box corners. Where the
-    distance is at most ``reach`` it is therefore boundary_distance's, bit
-    for bit (the same formula, term by term, on the same pairs), and
-    elsewhere it exceeds ``reach``; it is inf where no box contains the
-    centre. Each edge's box is a block of grid rows and columns found by
-    searchsorted, so no centre is tested against an edge far from it; the
-    (centre, edge) pairs are measured _PAIR_CHUNK at a time. xs and ys
-    must be ascending.
+    distance is at most ``reach`` it is therefore the distance to the
+    whole polygon, bit for bit (the nearest edge is among the measured
+    ones), and elsewhere it exceeds ``reach``; it is inf where no box
+    contains the centre. Each edge's box is a block of grid rows and
+    columns found by searchsorted, so no centre is tested against an edge
+    far from it; the (centre, edge) pairs are measured _PAIR_CHUNK at a
+    time. xs and ys must be ascending.
     """
     poly = _polygon(curve, resolution)
     ends = np.roll(poly, -1, axis=0)
@@ -370,7 +336,9 @@ def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
     position = np.full(cells.shape, -1)
     position[cells] = np.arange(np.count_nonzero(cells))
     best = np.full(np.count_nonzero(cells), np.inf)      # squared distances
-    ax, ay, abx, aby, ab_len2 = _segments(poly)
+    ax, ay = poly[:, 0], poly[:, 1]
+    abx, aby = ends[:, 0] - ax, ends[:, 1] - ay
+    ab_len2 = np.maximum(abx * abx + aby * aby, 1e-300)  # floored above 0
     block = np.cumsum(span_width) // _PAIR_CHUNK        # ascending per span
     for spans in np.split(np.arange(edge.size),
                           np.flatnonzero(np.diff(block)) + 1):
@@ -381,7 +349,8 @@ def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
         pair, col, at = pair[marked], col[marked], at[marked]
         e = edge[pair]
         px, py = xs[col], ys[row[pair]]
-        # boundary_distance's formula, term by term, one pair per entry
+        # s = clip((ap . ab) / |ab|^2, 0, 1), the closest point's parameter,
+        # then |p - (a + s ab)|^2, one pair per entry
         s = (px - ax[e]) * abx[e]
         s += (py - ay[e]) * aby[e]
         s /= ab_len2[e]
@@ -393,39 +362,6 @@ def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
         dx += dy
         np.minimum.at(best, at, dx)
     return np.sqrt(best)
-
-
-def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
-                      resolution: int) -> np.ndarray:
-    """Distance from each point to the polygonal approximation of the curve
-    with ``resolution`` edges, measured against every edge.
-
-    This is the reference that grid_boundary_distance, the narrow phase
-    of build_interior_grid, is tested against. Points are measured 256 at
-    a time; each x/y component is its own (256, resolution) float array
-    and a few are alive at once, 2 KB per edge (0.5 MB each at 256 edges).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ax, ay, abx, aby, ab_len2 = _segments(_polygon(curve, resolution))
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _DISTANCE_CHUNK):
-        block = slice(start, start + _DISTANCE_CHUNK)
-        px = pts[block, 0][:, None]            # (C, 1)
-        py = pts[block, 1][:, None]
-        # s = clip((ap . ab) / |ab|^2, 0, 1), the closest point's parameter,
-        # updated in place to keep few (C, E) temporaries alive
-        s = (px - ax) * abx
-        s += (py - ay) * aby
-        s /= ab_len2
-        np.clip(s, 0.0, 1.0, out=s)
-        dx = px - (ax + s * abx)               # (C, E)
-        dy = py - (ay + s * aby)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        # sqrt is monotone, so the sqrt of the min is the min distance
-        out[block] = np.sqrt(dx.min(axis=1))
-    return out
 
 
 # ---------------------------------------------------------------------------

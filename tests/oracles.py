@@ -4,7 +4,8 @@ These deliberately avoid the library's evaluation paths: Bessel values
 come from the defining power series summed in high-precision arithmetic,
 and derivatives from difference quotients or neighbor-order identities
 applied to oracle values. The geometric helpers at the end read only a
-curve's derivative series and a rule's arc weights.
+curve's point and derivative series and a rule's arc weights; the polygon
+tests among them measure every point against every edge.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from fbm.geometry import BoundaryCurve, QuadratureRule, curve_derivative
+from fbm.geometry import (BoundaryCurve, QuadratureRule, curve_derivative,
+                          curve_point)
 
 
 def bessel_j_oracle(n: int, t: float, dps: int = 60) -> float:
@@ -93,3 +95,67 @@ def outward_normal(curve: BoundaryCurve, t) -> np.ndarray:
 def rule_length(rule: QuadratureRule) -> float:
     """Length of the boundary by the rule: the sum of its arc weights."""
     return float(np.sum(rule.arc_weights))
+
+
+# The polygon of the library's interior mask, and points per block of the
+# point-by-edge tests below (a few (256, edges) float arrays at a time).
+_INTERIOR_EDGES = 2048
+_CHUNK = 256
+
+
+def _polygon(curve: BoundaryCurve, resolution: int) -> np.ndarray:
+    """Vertices x(2 pi j / resolution), shape (resolution, 2)."""
+    return curve_point(curve, np.linspace(0.0, 2.0 * np.pi, resolution,
+                                          endpoint=False))
+
+
+def is_interior(curve: BoundaryCurve, points):
+    """Whether points lie inside the curve: the even-odd count of the
+    crossings right of each point, against every edge of the 2048-gon.
+    A point gives a bool, an (n, 2) array an (n,) bool array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    poly = _polygon(curve, _INTERIOR_EDGES)
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    dy = y2 - y1
+    dy_safe = np.where(dy == 0.0, 1.0, dy)   # a horizontal edge never straddles
+    inside = np.empty(pts.shape[0], dtype=bool)
+    for start in range(0, pts.shape[0], _CHUNK):
+        px = pts[start:start + _CHUNK, :1]                  # (C, 1)
+        py = pts[start:start + _CHUNK, 1:]
+        straddle = (y1 <= py) != (y2 <= py)                 # (C, E)
+        x_cross = x1 + (py - y1) * (x2 - x1) / dy_safe
+        crossings = np.sum(straddle & (px < x_cross), axis=1)
+        inside[start:start + _CHUNK] = crossings % 2 == 1
+    return bool(inside[0]) if np.ndim(points) == 1 else inside
+
+
+def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
+                      resolution: int) -> np.ndarray:
+    """Distance from each point to the polygon of ``resolution`` edges,
+    measured against every edge, by the formula the library's
+    grid_boundary_distance uses term by term, so the two agree bit for bit
+    wherever the latter measures the nearest edge."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    poly = _polygon(curve, resolution)
+    ax, ay = poly[:, 0], poly[:, 1]
+    abx, aby = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+    ab_len2 = np.maximum(abx * abx + aby * aby, 1e-300)
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], _CHUNK):
+        block = slice(start, start + _CHUNK)
+        px = pts[block, :1]                                 # (C, 1)
+        py = pts[block, 1:]
+        # s = clip((ap . ab) / |ab|^2, 0, 1), the closest point's parameter
+        s = (px - ax) * abx
+        s += (py - ay) * aby
+        s /= ab_len2
+        np.clip(s, 0.0, 1.0, out=s)
+        dx = px - (ax + s * abx)                            # (C, E)
+        dy = py - (ay + s * aby)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        # sqrt is monotone, so the sqrt of the min is the min distance
+        out[block] = np.sqrt(dx.min(axis=1))
+    return out

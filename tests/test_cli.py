@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbm import cli, fields
+from fbm import cli, fields, tikhonov
 from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      run_solve, run_sweep, run_svd_study, run_trace_plot,
                      _parse_order_list)
@@ -728,6 +728,27 @@ class TestRunSvdStudy:
                    if ln.startswith("{")]
         assert code == 2
         assert [r["error"] for r in records] == ["bad_order_list"]
+
+    def test_singular_leading_block_exits_3_with_one_record(
+            self, tmp_path, capsys, monkeypatch):
+        # a zero operator column (order n = 1) gives R an exact zero on its
+        # diagonal, so R cannot be inverted
+        assemble = tikhonov.assemble_operator
+
+        def with_zero_column(problem, rule):
+            matrix = assemble(problem, rule)
+            matrix[:, problem.N + 1] = 0.0
+            return matrix
+
+        monkeypatch.setattr(tikhonov, "assemble_operator", with_zero_column)
+        path = _write_config(tmp_path / "cfg.json")
+        code = main(["svd", "--config", str(path), "--N", "4..12:2",
+                     "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 3
+        assert [r["error"] for r in records] == ["svd_failed"]
+        assert not (tmp_path / "o" / "svd_study.csv").exists()
 
     def test_rows_and_slope_footer(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json")

@@ -9,15 +9,15 @@ from fbm import fields, geometry
 from fbm.errors import NumericalError, ValidationError
 from fbm.fields import (PlaneWave, build_interior_grid, error_norms,
                         error_report, evaluate_field)
-from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
-                          compute_radii, default_node_count,
-                          grid_interior_mask, is_interior, named_curve)
+from fbm.geometry import (BoundaryCurve, build_quadrature, compute_radii,
+                          default_node_count, grid_interior_mask, named_curve)
 from fbm.special import (basis_values, ladder_coefficients, ladder_constants,
                          nested_values)
 from fbm.tikhonov import (CoefficientVector, select_parameters, svd,
                           tikhonov_solve)
 
-from oracles import basis_gradient_oracle, central_difference
+from oracles import (basis_gradient_oracle, boundary_distance,
+                     central_difference, is_interior)
 
 
 @pytest.fixture(scope="module")

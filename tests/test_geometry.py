@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fbm.errors import ValidationError
-from fbm.geometry import (BoundaryCurve, boundary_distance, build_quadrature,
-                          circle_curve, compute_radii, curve_derivative,
-                          curve_point, default_node_count, ellipse_curve,
+from fbm.geometry import (BoundaryCurve, build_quadrature, circle_curve,
+                          compute_radii, curve_derivative, curve_point,
+                          default_node_count, ellipse_curve,
                           grid_boundary_distance, grid_interior_mask,
-                          is_interior, kite_curve, named_curve)
+                          kite_curve, named_curve)
 
-from oracles import central_difference, outward_normal, rule_length
+from oracles import (boundary_distance, central_difference, is_interior,
+                     outward_normal, rule_length)
 
 
 class TestCurveEvaluation:

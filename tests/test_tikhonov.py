@@ -10,8 +10,9 @@ from fbm.assembly import (assemble_operator, boundary_data_from_weighted,
 from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
                           compute_radii, default_node_count)
-from fbm.tikhonov import (mu_min_bound, select_parameters, svd,
-                          svd_decay_study, tikhonov_solve)
+from fbm.tikhonov import (_leading_block_mu_min, mu_min_bound,
+                          select_parameters, svd, svd_decay_study,
+                          tikhonov_solve)
 
 from oracles import bessel_j_oracle
 
@@ -285,17 +286,67 @@ class TestDecayStudy:
 
     def test_leading_block_matches_order_by_order(self, kite, kite_radii):
         # on one shared rule, mu_min(N) read from R's leading block is the
-        # mu_min of the order-N operator assembled on its own
-        orders = range(4, 81, 2)
+        # mu_min of the order-N operator assembled on its own: in steps of
+        # two orders, of one, and in jumps that fill the block
         node_count = default_node_count(80)
-        study = svd_decay_study(kite, kite_radii, 1.0, 2.2, orders,
-                                node_count=node_count)
         rule = build_quadrature(kite, node_count)
-        assert study.node_count == node_count
-        for n_exp, mu in zip(orders, study.mu_min):
-            prob = make_problem(kite_radii, 1.0, 2.2, n_exp)
-            system = svd(assemble_operator(prob, rule))
-            assert abs(mu - system.mu_min) <= 1e-13 * system.mu_max
+        for orders in (range(4, 81, 2), range(0, 41), [4, 40, 80]):
+            study = svd_decay_study(kite, kite_radii, 1.0, 2.2, orders,
+                                    node_count=node_count)
+            assert study.node_count == node_count
+            for n_exp, mu in zip(orders, study.mu_min):
+                prob = make_problem(kite_radii, 1.0, 2.2, n_exp)
+                system = svd(assemble_operator(prob, rule))
+                assert abs(mu - system.mu_min) <= 1e-13 * system.mu_max
+
+    def test_leading_block_keeps_inherited_minimum(self):
+        # the minimum sits in column 2; every later block inherits it,
+        # though no column added after it carries it
+        r = np.eye(40, dtype=complex)
+        r[2, 2] = 1e-6
+        mus = _leading_block_mu_min(r, range(1, 41))
+        assert np.allclose(mus[:2], 1.0, rtol=1e-14, atol=0.0)
+        assert np.allclose(mus[2:], 1e-6, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("step", [1, 4])
+    def test_leading_block_random_triangular_matches_svd(self, step):
+        # the R of a random complex matrix whose columns shrink by half
+        # each, as the operator's do (|r_jj| ~ 2^-j, down to ~1e-12)
+        rng = np.random.default_rng(19)
+        size = 41
+        a = rng.standard_normal((60, size)) + 1j * rng.standard_normal((60, size))
+        r = np.linalg.qr(a * 0.5 ** np.arange(size), mode="r")
+        sizes = range(1, size + 1, step)
+        mus = _leading_block_mu_min(r, sizes)
+        for s, mu in zip(sizes, mus):
+            sigma = np.linalg.svd(r[:s, :s], compute_uv=False)
+            assert abs(mu - sigma[-1]) <= 1e-13 * sigma[0]
+        assert np.all(np.diff(mus) <= 0.0)
+
+    @pytest.mark.parametrize("diagonal", [0.0, 1e-200])
+    def test_leading_block_singular_r_is_svd_failed(self, diagonal):
+        # an exact zero stops the inversion, a tiny one overflows G
+        r = np.triu(np.ones((6, 6), dtype=complex))
+        r[3, 3] = diagonal
+        with pytest.raises(NumericalError) as err:
+            _leading_block_mu_min(r, [1, 3, 5])
+        assert err.value.code == "svd_failed"
+
+    @pytest.mark.parametrize("k, N, tau0", [(1.0, 10, 1.5), (5.0, 20, 1.5)])
+    def test_disc_leading_block_minimum_in_closed_form(self, k, N, tau0):
+        # the disc's columns are orthogonal, so mu_min(m) is the smallest
+        # closed-form sigma_n over |n| <= m; it also clears the paper's
+        # lower-bound shape with constant 1 (smallest ratio measured: 4.4
+        # at k = 1, 8.4 at k = 5)
+        problem, rule, _, sigma = _disc(k, N, tau0)
+        curve = circle_curve(1.0)
+        study = svd_decay_study(curve, compute_radii(curve), k, tau0,
+                                range(N + 1), node_count=rule.size)
+        exact = np.array([sigma[N - m:N + m + 1].min() for m in range(N + 1)])
+        assert np.max(np.abs(study.mu_min - exact) / exact) <= 1e-13
+        bound = [mu_min_bound(k, problem.r_in, problem.r_ex, m, 1.0)
+                 for m in range(N + 1)]
+        assert np.all(study.mu_min >= bound)
 
     def test_monotone_decrease(self, kite, kite_radii):
         study = svd_decay_study(kite, kite_radii, 1.0, 2.2, range(4, 13, 2))

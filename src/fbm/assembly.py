@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import DomainRadii, QuadratureRule
-from .special import N_MAX, BasisContext, basis_values, ladder_constants
+from .special import N_MAX, BasisContext, ladder_constants, nested_values
 
 logger = logging.getLogger(__name__)
 
@@ -109,31 +109,50 @@ def boundary_data_from_weighted(weighted: np.ndarray,
 def assemble_operator(problem: WaveProblem, rule: QuadratureRule) -> np.ndarray:
     """The weighted (M_q, 2N+1) collocation matrix of i k phi_n + dphi_n/dnu."""
     return trace_operator(problem, rule,
-                          basis_values(problem.basis, problem.N + 1, rule.points))
+                          nested_values(problem.basis, problem.N + 1, rule.points))
 
 
 def trace_operator(problem: WaveProblem, rule: QuadratureRule,
-                   values: np.ndarray) -> np.ndarray:
-    """The operator of assemble_operator from basis values of order N + 1
-    at the nodes, as basis_values or complex_values gives them. By the
-    ladder, column n is i k phi_n + (conj(nu) a_n phi_{n+1}
-    + nu b_n phi_{n-1}) / 2, with nu = nu_x + i nu_y."""
-    cols = 2 * problem.N + 1
+                   nested: np.ndarray) -> np.ndarray:
+    """The operator of assemble_operator from nested_values' rows of order
+    N + 1 at the nodes. By the ladder, column n is (E_n + A_n) + B_n with
+    E_n = i k phi_n, A_n = conj(nu) a_n phi_{n+1} / 2 and
+    B_n = nu b_n phi_{n-1} / 2 (nu = nu_x + i nu_y), all times sqrt(w).
+    Only n = 0..N are formed, with phi_{-1} = -conj(phi_1): by
+    phi_{-n} = (-1)^n conj(phi_n), a_{-n} = -b_n and b_{-n} = -a_n
+    (ladder_constants), A_{-n} = (-1)^n conj(B_n) and
+    B_{-n} = (-1)^n conj(A_n), so column -n is (-1)^n conj((B_n - E_n)
+    + A_n), bitwise the sum (E_{-n} + A_{-n}) + B_{-n}."""
+    N = problem.N
+    cols = 2 * N + 1
     if cols > rule.size:
         raise ValidationError(
             "system_not_tall",
             f"need 2N+1={cols} <= node count {rule.size}")
-    rows = values.T                                 # (2N+3, M_q), order-major
-    a, b = ladder_constants(problem.basis, problem.N)
+    rows = nested.T                                 # (2N+3, M_q)
+    phi = np.empty((N + 3, rows.shape[1]), dtype=np.complex128)
+    phi[1] = rows[0]                                # phi[n + 1] = phi_n
+    phi[2:].real = rows[1::2]
+    phi[2:].imag = rows[2::2]
+    np.negative(np.conj(phi[2]), out=phi[0])
+    a, b = ladder_constants(problem.basis, N)
     root_w = np.sqrt(rule.arc_weights)
     half_nu = (0.5 * root_w) * (rule.normals[:, 0] + 1j * rule.normals[:, 1])
-    trace = (1j * problem.k * root_w) * rows[1:-1]
-    shifted = np.conj(half_nu) * rows[2:]
-    shifted *= a[:, None]
-    trace += shifted
-    np.multiply(half_nu, rows[:-2], out=shifted)
-    shifted *= b[:, None]
-    trace += shifted
+    up = np.conj(half_nu) * phi[2:]                 # A_n, n = 0..N
+    up *= a[N:, None]
+    down = half_nu * phi[:-2]                       # B_n
+    down *= b[N:, None]
+    trace = np.empty((cols, rows.shape[1]), dtype=np.complex128)
+    upper = trace[N:]                               # orders 0..N
+    np.multiply(1j * problem.k * root_w, phi[1:-1], out=upper)   # E_n
+    # orders -1..-N; trace[N-1::-1] would wrap to the whole array at N = 0
+    lower = trace[:N][::-1]
+    np.subtract(down[1:], upper[1:], out=lower)
+    lower += up[1:]
+    np.conjugate(lower, out=lower)
+    np.negative(lower[::2], out=lower[::2])         # odd n
+    upper += up
+    upper += down
     if not np.all(np.isfinite(trace)):
         raise NumericalError("nonfinite_operator",
                              "trace operator contains non-finite entries")

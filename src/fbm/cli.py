@@ -11,8 +11,8 @@ holds everything that does not depend on the noise seed: the plan,
 problem, quadrature rule, SVD, exact data and the basis values of order
 N + 1 on the boundary and on the interior grid, in the real nested form
 (special.nested_values: rows Re phi_0, Re phi_1, Im phi_1, ...), the one
-form in which the basis is evaluated; the trace operator takes the
-boundary rows' complex form (special.complex_values). The grid part
+form in which the basis is evaluated and passed on; the trace operator
+reads the boundary rows as they are. The grid part
 depends on k alone (delta only picks N), so it is a ``WaveGrid``: the
 nested grid basis of order N_top + 1 and the exact grid samples,
 evaluated once per k, with N_top the largest order among the k's cells
@@ -66,7 +66,7 @@ from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
                        default_node_count, named_curve)
-from .special import N_MAX, complex_values, nested_values
+from .special import N_MAX, nested_values
 from .tikhonov import (CoefficientVector, RegularizationPlan, SingularSystem,
                        select_parameters, svd, svd_decay_study, tikhonov_solve)
 
@@ -339,8 +339,8 @@ class Cell:
     """The seed-independent half of one (k, delta) case.
 
     The basis values of order N + 1 on the boundary are evaluated once, by
-    one nested_values call; the cell keeps these rows, and their complex
-    form (complex_values) forms the trace operator. The plane wave's
+    one nested_values call; the cell keeps these rows, and the trace
+    operator is formed from them. The plane wave's
     values and gradients there are sampled once. The grid basis and
     samples are those of the k's WaveGrid, the basis a view of its leading
     rows. Each seed then costs noise and a Tikhonov solve, and the seeds
@@ -417,7 +417,7 @@ def make_cell(config: ExperimentConfig, shared: WaveGrid,
     planned by _plan_cell, on its k's WaveGrid."""
     rule = build_quadrature(config.curve, nodes)
     boundary_basis = nested_values(problem.basis, plan.N + 1, rule.points)
-    system = svd(trace_operator(problem, rule, complex_values(boundary_basis)))
+    system = svd(trace_operator(problem, rule, boundary_basis))
     exact = PlaneWave(k=problem.k, direction=config.direction)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
                 data=plane_wave_data(problem, rule, config.direction),

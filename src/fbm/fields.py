@@ -30,8 +30,8 @@ from .assembly import WaveProblem
 from .errors import NumericalError, ValidationError
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        grid_boundary_distance, grid_interior_mask)
-from .special import (BasisContext, basis_values, ladder_coefficients,
-                      nested_coefficients, nested_values)
+from .special import (BasisContext, ladder_coefficients, nested_coefficients,
+                      nested_values)
 from .tikhonov import CoefficientVector
 
 logger = logging.getLogger(__name__)
@@ -133,8 +133,12 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
 
 
 def evaluate_field(problem: WaveProblem, c: CoefficientVector, points):
-    """u_N at one point or an array of points (valid anywhere in the plane)."""
-    out = basis_values(problem.basis, c.order, points) @ c.coeffs
+    """u_N at one point or an array of points (valid anywhere in the plane),
+    by one real product of the folded coefficients (nested_coefficients)
+    with nested_values' rows of order N, as in error_norms."""
+    re, im = (nested_coefficients(c.coeffs[:, None])
+              @ nested_values(problem.basis, c.order, points).T)
+    out = re + 1j * im
     if np.ndim(points) == 1:
         return complex(out[0])
     return out

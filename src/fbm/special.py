@@ -44,9 +44,9 @@ in one of two forms, both to the values of order N + 1:
 
 - coefficient side (ladder_coefficients): the coefficients are shifted
   once, and one product with the values gives u, du/dx and du/dy;
-- basis side (assembly.trace_operator): the complex values, read off
-  the nested rows by complex_values, are shifted, which the impedance
-  trace needs because the normal varies by node.
+- basis side (assembly.trace_operator): the values phi_0..phi_{N+1},
+  read off the nested rows, are shifted, which the impedance trace needs
+  because the normal varies by node; its columns -n mirror those of n.
 
 Nested real form
 ----------------
@@ -57,13 +57,12 @@ The basis is evaluated in one form only, by nested_values: the real rows
 Since phi_{-n} = (-1)^n conj(phi_n), they span what phi_{-N}..phi_N
 span, in half the bytes, and the form of order N' < N is their leading
 2N'+1 rows (the n = 0, 1, -1, 2, -2, ... order of
-tikhonov.svd_decay_study). complex_values reads the complex columns
-phi_{-N}..phi_N off them exactly, so basis_values is nested_values
-followed by complex_values and the two forms agree by construction.
+tikhonov.svd_decay_study). They are the only form of the basis that
+leaves this module; no complex copy of phi_{-N}..phi_N is made.
 nested_coefficients folds complex coefficients onto the rows, so that
 the real and imaginary parts of u and its gradient come from one real
-product, at half the flops of the complex one; fields.error_norms takes
-this form.
+product, at half the flops of the complex one; fields.error_norms and
+fields.evaluate_field take this form.
 
 All functions here are pure; nothing is cached or mutated.
 """
@@ -184,7 +183,10 @@ def radial_profiles(ctx: BasisContext, n_max: int, r: np.ndarray,
     out = _bessel_ratios(n_max, ctx.k * r, out)
     # R_n / R_{n-1} = (2n / kM) J_n / J_{n-1}
     out[1:] *= (2.0 / (ctx.k * ctx.M)) * np.arange(1, n_max + 1)[:, None]
-    return np.cumprod(out, axis=0, out=out)
+    # row by row: np.cumprod along axis 0 walks the rows column by column
+    for n in range(1, n_max + 1):
+        out[n] *= out[n - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +215,10 @@ def ladder_coefficients(ctx: BasisContext, coeffs: np.ndarray) -> np.ndarray:
     block; a stack of coefficient vectors (..., 2N+1) gives a stack of
     blocks (..., 2N+3, 3), each bitwise the block of its vector alone.
 
-    The basis values of order N + 1 (basis_values) times this block give
-    u and its gradient at those points by one product.
+    The basis values phi_{-N-1}..phi_{N+1} at some points times this
+    block give u and its gradient there by one product; folded by
+    nested_coefficients, the block acts on nested_values' rows of order
+    N + 1 instead.
     """
     size = coeffs.shape[-1]
     lead = coeffs.shape[:-1]
@@ -259,31 +263,6 @@ def nested_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-def complex_values(nested: np.ndarray) -> np.ndarray:
-    """phi_n, n = -N..N, read exactly off nested_values' rows ``nested``
-    (P, 2N+1): phi_n = Re phi_n + i Im phi_n for n >= 0, and
-    phi_{-n} = (-1)^n conj(phi_n). Shape (P, 2N+1), column j holding phi_n
-    with n = j - N, the transposed view of a C-contiguous (2N+1, P) array."""
-    rows = nested.T
-    N = (rows.shape[0] - 1) // 2
-    values = np.empty(rows.shape, dtype=np.complex128)
-    upper = values[N:]                           # orders 0..N
-    upper[0] = rows[0]
-    upper[1:].real = rows[1::2]
-    upper[1:].imag = rows[2::2]
-    # orders -1..-N; values[N-1::-1] would wrap to the whole array at N = 0
-    lower = values[:N][::-1]
-    np.conjugate(upper[1:], out=lower)
-    np.negative(lower[::2], out=lower[::2])      # odd n
-    return values.T
-
-
-def basis_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
-    """Basis values phi_n, n = -N..N, at points (P, 2), in complex_values'
-    layout."""
-    return complex_values(nested_values(ctx, N, points))
-
-
 def nested_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Fold coefficients on phi_{-N}..phi_N onto the nested rows.
 
@@ -306,8 +285,3 @@ def nested_coefficients(coeffs: np.ndarray) -> np.ndarray:
     real = folded.view(np.float64)               # (..., 2N+1, 2J): Re, Im
     return np.ascontiguousarray(np.swapaxes(real, -1, -2))
 
-
-def basis_value(ctx: BasisContext, n: int, point) -> complex:
-    """Single basis function phi_n at a single point anywhere in the plane."""
-    N = _check_order(n)
-    return complex(basis_values(ctx, N, point)[0, N + n])

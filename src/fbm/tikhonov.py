@@ -243,7 +243,8 @@ def _leading_block_mu_min(r: np.ndarray, sizes) -> np.ndarray:
 def svd_decay_study(curve: BoundaryCurve, radii: DomainRadii, k: float,
                     tau0: float, n_list, node_count: int | None = None) -> DecayStudy:
     """mu_min for each N of n_list, and the slope of ln(mu_min) against N
-    fitted over them (None for one order). One rule (node_count nodes, else
+    fitted over every one of them (None for one order), those whose mu_min
+    sits on the rounding floor included. One rule (node_count nodes, else
     default_node_count of the largest order) and one operator at the
     largest order serve every order: its columns are permuted to n = 0, 1,
     -1, 2, -2, ..., so the leading (2N+1) x (2N+1) block of the R of one

@@ -6,6 +6,12 @@ and derivatives from difference quotients or neighbor-order identities
 applied to oracle values. The geometric helpers at the end read only a
 curve's point and derivative series and a rule's arc weights; the polygon
 tests among them measure every point against every edge.
+
+The complex form of the basis is the exception: complex_values reads
+phi_{-N}..phi_N off the library's nested rows, which the program itself
+never does, and reference_trace_operator forms the impedance trace from
+those columns order by order, with no mirroring, to pin the library's
+operator to.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
+from fbm.assembly import WaveProblem
 from fbm.geometry import (BoundaryCurve, QuadratureRule, curve_derivative,
                           curve_point)
+from fbm.special import BasisContext, ladder_constants, nested_values
 
 
 def bessel_j_oracle(n: int, t: float, dps: int = 60) -> float:
@@ -72,6 +80,57 @@ def basis_gradient_oracle(k: float, M: float, n: int, point) -> np.ndarray:
         grad = (cos_t * d_r - sin_t * d_theta_over_r,
                 sin_t * d_r + cos_t * d_theta_over_r)
         return np.array([complex(g) for g in grad])
+
+
+def complex_values(nested: np.ndarray) -> np.ndarray:
+    """phi_n, n = -N..N, read exactly off nested_values' rows ``nested``
+    (P, 2N+1): phi_n = Re phi_n + i Im phi_n for n >= 0, and
+    phi_{-n} = (-1)^n conj(phi_n). Shape (P, 2N+1), column j holding phi_n
+    with n = j - N, the transposed view of a C-contiguous (2N+1, P) array."""
+    rows = nested.T
+    N = (rows.shape[0] - 1) // 2
+    values = np.empty(rows.shape, dtype=np.complex128)
+    upper = values[N:]                           # orders 0..N
+    upper[0] = rows[0]
+    upper[1:].real = rows[1::2]
+    upper[1:].imag = rows[2::2]
+    # orders -1..-N; values[N-1::-1] would wrap to the whole array at N = 0
+    lower = values[:N][::-1]
+    np.conjugate(upper[1:], out=lower)
+    np.negative(lower[::2], out=lower[::2])      # odd n
+    return values.T
+
+
+def basis_values(ctx: BasisContext, N: int, points) -> np.ndarray:
+    """phi_n, n = -N..N, at points (P, 2), in complex_values' layout."""
+    return complex_values(nested_values(ctx, N, points))
+
+
+def basis_value(ctx: BasisContext, n: int, point) -> complex:
+    """phi_n at one point, read off basis_values."""
+    N = abs(int(n))
+    return complex(basis_values(ctx, N, point)[0, N + n])
+
+
+def reference_trace_operator(problem: WaveProblem, rule: QuadratureRule,
+                             values: np.ndarray) -> np.ndarray:
+    """The weighted impedance trace operator from the complex values
+    phi_{-N-1}..phi_{N+1} at the nodes (basis_values of order N + 1):
+    column n is i k phi_n + (conj(nu) a_n phi_{n+1} + nu b_n phi_{n-1}) / 2
+    times sqrt(w), every column formed from its own orders, summed as
+    (E_n + A_n) + B_n."""
+    rows = values.T                                 # (2N+3, M_q), order-major
+    a, b = ladder_constants(problem.basis, problem.N)
+    root_w = np.sqrt(rule.arc_weights)
+    half_nu = (0.5 * root_w) * (rule.normals[:, 0] + 1j * rule.normals[:, 1])
+    trace = (1j * problem.k * root_w) * rows[1:-1]
+    shifted = np.conj(half_nu) * rows[2:]
+    shifted *= a[:, None]
+    trace += shifted
+    np.multiply(half_nu, rows[:-2], out=shifted)
+    shifted *= b[:, None]
+    trace += shifted
+    return trace.T
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -6,10 +6,11 @@ from fbm.assembly import (add_noise, assemble_operator, boundary_data,
                           plane_wave_data, trace_operator)
 from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (build_quadrature, circle_curve, compute_radii,
-                          default_node_count)
-from fbm.special import N_MAX, basis_values, bessel_j, ladder_coefficients
+                          default_node_count, ellipse_curve, kite_curve)
+from fbm.special import N_MAX, bessel_j, ladder_coefficients, nested_values
 
-from oracles import basis_gradient_oracle, basis_value_oracle, bessel_j_oracle
+from oracles import (basis_gradient_oracle, basis_value_oracle,
+                     bessel_j_oracle, complex_values, reference_trace_operator)
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +136,9 @@ class TestAssembleOperator:
         # ladder_coefficients give the same weighted i k phi_n + dphi_n/dnu
         prob = make_problem(kite_radii, k, 2.2, N)
         rule = build_quadrature(kite, default_node_count(N))
-        values = basis_values(prob.basis, N + 1, rule.points)
-        op = trace_operator(prob, rule, values)
+        nested = nested_values(prob.basis, N + 1, rule.points)
+        op = trace_operator(prob, rule, nested)
+        values = complex_values(nested)
         expected = np.empty_like(op)
         for j, unit in enumerate(np.eye(2 * N + 1, dtype=complex)):
             field = values @ ladder_coefficients(prob.basis, unit)  # u, d/dx, d/dy
@@ -145,6 +147,25 @@ class TestAssembleOperator:
         expected *= np.sqrt(rule.arc_weights)[:, None]
         scale = np.max(np.abs(op))
         assert np.max(np.abs(op - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 7, 33, 80])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("curve", [kite_curve(), ellipse_curve(1.5, 1.0),
+                                       circle_curve(1.0)],
+                             ids=["kite", "ellipse", "circle"])
+    def test_mirrored_columns_match_reference(self, curve, k, N):
+        # columns -n mirror columns n, built from phi_0..phi_{N+1} only,
+        # bit for bit against the reference that forms every column from
+        # its own complex orders; N = 0 needs phi_{-1} and has no lower
+        # half, N = 1 a lower half of one column
+        radii = compute_radii(curve)
+        prob = make_problem(radii, k, max(2.2, 1.1 * radii.tau_min), N)
+        rule = build_quadrature(curve, default_node_count(N))
+        nested = nested_values(prob.basis, N + 1, rule.points)
+        op = trace_operator(prob, rule, nested)
+        ref = reference_trace_operator(prob, rule, complex_values(nested))
+        assert op.T.flags.c_contiguous
+        assert np.array_equal(op.T.view(np.float64), ref.T.view(np.float64))
 
     def test_assembles_at_order_cap(self, kite, kite_radii):
         # the operator of order N_MAX needs values of order N_MAX + 1

@@ -17,7 +17,9 @@ from fbm.cli import (build_config, load_config, main, resolve_tau0,
 from fbm.errors import NumericalError, ValidationError
 from fbm.fields import PlaneWave, error_report
 from fbm.geometry import compute_radii
-from fbm.special import basis_values, nested_values
+from fbm.special import nested_values
+
+from oracles import basis_values
 
 
 def _write_config(path, **overrides):
@@ -294,26 +296,20 @@ class TestConfigValidationExit:
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """Record (function name, order, point count) of each basis_values and
-    nested_values call through every fbm module that binds them,
-    fbm.special included, so that a basis_values call also records the
-    nested_values call it makes. The pipeline evaluates every basis by
-    nested_values: the interior grid's once per k, each cell's boundary
-    once."""
+    """Record (function name, order, point count) of each nested_values
+    call through every fbm module that binds it, the one evaluator of the
+    basis: the pipeline evaluates the interior grid's basis once per k and
+    each cell's boundary basis once."""
     calls = []
 
-    def counting(function):
-        def counted(*args, **kwargs):
-            calls.append((function.__name__, args[1], len(args[2])))
-            return function(*args, **kwargs)
-        return counted
+    def counted(*args, **kwargs):
+        calls.append(("nested_values", args[1], len(args[2])))
+        return nested_values(*args, **kwargs)
 
-    for function in (basis_values, nested_values):
-        for name, module in list(sys.modules.items()):
-            if (name == "fbm" or name.startswith("fbm.")) and \
-                    getattr(module, function.__name__, None) is function:
-                monkeypatch.setattr(module, function.__name__,
-                                    counting(function))
+    for name, module in list(sys.modules.items()):
+        if (name == "fbm" or name.startswith("fbm.")) and \
+                getattr(module, "nested_values", None) is nested_values:
+            monkeypatch.setattr(module, "nested_values", counted)
     return calls
 
 
@@ -408,7 +404,7 @@ class TestWaveGrid:
             assert view.T.flags.c_contiguous
             assert np.array_equal(view, nested_values(cell.problem.basis, n,
                                                       grid.points))
-            # Re phi_0, Re phi_1, Im phi_1, ... of the complex basis
+            # Re phi_0, Re phi_1, Im phi_1, ... of the oracle's complex basis
             fresh = basis_values(cell.problem.basis, n, grid.points)
             assert np.array_equal(view[:, 0], fresh[:, n].real)
             assert np.array_equal(view[:, 1::2], fresh[:, n + 1:].real)

@@ -11,13 +11,12 @@ from fbm.fields import (PlaneWave, build_interior_grid, error_norms,
                         error_report, evaluate_field)
 from fbm.geometry import (BoundaryCurve, build_quadrature, compute_radii,
                           default_node_count, grid_interior_mask, named_curve)
-from fbm.special import (basis_values, ladder_coefficients, ladder_constants,
-                         nested_values)
+from fbm.special import ladder_coefficients, ladder_constants, nested_values
 from fbm.tikhonov import (CoefficientVector, select_parameters, svd,
                           tikhonov_solve)
 
-from oracles import (basis_gradient_oracle, boundary_distance,
-                     central_difference, is_interior)
+from oracles import (basis_gradient_oracle, basis_value, basis_values,
+                     boundary_distance, central_difference, is_interior)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +121,6 @@ class TestEvaluateField:
         p = np.array([0.31, -0.42])
         value = evaluate_field(prob, c, p)
         # independent reversed-order summation over single basis values
-        from fbm.special import basis_value
         reversed_sum = sum(coeffs[12 + n] * basis_value(prob.basis, n, p)
                            for n in range(12, -13, -1))
         assert value == pytest.approx(reversed_sum, rel=1e-12)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from fbm.assembly import make_problem
-from fbm.special import (N_MAX, BasisContext, basis_value, basis_values,
-                         bessel_j, complex_values, ladder_coefficients,
-                         ladder_constants, nested_coefficients, nested_values)
+from fbm.special import (N_MAX, BasisContext, _bessel_ratios, bessel_j,
+                         ladder_coefficients, ladder_constants,
+                         nested_coefficients, nested_values, radial_profiles)
 
-from oracles import (basis_gradient_oracle, basis_value_oracle,
-                     bessel_j_oracle, central_difference)
+from oracles import (basis_gradient_oracle, basis_value, basis_value_oracle,
+                     basis_values, bessel_j_oracle, central_difference,
+                     complex_values)
 
 T_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
 
@@ -131,6 +132,16 @@ class TestBasisValue:
                 lhs = abs(bessel_j(n, k_r_in))
                 rhs = 0.75 * (0.5 * k_r_in) ** n / math.factorial(n)
                 assert lhs >= rhs
+
+    def test_profiles_are_the_cumulative_product(self):
+        # accumulated row by row, R_n = R_{n-1} (2n / kM) rho_n is bitwise
+        # np.cumprod of the scaled ratios along the order axis
+        ctx = BasisContext(k=20.0, M=2.2)
+        r = np.append(np.random.default_rng(41).uniform(0.0, 2.0, 500), 0.0)
+        ratios = _bessel_ratios(60, ctx.k * r)
+        ratios[1:] *= (2.0 / (ctx.k * ctx.M)) * np.arange(1, 61)[:, None]
+        assert np.array_equal(radial_profiles(ctx, 60, r),
+                              np.cumprod(ratios, axis=0))
 
     def test_nested_values_against_composed_oracle(self):
         # Re phi_0, Re phi_1, Im phi_1, ...: column 2n - 1 holds Re phi_n
@@ -271,13 +282,13 @@ class TestBatchConsistency:
                 assert values[i, N + n] == pytest.approx(v, rel=1e-12, abs=1e-300)
 
     def test_storage_is_order_major(self):
-        # each order is written as one contiguous row, a (2N+1, P) matrix
+        # each row is written as one contiguous row, a (2N+1, P) matrix
         # ready for one BLAS product
         ctx = BasisContext(k=5.0, M=1.985)
         pts = np.random.default_rng(29).uniform(-1.8, 1.8, size=(30, 2))
-        values = basis_values(ctx, 7, pts)
-        assert values.shape == (30, 15)
-        assert values.T.flags.c_contiguous
+        nested = nested_values(ctx, 7, pts)
+        assert nested.shape == (30, 15)
+        assert nested.T.flags.c_contiguous
 
     @pytest.mark.parametrize("N", [1, 2, 7])
     def test_negative_orders_are_conjugates(self, N):
@@ -296,9 +307,9 @@ class TestBatchConsistency:
     @pytest.mark.parametrize("k", [0.5, 5.0, 20.0])
     def test_complex_values_read_off_nested_rows(self, kite_radii, kite_grid,
                                                  k, N):
-        # the complex columns are the nested rows' parts, orders -n mirrored
-        # as (-1)^n conj(phi_n), each order one contiguous row; at N = 0
-        # there is nothing to mirror
+        # the oracle's complex columns are the nested rows' parts, orders
+        # -n mirrored as (-1)^n conj(phi_n), each order one contiguous row;
+        # at N = 0 there is nothing to mirror
         ctx = make_problem(kite_radii, k, 2.2, 33).basis
         values = basis_values(ctx, N, kite_grid.points)
         nested = nested_values(ctx, N, kite_grid.points)
@@ -355,7 +366,8 @@ class TestBatchConsistency:
     def test_pure_functions_are_reproducible(self):
         ctx = BasisContext(k=2.0, M=1.5)
         pts = np.array([[0.3, -0.4], [0.0, 0.0], [1.2, 0.7]])
-        assert np.array_equal(basis_values(ctx, 6, pts), basis_values(ctx, 6, pts))
+        assert np.array_equal(nested_values(ctx, 6, pts),
+                              nested_values(ctx, 6, pts))
 
     def test_context_validation(self):
         with pytest.raises(ValueError):

@@ -18,9 +18,10 @@ __version__ = "0.1.0"
 from .errors import FbmError, NumericalError, ValidationError
 from .geometry import (build_quadrature, compute_radii, default_node_count,
                        kite_curve)
-from .assembly import add_noise, assemble_operator, make_problem, plane_wave_data
+from .assembly import (PlaneWave, add_noise, assemble_operator, make_problem,
+                       plane_wave_data)
 from .tikhonov import select_parameters, svd, tikhonov_solve
-from .fields import PlaneWave, build_interior_grid, error_report
+from .fields import build_interior_grid, error_report
 
 __all__ = [
     "__version__",

@@ -1,4 +1,4 @@
-"""Discrete impedance trace operator and boundary data vectors.
+"""Discrete impedance trace operator, the plane wave and its boundary data.
 
 The collocation matrix realizes c |-> i k u_N + du_N/dnu sampled at the
 quadrature nodes, with each row scaled by sqrt(w_j |x'(t_j)|) so plain
@@ -81,11 +81,37 @@ def make_problem(radii: DomainRadii, k: float, tau0: float,
 
 
 @dataclass(frozen=True)
-class BoundaryData:
-    """Boundary samples f(x_j) plus their sqrt(w |x'|)-weighted form."""
+class PlaneWave:
+    """Exact solution u(x) = exp(i k x.d) with its gradient; d must be a
+    unit vector (to 1e-9)."""
 
-    values: np.ndarray           # (M_q,) complex, unweighted samples
-    weighted: np.ndarray         # (M_q,) complex, used in least squares
+    k: float
+    direction: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.direction, dtype=float)
+        length = float(np.hypot(d[0], d[1]))
+        if abs(length - 1.0) > 1e-9:
+            raise ValidationError("direction_not_unit",
+                                  f"|direction| = {length!r}, need a unit vector")
+
+    def value(self, points: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(points)
+        return np.exp(1j * self.k * (pts @ np.asarray(self.direction)))
+
+    def samples(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values (P,) and gradients (P, 2) at points, the gradients formed
+        from the values: one exponential per point."""
+        u = self.value(points)
+        return u, 1j * self.k * u[:, None] * np.asarray(self.direction)[None, :]
+
+
+@dataclass(frozen=True)
+class BoundaryData:
+    """Boundary data f sampled at the nodes in its sqrt(w |x'|)-weighted
+    form, the right-hand side of the least-squares system."""
+
+    weighted: np.ndarray         # (M_q,) complex
 
     @property
     def norm(self) -> float:
@@ -93,17 +119,22 @@ class BoundaryData:
         return float(np.linalg.norm(self.weighted))
 
 
-def boundary_data(values: np.ndarray, rule: QuadratureRule) -> BoundaryData:
-    root_w = np.sqrt(rule.arc_weights)
-    values = np.asarray(values, dtype=np.complex128)
-    return BoundaryData(values=values, weighted=root_w * values)
-
-
 def boundary_data_from_weighted(weighted: np.ndarray,
                                 rule: QuadratureRule) -> BoundaryData:
-    root_w = np.sqrt(rule.arc_weights)
-    weighted = np.asarray(weighted, dtype=np.complex128)
-    return BoundaryData(values=weighted / root_w, weighted=weighted)
+    """The data of a vector already weighted by sqrt(w |x'|) at rule's
+    nodes, kept as it is."""
+    return BoundaryData(weighted=np.asarray(weighted, dtype=np.complex128))
+
+
+def impedance_data(k: float, rule: QuadratureRule,
+                   exact: tuple) -> BoundaryData:
+    """The impedance trace f = du/dnu + i k u of an exact solution, weighted
+    by sqrt(w |x'|), from its (values, gradients) at rule.points."""
+    values, gradients = exact
+    trace = np.sum(rule.normals * gradients, axis=1)
+    trace += 1j * k * values
+    trace *= np.sqrt(rule.arc_weights)
+    return BoundaryData(weighted=trace)
 
 
 def assemble_operator(problem: WaveProblem, rule: QuadratureRule) -> np.ndarray:
@@ -161,26 +192,19 @@ def trace_operator(problem: WaveProblem, rule: QuadratureRule,
 
 def plane_wave_data(problem: WaveProblem, rule: QuadratureRule,
                     direction: np.ndarray) -> BoundaryData:
-    """Exact impedance data of the plane wave u(x) = exp(i k x.d).
-
-    f(x_j) = i k (nu_j . d + 1) exp(i k x_j . d).
-    """
-    d = np.asarray(direction, dtype=float)
-    if abs(np.hypot(d[0], d[1]) - 1.0) > 1e-9:
-        raise ValidationError("direction_not_unit",
-                              f"|direction| = {np.hypot(d[0], d[1])!r}, need a unit vector")
-    phase = np.exp(1j * problem.k * (rule.points @ d))
-    values = 1j * problem.k * (rule.normals @ d + 1.0) * phase
-    return boundary_data(values, rule)
+    """Exact impedance data of the plane wave u(x) = exp(i k x.d)."""
+    wave = PlaneWave(problem.k, direction)
+    return impedance_data(problem.k, rule, wave.samples(rule.points))
 
 
 def add_noise(data: BoundaryData, delta: float, seed: int,
               rule: QuadratureRule) -> BoundaryData:
     """Perturb data with complex Gaussian noise of exact relative size delta.
 
-    The perturbation is drawn i.i.d. at the nodes and rescaled so its
-    discrete L2(Gamma) norm equals delta times the norm of the data,
-    making the noise level hold with equality. Deterministic per seed.
+    The perturbation is drawn i.i.d. at the nodes, weighted like the data
+    and rescaled so its discrete L2(Gamma) norm equals delta times the
+    norm of the data, making the noise level hold with equality.
+    Deterministic per seed.
     """
     if delta < 0.0 or delta >= 1.0:
         raise ValidationError("delta_out_of_range",
@@ -192,8 +216,7 @@ def add_noise(data: BoundaryData, delta: float, seed: int,
         raise NumericalError("degenerate_data",
                              "cannot scale noise relative to zero data")
     rng = np.random.default_rng(seed)
-    draw = rng.standard_normal((data.values.shape[0], 2))
-    pert = draw[:, 0] + 1j * draw[:, 1]
-    pert_data = boundary_data(pert, rule)
-    scale = delta * base / pert_data.norm
-    return boundary_data(data.values + scale * pert, rule)
+    draw = rng.standard_normal((rule.size, 2))
+    pert = np.sqrt(rule.arc_weights) * (draw[:, 0] + 1j * draw[:, 1])
+    pert *= delta * base / np.linalg.norm(pert)
+    return BoundaryData(weighted=data.weighted + pert)

@@ -58,10 +58,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .assembly import (BoundaryData, WaveProblem, add_noise, make_problem,
-                       plane_wave_data, trace_operator)
+from .assembly import (BoundaryData, PlaneWave, WaveProblem, add_noise,
+                       impedance_data, make_problem, trace_operator)
 from .errors import FbmError, NumericalError, ValidationError
-from .fields import (ErrorReport, InteriorGrid, PlaneWave, build_interior_grid,
+from .fields import (ErrorReport, InteriorGrid, build_interior_grid,
                      error_norms, error_pass_bytes, evaluate_field)
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        build_quadrature, compute_radii, curve_point,
@@ -86,9 +86,6 @@ MAX_GRID_RESOLUTION = 2048
 # pass's products (fields.error_pass_bytes).
 # A WaveGrid has the order of a cell that passed this check.
 BASIS_BUDGET_BYTES = 2 ** 30
-# Allowed ranges of k and delta, for the config and for plot's --k/--delta.
-_K_RANGE = {"lower": 0.0, "lower_open": True}
-_DELTA_RANGE = {"lower": 0.0, "upper": 1.0, "upper_open": True}
 # boundary parameters at which plot samples the traces
 _TRACE_SAMPLES = 512
 
@@ -139,15 +136,6 @@ def _as_number_list(value, name: str, *, lower=None, upper=None,
     return out
 
 
-def _as_seed_list(seeds: list) -> list[int]:
-    # JSON integers only: int() would truncate 1.7, parse "3" and take true
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ValidationError("bad_field", f"seeds must be integers, got {seeds}")
-    if min(seeds) < 0:
-        raise ValidationError("bad_field", f"seeds must be non-negative, got {seeds}")
-    return seeds
-
-
 def _parse_curve(spec) -> BoundaryCurve:
     if isinstance(spec, str):
         return named_curve(spec)
@@ -173,8 +161,9 @@ def build_config(raw: dict) -> ExperimentConfig:
         if req not in raw:
             raise ValidationError("missing_field", f"configuration needs {req!r}")
     curve = _parse_curve(raw["curve"])
-    k_list = _as_number_list(raw["k"], "k", **_K_RANGE)
-    delta_list = _as_number_list(raw["delta"], "delta", **_DELTA_RANGE)
+    k_list = _as_number_list(raw["k"], "k", lower=0.0, lower_open=True)
+    delta_list = _as_number_list(raw["delta"], "delta", lower=0.0, upper=1.0,
+                                 upper_open=True)
 
     eta = _as_number(raw.get("eta", 5.0), "eta")
     if eta <= 1.0:
@@ -187,7 +176,11 @@ def build_config(raw: dict) -> ExperimentConfig:
     seeds = raw.get("seeds", list(_DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds:
         raise ValidationError("seeds_empty", "seeds must be a nonempty list")
-    seeds = _as_seed_list(seeds)
+    # JSON integers only: int() would truncate 1.7, parse "3" and take true
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+        raise ValidationError("bad_field", f"seeds must be integers, got {seeds}")
+    if min(seeds) < 0:
+        raise ValidationError("bad_field", f"seeds must be non-negative, got {seeds}")
 
     node_count = raw.get("M_q", "auto")
     if node_count != "auto":
@@ -211,9 +204,7 @@ def build_config(raw: dict) -> ExperimentConfig:
     if not isinstance(direction, (list, tuple)) or len(direction) != 2:
         raise ValidationError("bad_field", "direction must be a finite 2-vector")
     direction = np.array([_as_number(x, "direction") for x in direction])
-    if abs(np.hypot(direction[0], direction[1]) - 1.0) > 1e-9:
-        raise ValidationError("direction_not_unit",
-                              f"|direction| = {np.hypot(*direction)!r}, need 1")
+    PlaneWave(1.0, direction)            # raises direction_not_unit
 
     output_dir = raw.get("output_dir", "fbm_out")
     if not isinstance(output_dir, str) or not output_dir:
@@ -261,21 +252,10 @@ class CaseResult:
     report: ErrorReport
 
 
-def _bound_exponents(plan: RegularizationPlan) -> dict:
-    # asymptotic error-bound exponents implied by the selection rule;
-    # reported for cross-reading only, nothing computable checks them
-    lam = plan.eta * math.log(plan.tau0)
-    sigma = None
-    if plan.branch == "large_k" and plan.tau_min > 1.0:
-        sigma = 3.5 + 11.0 * math.log(plan.tau0) / (2.0 * math.log(plan.tau_min))
-    return {"bound_exponent_lambda": lam, "bound_exponent_sigma": sigma}
-
-
 def case_metadata(cell: Cell, result: CaseResult,
                   config: ExperimentConfig) -> dict:
     plan, problem = cell.plan, cell.problem
     return {
-        **_bound_exponents(plan),
         "k": problem.k,
         "delta": plan.delta,
         "eta": plan.eta,
@@ -327,7 +307,8 @@ class WaveGrid:
 
     grid: InteriorGrid
     values: np.ndarray               # (P, 2 N_top + 3)
-    exact: tuple                     # exact (values, gradients) at grid.points
+    wave: PlaneWave                  # the exact solution at this k
+    exact: tuple                     # its (values, gradients) at grid.points
 
     def rows(self, N: int) -> np.ndarray:
         """The values of order N + 1, shape (P, 2N+3)."""
@@ -340,11 +321,11 @@ class Cell:
 
     The basis values of order N + 1 on the boundary are evaluated once, by
     one nested_values call; the cell keeps these rows, and the trace
-    operator is formed from them. The plane wave's
-    values and gradients there are sampled once. The grid basis and
-    samples are those of the k's WaveGrid, the basis a view of its leading
-    rows. Each seed then costs noise and a Tikhonov solve, and the seeds
-    that solve share one error pass (fields.error_norms).
+    operator is formed from them. The plane wave's values and gradients
+    there are sampled once, and the data is formed from them. The grid
+    basis and samples are those of the k's WaveGrid, the basis a view of
+    its leading rows. Each seed then costs noise and a Tikhonov solve, and
+    the seeds that solve share one error pass (fields.error_norms).
     """
 
     plan: RegularizationPlan
@@ -418,14 +399,14 @@ def make_cell(config: ExperimentConfig, shared: WaveGrid,
     rule = build_quadrature(config.curve, nodes)
     boundary_basis = nested_values(problem.basis, plan.N + 1, rule.points)
     system = svd(trace_operator(problem, rule, boundary_basis))
-    exact = PlaneWave(k=problem.k, direction=config.direction)
+    boundary_exact = shared.wave.samples(rule.points)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
-                data=plane_wave_data(problem, rule, config.direction),
-                exact=exact, grid=shared.grid,
+                data=impedance_data(problem.k, rule, boundary_exact),
+                exact=shared.wave, grid=shared.grid,
                 grid_basis=shared.rows(plan.N),
                 boundary_basis=boundary_basis,
                 grid_exact=shared.exact,
-                boundary_exact=exact.samples(rule.points))
+                boundary_exact=boundary_exact)
 
 
 def wavenumber_cells(setup: Setup, k: float,
@@ -448,10 +429,10 @@ def wavenumber_cells(setup: Setup, k: float,
         [basis] = {problem.basis for _, _, problem in passed}
         top = max(plan.N for plan, _, _ in passed)
         points = setup.grid.points
-        exact = PlaneWave(k=k, direction=setup.config.direction)
+        wave = PlaneWave(k=k, direction=setup.config.direction)
         shared = WaveGrid(grid=setup.grid,
                           values=nested_values(basis, top + 1, points),
-                          exact=exact.samples(points))
+                          wave=wave, exact=wave.samples(points))
     for outcome in plans:
         if not isinstance(outcome, FbmError):
             try:
@@ -552,14 +533,16 @@ def _prepare(config: ExperimentConfig) -> Setup:
     return Setup(config, radii, tau0, grid, node_count)
 
 
-def _solve_case(config: ExperimentConfig, k: float, delta: float,
-                seed: int) -> tuple[Cell, CaseResult]:
-    """The cell of one (k, delta) and its result for one seed, the one-k,
-    one-delta case of wavenumber_cells; raises the FbmError of either."""
+def _solve_case(config: ExperimentConfig) -> tuple[Cell, CaseResult]:
+    """The config's single (k, delta) cell and its result for the first
+    seed, the one-k, one-delta case of wavenumber_cells, which solve and
+    plot run; raises the FbmError of either."""
+    k = _single(config.k_list, "k")
+    delta = _single(config.delta_list, "delta")
     [cell] = wavenumber_cells(_prepare(config), k, [delta])
     if isinstance(cell, FbmError):
         raise cell
-    [result] = cell.solve([seed])
+    [result] = cell.solve(config.seeds[:1])
     if isinstance(result, FbmError):
         raise result
     return cell, result
@@ -567,17 +550,15 @@ def _solve_case(config: ExperimentConfig, k: float, delta: float,
 
 def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     """Solve a single (k, delta) case and write report + coefficients."""
-    k = _single(config.k_list, "k")
-    delta = _single(config.delta_list, "delta")
-    cell, result = _solve_case(config, k, delta, config.seeds[0])
+    cell, result = _solve_case(config)
     meta = case_metadata(cell, result, config)
     report = {**result.report.as_dict(), "metadata": meta}
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"),
                            result.coefficients, meta)
     logger.info("solve: k=%g delta=%g N=%d -> interior %.3e, boundary %.3e",
-                k, delta, cell.plan.N, result.report.rel_l2_interior,
-                result.report.rel_l2_boundary)
+                cell.problem.k, cell.plan.delta, cell.plan.N,
+                result.report.rel_l2_interior, result.report.rel_l2_boundary)
     return report
 
 
@@ -669,14 +650,10 @@ def run_svd_study(config: ExperimentConfig, out_dir: str, n_list) -> str:
     return path
 
 
-def run_trace_plot(config: ExperimentConfig, out_dir: str, k: float,
-                   delta: float, seed: int) -> tuple[str, str]:
-    """Write Re u and Re u_N at 512 equispaced boundary parameters t as
-    (t, value) files."""
-    [k] = _as_number_list(k, "k", **_K_RANGE)
-    [delta] = _as_number_list(delta, "delta", **_DELTA_RANGE)
-    [seed] = _as_seed_list([seed])
-    cell, result = _solve_case(config, k, delta, seed)
+def run_trace_plot(config: ExperimentConfig, out_dir: str) -> tuple[str, str]:
+    """Write Re u and Re u_N of solve's case at 512 equispaced boundary
+    parameters t as (t, value) files."""
+    cell, result = _solve_case(config)
     t = 2.0 * np.pi * np.arange(_TRACE_SAMPLES) / _TRACE_SAMPLES
     points = curve_point(config.curve, t)
     u_exact = np.real(cell.exact.value(points))
@@ -754,9 +731,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="boundary trace data for plotting")
     common(p_plot)
-    p_plot.add_argument("--k", type=float, required=True)
-    p_plot.add_argument("--delta", type=float, required=True)
-    p_plot.add_argument("--seed", type=int, default=1)
     return parser
 
 
@@ -775,16 +749,12 @@ def main(argv=None) -> int:
         elif args.command == "svd":
             run_svd_study(config, out_dir, _parse_order_list(args.orders))
         elif args.command == "plot":
-            run_trace_plot(config, out_dir, args.k, args.delta, args.seed)
+            run_trace_plot(config, out_dir)
         return 0
-    except ValidationError as exc:
+    except FbmError as exc:
         print(json.dumps({"error": exc.code, "message": exc.message}),
               file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(json.dumps({"error": exc.code, "message": exc.message}),
-              file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(json.dumps({"error": "numerical_failure", "message": str(exc)}),
               file=sys.stderr)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import WaveProblem
+# PlaneWave lives beside the data it generates; fields re-exports it
+from .assembly import PlaneWave, WaveProblem
 from .errors import NumericalError, ValidationError
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
                        grid_boundary_distance, grid_interior_mask)
@@ -56,24 +57,6 @@ class InteriorGrid:
     cell_area: float
     resolution: int
     excluded_fraction: float         # near-boundary cells dropped
-
-
-@dataclass(frozen=True)
-class PlaneWave:
-    """Exact solution u(x) = exp(i k x.d) with its gradient."""
-
-    k: float
-    direction: np.ndarray
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return np.exp(1j * self.k * (pts @ np.asarray(self.direction)))
-
-    def samples(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values (P,) and gradients (P, 2) at points, the gradients formed
-        from the values: one exponential per point."""
-        u = self.value(points)
-        return u, 1j * self.k * u[:, None] * np.asarray(self.direction)[None, :]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ phi_{-N}..phi_N off the library's nested rows, which the program itself
 never does, and reference_trace_operator forms the impedance trace from
 those columns order by order, with no mirroring, to pin the library's
 operator to.
+
+interior_norms_sq reads the interior norms of a Helmholtz solution off
+its boundary samples, by identities the library does not use.
 """
 
 from __future__ import annotations
@@ -131,6 +134,34 @@ def reference_trace_operator(problem: WaveProblem, rule: QuadratureRule,
     shifted *= b[:, None]
     trace += shifted
     return trace.T
+
+
+def interior_norms_sq(k: float, rule: QuadratureRule,
+                      samples: tuple) -> tuple[float, float]:
+    """||w||^2 and ||grad w||^2 over the domain of a solution of
+    Delta w + k^2 w = 0, from its (values (P,), gradients (P, 2)) at
+    rule.points, by two boundary integrals on the rule.
+
+    Rellich's identity in two dimensions (the divergence of
+    2 Re((x.grad conj w) grad w) - x |grad w|^2 + k^2 x |w|^2 is
+    2 k^2 |w|^2) gives
+        ||w||^2 = (1/2k^2) int [2 Re((x.grad conj w) d_nu w)
+                                - (x.nu) |grad w|^2 + k^2 (x.nu) |w|^2] ds,
+    and Green's first identity
+        ||grad w||^2 = k^2 ||w||^2 + Re int conj(w) d_nu w ds.
+    """
+    values, gradients = samples
+    x, nu = rule.points, rule.normals
+    x_nu = np.sum(x * nu, axis=1)
+    d_nu = np.sum(nu * gradients, axis=1)
+    x_grad = np.sum(x * gradients, axis=1)
+    flux = (2.0 * np.real(np.conj(x_grad) * d_nu)
+            - x_nu * np.sum(np.abs(gradients) ** 2, axis=1)
+            + k * k * x_nu * np.abs(values) ** 2)
+    l2_sq = float(np.sum(rule.arc_weights * flux)) / (2.0 * k * k)
+    h1_sq = k * k * l2_sq + float(np.sum(
+        rule.arc_weights * np.real(np.conj(values) * d_nu)))
+    return l2_sq, h1_sq
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -26,3 +26,9 @@ def test_readme_library_example_runs(capsys):
     exec(compile(_library_example(), "<README library example>", "exec"), {})
     printed = [float(x) for x in capsys.readouterr().out.split()]
     assert len(printed) == 2 and all(0.0 < x < 1.0 for x in printed)
+
+
+def test_plane_wave_resolves_where_it_did():
+    # PlaneWave lives in assembly, beside its data; fields re-exports it
+    from fbm import assembly, fields
+    assert fbm.PlaneWave is fields.PlaneWave is assembly.PlaneWave

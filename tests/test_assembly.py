@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fbm.assembly import (add_noise, assemble_operator, boundary_data,
-                          boundary_data_from_weighted, make_problem,
-                          plane_wave_data, trace_operator)
+from fbm.assembly import (PlaneWave, add_noise, assemble_operator,
+                          boundary_data_from_weighted, impedance_data,
+                          make_problem, plane_wave_data, trace_operator)
 from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (build_quadrature, circle_curve, compute_radii,
                           default_node_count, ellipse_curve, kite_curve)
@@ -182,6 +182,11 @@ class TestAssembleOperator:
         assert err.value.code == "system_not_tall"
 
 
+def _unweighted(data, rule):
+    """The data's samples f(x_j) at the nodes, its weights divided out."""
+    return data.weighted / np.sqrt(rule.arc_weights)
+
+
 class TestPlaneWaveData:
     def test_aligned_node_on_circle(self, circle_problem):
         # at t=0 the normal equals d=(1,0), so f = 2 i k e^{i k}
@@ -189,7 +194,8 @@ class TestPlaneWaveData:
         prob = make_problem(radii, 1.0, 2.0, 0)
         rule = build_quadrature(curve, 64)
         data = plane_wave_data(prob, rule, np.array([1.0, 0.0]))
-        assert data.values[0] == pytest.approx(2j * np.exp(1j), abs=1e-14)
+        expected = 2j * np.exp(1j) * np.sqrt(rule.arc_weights[0])
+        assert data.weighted[0] == pytest.approx(expected, abs=1e-14)
 
     def test_opposing_node_vanishes(self, circle_problem):
         # at t=pi the normal is -d, so nu.d + 1 = 0
@@ -197,7 +203,7 @@ class TestPlaneWaveData:
         prob = make_problem(radii, 1.0, 2.0, 0)
         rule = build_quadrature(curve, 64)
         data = plane_wave_data(prob, rule, np.array([1.0, 0.0]))
-        assert abs(data.values[32]) <= 1e-14
+        assert abs(data.weighted[32]) <= 1e-14
 
     def test_matches_finite_difference_trace(self, kite, kite_radii, direction):
         prob = make_problem(kite_radii, 1.0, 2.2, 0)
@@ -209,20 +215,49 @@ class TestPlaneWaveData:
             nu = rule.normals[j]
             u = lambda y: np.exp(1j * prob.k * (y @ direction))
             dn = (u(x + h * nu) - u(x - h * nu)) / (2 * h)
-            expected = dn + 1j * prob.k * u(x)
-            assert data.values[j] == pytest.approx(expected, abs=1e-6)
+            expected = (dn + 1j * prob.k * u(x)) * np.sqrt(rule.arc_weights[j])
+            assert data.weighted[j] == pytest.approx(expected, abs=1e-6)
 
     def test_direction_validation(self, kite, kite_radii):
         prob = make_problem(kite_radii, 1.0, 2.2, 2)
         rule = build_quadrature(kite, 32)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             plane_wave_data(prob, rule, np.array([1.0, 1.0]))
+        assert err.value.code == "direction_not_unit"
+
+    @pytest.mark.parametrize("direction, unit", [
+        ([1.0, 1.0], False), ([0.6, 0.8 + 2e-9], False),
+        ([0.6, 0.8 + 5e-10], True), ([0.0, -1.0], True)])
+    def test_plane_wave_checks_its_direction(self, direction, unit):
+        # the tolerance on |d| - 1 is 1e-9, at construction
+        if unit:
+            PlaneWave(1.0, np.array(direction))
+        else:
+            with pytest.raises(ValidationError) as err:
+                PlaneWave(1.0, np.array(direction))
+            assert err.value.code == "direction_not_unit"
 
     def test_weighted_norm_consistency(self, kite, kite_radii, direction):
         prob = make_problem(kite_radii, 1.0, 2.2, 0)
         rule = build_quadrature(kite, 128)
         data = plane_wave_data(prob, rule, direction)
-        assert data.norm == pytest.approx(rule.boundary_norm(data.values), rel=1e-14)
+        assert data.norm == pytest.approx(
+            rule.boundary_norm(_unweighted(data, rule)), rel=1e-14)
+
+    def test_is_the_impedance_data_of_the_samples(self, kite, kite_radii,
+                                                  direction):
+        # the plane wave's data is the shared impedance formula applied to
+        # its node samples, bit for bit, and matches the closed form
+        # f = i k (nu.d + 1) exp(i k x.d)
+        prob = make_problem(kite_radii, 5.0, 2.2, 0)
+        rule = build_quadrature(kite, 96)
+        data = plane_wave_data(prob, rule, direction)
+        samples = PlaneWave(prob.k, direction).samples(rule.points)
+        assert np.array_equal(data.weighted,
+                              impedance_data(prob.k, rule, samples).weighted)
+        closed = (1j * prob.k * (rule.normals @ direction + 1.0)
+                  * np.exp(1j * prob.k * (rule.points @ direction)))
+        assert np.allclose(_unweighted(data, rule), closed, rtol=0, atol=1e-13)
 
 
 class TestAddNoise:
@@ -238,7 +273,7 @@ class TestAddNoise:
         rule = build_quadrature(kite, 64)
         data = plane_wave_data(prob, rule, direction)
         noisy = add_noise(data, delta, 3, rule)
-        achieved = rule.boundary_norm(noisy.values - data.values) / data.norm
+        achieved = np.linalg.norm(noisy.weighted - data.weighted) / data.norm
         assert achieved == pytest.approx(delta, rel=1e-12)
 
     def test_seeds_differ_but_norms_match(self, kite, kite_radii, direction):
@@ -247,30 +282,44 @@ class TestAddNoise:
         data = plane_wave_data(prob, rule, direction)
         a = add_noise(data, 0.05, 1, rule)
         b = add_noise(data, 0.05, 2, rule)
-        assert not np.allclose(a.values, b.values)
-        na = rule.boundary_norm(a.values - data.values)
-        nb = rule.boundary_norm(b.values - data.values)
+        assert not np.allclose(a.weighted, b.weighted)
+        na = rule.boundary_norm(_unweighted(a, rule) - _unweighted(data, rule))
+        nb = rule.boundary_norm(_unweighted(b, rule) - _unweighted(data, rule))
         assert na == pytest.approx(nb, rel=1e-12)
 
     def test_same_seed_reproduces(self, kite, kite_radii, direction):
         prob = make_problem(kite_radii, 1.0, 2.2, 0)
         rule = build_quadrature(kite, 64)
         data = plane_wave_data(prob, rule, direction)
-        assert np.array_equal(add_noise(data, 0.01, 9, rule).values,
-                              add_noise(data, 0.01, 9, rule).values)
+        assert np.array_equal(add_noise(data, 0.01, 9, rule).weighted,
+                              add_noise(data, 0.01, 9, rule).weighted)
+
+    def test_noise_is_drawn_at_the_nodes(self, kite, kite_radii, direction):
+        # the draw is i.i.d. per node before weighting: the weights divided
+        # out, the perturbation is the seed's standard normal pairs times
+        # one scale
+        prob = make_problem(kite_radii, 1.0, 2.2, 0)
+        rule = build_quadrature(kite, 64)
+        data = plane_wave_data(prob, rule, direction)
+        noisy = add_noise(data, 0.01, 4, rule)
+        draw = np.random.default_rng(4).standard_normal((64, 2))
+        ratio = (_unweighted(noisy, rule) - _unweighted(data, rule)) / (
+            draw[:, 0] + 1j * draw[:, 1])
+        assert np.allclose(ratio, ratio[0].real, rtol=1e-10, atol=0)
 
     def test_zero_data_rejected(self, kite):
         rule = build_quadrature(kite, 32)
-        zero = boundary_data(np.zeros(32, dtype=complex), rule)
+        zero = boundary_data_from_weighted(np.zeros(32, dtype=complex), rule)
         with pytest.raises(NumericalError):
             add_noise(zero, 0.01, 1, rule)
 
 
 class TestBoundaryData:
     def test_weighted_roundtrip(self, kite):
+        # the weighted vector is the data's one array, kept as given
         rule = build_quadrature(kite, 64)
         rng = np.random.default_rng(2)
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         data = boundary_data_from_weighted(w, rule)
-        again = boundary_data(data.values, rule)
-        assert np.allclose(again.weighted, w, rtol=1e-14)
+        assert np.array_equal(data.weighted, w)
+        assert data.norm == np.linalg.norm(w)

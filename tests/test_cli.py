@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbm import cli, fields, tikhonov
+from fbm import assembly, cli, fields, tikhonov
 from fbm.cli import (build_config, load_config, main, resolve_tau0,
                      run_solve, run_sweep, run_svd_study, run_trace_plot,
                      _parse_order_list)
@@ -180,7 +180,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [
         ["solve"], ["sweep"], ["svd", "--N", "4"],
-        ["plot", "--k", "1", "--delta", "0.01"]],
+        ["plot"]],
         ids=["solve", "sweep", "svd", "plot"])
     def test_unwritable_output(self, tmp_path, capsys, command):
         # the output directory would sit below a regular file
@@ -196,20 +196,27 @@ class TestExitCodes:
 
 
 class TestArgumentExit:
-    @pytest.mark.parametrize("args", [
-        ["plot", "--k", "nan", "--delta", "0.01"],
-        ["plot", "--k", "1", "--delta", "0.01", "--seed", "-3"],
-        ["plot", "--k", "abc", "--delta", "0.01"],
-        ["sweep", "--threads", "2"],
-    ], ids=["plot_k_nan", "plot_seed_negative", "plot_k_text", "sweep_threads"])
-    def test_exits_2_with_one_record(self, tmp_path, capsys, args):
-        path = _write_config(tmp_path / "cfg.json", grid_resolution=32)
+    # plot takes its case from the config, as solve does, and has no case
+    # flags of its own
+    @pytest.mark.parametrize("args, overrides, error", [
+        (["plot"], {"k": math.nan}, "bad_field"),
+        (["plot"], {"seeds": [-3]}, "bad_field"),
+        (["plot"], {"k": "abc"}, "bad_field"),
+        (["plot"], {"delta": [0.01, 0.05]}, "expected_single_case"),
+        (["plot", "--k", "1", "--delta", "0.01"], {}, "bad_arguments"),
+        (["sweep", "--threads", "2"], {}, "bad_arguments"),
+    ], ids=["plot_k_nan", "plot_seed_negative", "plot_k_text",
+            "plot_delta_list", "plot_case_flags", "sweep_threads"])
+    def test_exits_2_with_one_record(self, tmp_path, capsys, args, overrides,
+                                     error):
+        path = _write_config(tmp_path / "cfg.json",
+                             **{"grid_resolution": 32, **overrides})
         code = main([args[0], "--config", str(path), "--out",
                      str(tmp_path / "o"), *args[1:]])
         records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
                    if ln.startswith("{")]
         assert code == 2
-        assert len(records) == 1 and "error" in records[0]
+        assert [r["error"] for r in records] == [error]
 
     @pytest.mark.parametrize("args", [["--help"], ["--version"],
                                       ["sweep", "--help"]])
@@ -366,6 +373,20 @@ class TestCellPipeline:
             run_sweep(load_config(path), str(tmp_path / "sweep"))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("k, deltas", [
+        (1.0, [1e-16, 0.01]), (5.0, [0.05]), (20.0, [1e-16])])
+    def test_data_is_the_impedance_data_of_the_boundary_samples(
+            self, tmp_path, k, deltas):
+        # each cell's data is the shared impedance formula applied to the
+        # exact samples it keeps, bit for bit
+        config = load_config(_write_config(tmp_path / "cfg.json", k=k,
+                                           delta=deltas, grid_resolution=32))
+        for cell in cli.wavenumber_cells(cli._prepare(config), k, deltas):
+            formed = assembly.impedance_data(k, cell.rule, cell.boundary_exact)
+            assert np.array_equal(cell.data.weighted, formed.weighted)
+            assert np.array_equal(cell.boundary_exact[0],
+                                  cell.exact.value(cell.rule.points))
 
     def test_sweep_row_matches_single_solve(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],
@@ -792,8 +813,8 @@ class TestRunSvdStudy:
 class TestRunTracePlot:
     def test_noise_free_curves_coincide(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", grid_resolution=96)
-        exact_path, numeric_path = run_trace_plot(
-            load_config(path), str(tmp_path / "out"), k=1.0, delta=1e-16, seed=1)
+        exact_path, numeric_path = run_trace_plot(load_config(path),
+                                                  str(tmp_path / "out"))
         exact = np.loadtxt(exact_path)
         numeric = np.loadtxt(numeric_path)
         assert exact.shape == (512, 2)
@@ -804,9 +825,10 @@ class TestRunTracePlot:
 
     def test_high_wavenumber_with_noise(self, tmp_path):
         # k=7 is plottable even though no reference table value exists
-        path = _write_config(tmp_path / "cfg.json", grid_resolution=96)
-        exact_path, numeric_path = run_trace_plot(
-            load_config(path), str(tmp_path / "out"), k=7.0, delta=0.01, seed=1)
+        path = _write_config(tmp_path / "cfg.json", k=7.0, delta=0.01,
+                             grid_resolution=96)
+        exact_path, numeric_path = run_trace_plot(load_config(path),
+                                                  str(tmp_path / "out"))
         exact = np.loadtxt(exact_path)
         numeric = np.loadtxt(numeric_path)
         gap = np.max(np.abs(exact[:, 1] - numeric[:, 1]))
@@ -814,14 +836,27 @@ class TestRunTracePlot:
 
     def test_metadata_header(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", grid_resolution=96)
-        exact_path, _ = run_trace_plot(load_config(path), str(tmp_path / "out"),
-                                       k=1.0, delta=1e-16, seed=1)
+        exact_path, _ = run_trace_plot(load_config(path), str(tmp_path / "out"))
         header = [ln for ln in Path(exact_path).read_text(encoding="utf-8")
                   .splitlines() if ln.startswith("#")]
         keys = {ln.split("=", 1)[0].lstrip("# ") for ln in header}
         for need in ("k", "delta", "eta", "tau0", "N", "alpha", "M_q",
                      "grid_resolution", "seed", "m_overridden"):
             assert need in keys
+
+    def test_case_is_solves(self, tmp_path):
+        # plot solves the config's case for its first seed, as solve does,
+        # and writes solve's metadata with the command added
+        path = _write_config(tmp_path / "cfg.json", k=5.0, delta=0.01,
+                             seeds=[3, 1], grid_resolution=64)
+        report = run_solve(load_config(path), str(tmp_path / "solve"))
+        exact_path, numeric_path = run_trace_plot(load_config(path),
+                                                  str(tmp_path / "plot"))
+        for trace in (exact_path, numeric_path):
+            header = dict(ln[2:].split("=", 1) for ln in Path(trace).read_text(
+                encoding="utf-8").splitlines() if ln.startswith("#"))
+            assert {key: json.loads(value) for key, value in header.items()} \
+                == {**report["metadata"], "command": "plot"}
 
 
 class TestConfigFuzz:

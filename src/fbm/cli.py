@@ -19,7 +19,10 @@ evaluated once per k, with N_top the largest order among the k's cells
 that pass validation. A cell's grid basis is the leading 2N + 3 rows of
 that array, a view. A seed then costs noise and a Tikhonov solve; the
 error norms of a cell's seeds come from one fields.error_norms pass,
-which takes the seeds and the grid points in fixed blocks.
+which takes the seeds and the grid points in fixed blocks. A cell is
+also the unit of failure: no error it can raise depends on the seed, so
+it solves every seed or fails as a whole, and a sweep marks every seed
+row of a failed cell with the error's code.
 
 Configuration is a single JSON document::
 
@@ -274,6 +277,13 @@ def case_metadata(cell: Cell, result: CaseResult,
         "r_ex": problem.r_ex,
         "mu_min": cell.system.mu_min,
         "curve": config.curve.name,
+        **_run_metadata(config),
+    }
+
+
+def _run_metadata(config: ExperimentConfig) -> dict:
+    """The tail that solve's, plot's and sweep's metadata share."""
+    return {
         "direction": list(map(float, config.direction)),
         "column_order": "n=-N..N",
         "noise_model": "complex gaussian, exact relative L2(Gamma) norm",
@@ -325,7 +335,7 @@ class Cell:
     there are sampled once, and the data is formed from them. The grid
     basis and samples are those of the k's WaveGrid, the basis a view of
     its leading rows. Each seed then costs noise and a Tikhonov solve, and
-    the seeds that solve share one error pass (fields.error_norms).
+    the seeds share one error pass (fields.error_norms).
     """
 
     plan: RegularizationPlan
@@ -340,29 +350,20 @@ class Cell:
     grid_exact: tuple                # exact (values, gradients) at grid.points
     boundary_exact: tuple            # exact (values, gradients) at rule.points
 
-    def solve(self, seeds: list[int]) -> list[CaseResult | FbmError]:
-        """Noise -> Tikhonov solve per seed, then one error pass over the
-        seeds that solved. Each seed gets its CaseResult or its FbmError; a
-        failure of the error pass is every solved seed's."""
-        outcomes: list[CoefficientVector | FbmError] = []
-        for seed in seeds:
-            try:
-                noisy = add_noise(self.data, self.plan.delta, seed, self.rule)
-                outcomes.append(tikhonov_solve(self.system, noisy,
-                                               self.plan.alpha))
-            except FbmError as exc:
-                outcomes.append(exc)
-        solved = [c for c in outcomes if not isinstance(c, FbmError)]
-        try:
-            reports = iter(error_norms(
-                self.problem.basis, solved, self.grid, self.rule,
-                self.grid_basis, self.boundary_basis, self.grid_exact,
-                self.boundary_exact))
-        except FbmError as exc:
-            return [c if isinstance(c, FbmError) else exc for c in outcomes]
-        return [c if isinstance(c, FbmError) else
-                CaseResult(seed=seed, coefficients=c, report=next(reports))
-                for seed, c in zip(seeds, outcomes)]
+    def solve(self, seeds: list[int]) -> list[CaseResult]:
+        """Noise -> Tikhonov solve per seed, then one error pass over them
+        all. What can fail here depends on delta, alpha, the SVD and the
+        exact data, never on the seed, so an FbmError is the cell's and
+        propagates."""
+        coeffs = [tikhonov_solve(self.system,
+                                 add_noise(self.data, self.plan.delta, seed,
+                                           self.rule),
+                                 self.plan.alpha) for seed in seeds]
+        reports = error_norms(self.problem.basis, coeffs, self.grid,
+                              self.rule, self.grid_basis, self.boundary_basis,
+                              self.grid_exact, self.boundary_exact)
+        return [CaseResult(seed=seed, coefficients=c, report=report)
+                for seed, c, report in zip(seeds, coeffs, reports)]
 
 
 def _plan_cell(setup: Setup, k: float,
@@ -371,11 +372,6 @@ def _plan_cell(setup: Setup, k: float,
     check that must pass before any of its bases is evaluated."""
     config = setup.config
     plan = select_parameters(k, delta, config.eta, setup.radii, setup.tau0)
-    if plan.N >= N_MAX:
-        raise ValidationError(
-            "order_cap_reached",
-            f"k={k}, delta={delta} selects N >= N_MAX={N_MAX}, "
-            "beyond what the basis can resolve")
     nodes = setup.node_count or default_node_count(plan.N)
     grid_points = setup.grid.points.shape[0]
     rows = 2 * plan.N + 3
@@ -415,9 +411,11 @@ def wavenumber_cells(setup: Setup, k: float,
     every command to a Cell. Each delta is planned once (_plan_cell); the
     cells that pass share one WaveGrid of the largest order among them,
     and a delta that fails yields its error without planning again. With
-    no passing delta no basis is evaluated. Each cell is built when asked
-    for, after the generator has dropped the one before, so a consumer
-    that drops a cell before asking for the next holds one at a time."""
+    no passing delta no basis is evaluated. An error yielded here and one
+    that Cell.solve raises later are alike the cell's one failure. Each
+    cell is built when asked for, after the generator has dropped the one
+    before, so a consumer that drops a cell before asking for the next
+    holds one at a time."""
     plans: list = []
     for delta in deltas:
         try:
@@ -543,8 +541,6 @@ def _solve_case(config: ExperimentConfig) -> tuple[Cell, CaseResult]:
     if isinstance(cell, FbmError):
         raise cell
     [result] = cell.solve(config.seeds[:1])
-    if isinstance(result, FbmError):
-        raise result
     return cell, result
 
 
@@ -563,28 +559,20 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _cell_rows(config: ExperimentConfig, k: float, delta: float,
-               cell: Cell | FbmError) -> tuple[list[str], list[FbmError]]:
-    """The rows of one (k, delta) cell, one per seed and then a median row
-    if any seed solved, with the errors of the rows that failed."""
-    if isinstance(cell, FbmError):
-        logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, cell)
-        return [_failed_row(k, delta, seed, cell.code)
-                for seed in config.seeds], [cell]
-    rows: list[str] = []
-    errors: list[FbmError] = []
-    group: list[CaseResult] = []
-    for seed, result in zip(config.seeds, cell.solve(config.seeds)):
-        if isinstance(result, FbmError):
-            logger.warning("sweep cell (k=%g, delta=%g, seed=%d) failed: %s",
-                           k, delta, seed, result)
-            rows.append(_failed_row(k, delta, seed, result.code))
-            errors.append(result)
-        else:
-            rows.append(_sweep_row(cell, result))
-            group.append(result)
-    if group:
-        rows.append(_median_row(cell, group))
-    return rows, errors
+               cell: Cell | FbmError) -> tuple[list[str], FbmError | None]:
+    """The rows of one (k, delta) cell and its error: a row per seed and a
+    median row, or, where the cell failed (as wavenumber_cells yielded it
+    or in Cell.solve), a row per seed marked with the error's code."""
+    try:
+        if isinstance(cell, FbmError):
+            raise cell
+        results = cell.solve(config.seeds)
+    except FbmError as exc:
+        logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
+        return [_failed_row(k, delta, seed, exc.code)
+                for seed in config.seeds], exc
+    return ([_sweep_row(cell, result) for result in results]
+            + [_median_row(cell, results)], None)
 
 
 def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
@@ -602,11 +590,11 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
         # cell alive while the next one is built
         cells = wavenumber_cells(setup, k, config.delta_list)
         for delta in config.delta_list:
-            rows, failures = _cell_rows(config, k, delta, next(cells))
+            rows, error = _cell_rows(config, k, delta, next(cells))
             all_rows += rows
-            errors += failures
-    # a cell writes its median row exactly when one of its seeds solved
-    if not any(row.startswith("median,") for row in all_rows):
+            if error is not None:
+                errors.append(error)
+    if len(errors) == len(config.k_list) * len(config.delta_list):
         if all(isinstance(exc, ValidationError) for exc in errors):
             raise errors[0]
         raise NumericalError("all_cells_failed", "every sweep cell failed")
@@ -615,10 +603,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
         "k": config.k_list, "delta": config.delta_list, "eta": config.eta,
         "tau0": setup.tau0, "tau_min": setup.radii.tau_min,
         "M_q": config.node_count, "grid_resolution": config.grid_resolution,
-        "seeds": config.seeds, "direction": list(map(float, config.direction)),
-        "column_order": "n=-N..N",
-        "noise_model": "complex gaussian, exact relative L2(Gamma) norm",
-        "version": __version__,
+        "seeds": config.seeds, **_run_metadata(config),
     }
     path = os.path.join(out_dir, "sweep.csv")
     _write_text(path, _meta_lines(meta) + [_SWEEP_COLUMNS] + all_rows)

@@ -120,7 +120,10 @@ def tikhonov_solve(system: SingularSystem, rhs: BoundaryData,
 
 def select_parameters(k: float, delta: float, eta: float, radii: DomainRadii,
                       tau0: float) -> RegularizationPlan:
-    """Pick N and alpha from (k, delta) by the two-branch selection rule."""
+    """Pick N and alpha from (k, delta) by the two-branch selection rule.
+    An order the basis cannot resolve, N >= N_MAX, is a ValidationError
+    order_cap_reached; on a disc-like domain (tau_min = 1) every k > 1
+    selects one."""
     if not 0.0 <= delta < 1.0:
         raise ValidationError("delta_out_of_range",
                               f"delta must lie in [0, 1), got {delta}")
@@ -146,9 +149,13 @@ def select_parameters(k: float, delta: float, eta: float, radii: DomainRadii,
         else:
             n_real = 11.0 * math.log(k) / (2.0 * log_tau_min) + eta * loglog
 
-    n_sel = 0 if n_real <= 0.0 else (N_MAX if n_real > N_MAX else math.ceil(n_real))
-    if n_real > N_MAX:
-        logger.warning("selected order %.3g capped at N_MAX=%d", n_real, N_MAX)
+    # ceil(n_real) >= N_MAX exactly where n_real > N_MAX - 1
+    if n_real > N_MAX - 1:
+        raise ValidationError(
+            "order_cap_reached",
+            f"k={k}, delta={delta} selects N >= N_MAX={N_MAX}, "
+            "beyond what the basis can resolve")
+    n_sel = 0 if n_real <= 0.0 else math.ceil(n_real)
     if n_real <= 0.0:
         logger.warning("selection formula gave N=%.3g <= 0; using N=0", n_real)
 

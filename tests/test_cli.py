@@ -503,17 +503,31 @@ class TestWaveGrid:
         assert failed == [cli._failed_row(k, d, seed, code)
                           for k, d, code in expected for seed in (1, 2)]
 
-    def test_capped_order_warns_once_per_cell(self, tmp_path, caplog):
-        # the sweep above: delta = 1e-16 passes the order cap at k = 1 and
+    def test_capped_order_warns_once_per_cell(self, tmp_path, caplog,
+                                              monkeypatch):
+        # the sweep above: delta = 1e-16 reaches the order cap at k = 1 and
         # k = 65, and each cell is planned once, so each warns once
+        planned = []
+        select_parameters = cli.select_parameters
+
+        def counted(k, delta, *args):
+            planned.append((k, delta))
+            return select_parameters(k, delta, *args)
+
+        monkeypatch.setattr(cli, "select_parameters", counted)
         path = _write_config(tmp_path / "cfg.json", k=[1.0, 65.0],
                              delta=[1e-16, 0.05, 0.2], eta=40.0,
                              seeds=[1, 2], grid_resolution=64)
         with caplog.at_level(logging.WARNING, logger="fbm"):
             run_sweep(load_config(path), str(tmp_path / "o"))
         capped = [r.getMessage() for r in caplog.records
-                  if "capped at N_MAX" in r.getMessage()]
-        assert len(capped) == 2
+                  if "selects N >= N_MAX=128" in r.getMessage()]
+        assert capped == [
+            f"sweep cell (k={k:g}, delta=1e-16) failed: k={k}, delta=1e-16 "
+            "selects N >= N_MAX=128, beyond what the basis can resolve"
+            for k in (1.0, 65.0)]
+        assert planned == [(k, d) for k in (1.0, 65.0)
+                           for d in (1e-16, 0.05, 0.2)]
 
 
 def _norms(report) -> list:
@@ -549,29 +563,29 @@ class TestBatchedSeeds:
                                    cell.exact, cell.grid, cell.rule)
             assert _norms(library) == _norms(batched.report)
 
-    def test_failed_seed_marks_only_its_row(self, tmp_path, capsys,
-                                            monkeypatch):
-        add_noise = cli.add_noise
-
-        def failing(data, delta, seed, rule):
-            if seed == 2:
-                raise NumericalError("degenerate_data", "seed 2 fails")
-            return add_noise(data, delta, seed, rule)
-
-        base = dict(k=[1.0], delta=[0.01], grid_resolution=64)
-        path = _write_config(tmp_path / "cfg.json", seeds=[1, 3], **base)
+    @pytest.mark.parametrize("tiny, code", [
+        (1e-20, "degenerate_exact_norm"),    # the error pass: |grad u| ~ k
+        (1e-301, "degenerate_data")])        # the noise: ||f|| < 1e-300
+    def test_failed_cell_marks_every_seed_row(self, tmp_path, caplog, tiny,
+                                              code):
+        # a tiny k fails in Cell.solve for every seed alike, so the cell
+        # writes one marked row per seed, no median row and one warning,
+        # and leaves the rows of the k beside it as they are alone
+        base = dict(delta=[0.01], seeds=[1, 2], grid_resolution=64)
+        path = _write_config(tmp_path / "cfg.json", k=[1.0], **base)
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / "without")]) == 0
-        monkeypatch.setattr(cli, "add_noise", failing)
-        path = _write_config(tmp_path / "cfg.json", seeds=[1, 2, 3], **base)
-        assert main(["sweep", "--config", str(path),
-                     "--out", str(tmp_path / "with")]) == 0
+        path = _write_config(tmp_path / "cfg.json", k=[tiny, 1.0], **base)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fbm"):
+            assert main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "with")]) == 0
         rows = _data_rows(tmp_path / "with" / "sweep.csv")
-        assert rows[1] == ",".join(["cell", "1.0", "0.01", "2"] + [""] * 9
-                                   + ["degenerate_data"])
-        # the survivors' rows and the median over them
-        assert rows[:1] + rows[2:] == _data_rows(tmp_path / "without"
-                                                 / "sweep.csv")
+        assert rows[:2] == [cli._failed_row(tiny, 0.01, seed, code)
+                            for seed in (1, 2)]
+        assert rows[2:] == _data_rows(tmp_path / "without" / "sweep.csv")
+        assert len([r for r in caplog.records
+                    if r.levelno == logging.WARNING]) == 1
 
     def test_degenerate_norm_fails_every_seed(self, tmp_path, capsys,
                                               monkeypatch):
@@ -586,12 +600,11 @@ class TestBatchedSeeds:
             tmp_path / "cfg.json", k=[1.0], delta=[0.01], seeds=[1, 2, 3],
             grid_resolution=64))
         [cell] = cli.wavenumber_cells(cli._prepare(config), 1.0, [0.01])
-        rows, errors = cli._cell_rows(config, 1.0, 0.01, cell)
+        rows, error = cli._cell_rows(config, 1.0, 0.01, cell)
         assert calls == [3]                   # one error pass for the cell
-        assert [r.split(",")[3] for r in rows] == ["1", "2", "3"]
-        assert all(r.startswith("cell,") and r.endswith(",degenerate_exact_norm")
-                   for r in rows)
-        assert [e.code for e in errors] == ["degenerate_exact_norm"] * 3
+        assert rows == [cli._failed_row(1.0, 0.01, seed, "degenerate_exact_norm")
+                        for seed in (1, 2, 3)]
+        assert error.code == "degenerate_exact_norm"
         path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],
                              seeds=[1, 2, 3], grid_resolution=64)
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -223,13 +223,23 @@ class TestSelectParameters:
         with pytest.raises(ValidationError):
             select_parameters(0.0, 0.01, 5.0, kite_radii, 2.2)
 
-    def test_cap_on_disc_like_domain(self, caplog):
-        # tau_min = 1 sends the order formula to infinity; capped with a warning
+    def test_cap_on_disc_like_domain(self):
+        # tau_min = 1 sends the order formula to infinity
         radii = compute_radii(circle_curve(1.0))
-        with caplog.at_level(logging.WARNING, logger="fbm.tikhonov"):
-            plan = select_parameters(5.0, 0.01, 5.0, radii, 1.02)
-        assert plan.N == 128
-        assert any("capped" in rec.message for rec in caplog.records)
+        with pytest.raises(ValidationError) as err:
+            select_parameters(5.0, 0.01, 5.0, radii, 1.02)
+        assert err.value.code == "order_cap_reached"
+
+    def test_order_cap_edge(self, kite_radii):
+        # eta ln ln 1e16 = 126.95 selects N = 127 = N_MAX - 1; 127.31 would
+        # select N_MAX and is rejected, in the wording the CLI reports
+        assert select_parameters(1.0, 1e-16, 35.2, kite_radii, 2.2).N == 127
+        with pytest.raises(ValidationError) as err:
+            select_parameters(1.0, 1e-16, 35.3, kite_radii, 2.2)
+        assert err.value.code == "order_cap_reached"
+        assert err.value.message == (
+            "k=1.0, delta=1e-16 selects N >= N_MAX=128, "
+            "beyond what the basis can resolve")
 
     def test_floor_at_zero_for_weak_noise_decay(self, kite_radii, caplog):
         # delta close to 1 drives the formula negative; clamped to N=0

@@ -4,7 +4,8 @@ The collocation matrix realizes c |-> i k u_N + du_N/dnu sampled at the
 quadrature nodes, with each row scaled by sqrt(w_j |x'(t_j)|) so plain
 Euclidean norms of columns and residuals coincide with discrete
 L2(Gamma) norms. Columns are ordered n = -N..N (monotone); the ordering
-is recorded in run metadata.
+is recorded in run metadata. Boundary data is the plain (M_q,) complex
+vector sqrt(w_j |x'(t_j)|) f(x_j).
 """
 
 from __future__ import annotations
@@ -106,35 +107,23 @@ class PlaneWave:
         return u, 1j * self.k * u[:, None] * np.asarray(self.direction)[None, :]
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """Boundary data f sampled at the nodes in its sqrt(w |x'|)-weighted
-    form, the right-hand side of the least-squares system."""
-
-    weighted: np.ndarray         # (M_q,) complex
-
-    @property
-    def norm(self) -> float:
-        """Discrete L2(Gamma) norm of the data."""
-        return float(np.linalg.norm(self.weighted))
-
-
 def boundary_data_from_weighted(weighted: np.ndarray,
-                                rule: QuadratureRule) -> BoundaryData:
+                                rule: QuadratureRule) -> np.ndarray:
     """The data of a vector already weighted by sqrt(w |x'|) at rule's
-    nodes, kept as it is."""
-    return BoundaryData(weighted=np.asarray(weighted, dtype=np.complex128))
+    nodes, as complex128. rule is unused, since the weighted vector is the
+    data; it stays so that existing callers (the acceptance tests) work."""
+    return np.asarray(weighted, dtype=np.complex128)
 
 
 def impedance_data(k: float, rule: QuadratureRule,
-                   exact: tuple) -> BoundaryData:
+                   exact: tuple) -> np.ndarray:
     """The impedance trace f = du/dnu + i k u of an exact solution, weighted
     by sqrt(w |x'|), from its (values, gradients) at rule.points."""
     values, gradients = exact
     trace = np.sum(rule.normals * gradients, axis=1)
     trace += 1j * k * values
     trace *= np.sqrt(rule.arc_weights)
-    return BoundaryData(weighted=trace)
+    return trace
 
 
 def assemble_operator(problem: WaveProblem, rule: QuadratureRule) -> np.ndarray:
@@ -191,27 +180,27 @@ def trace_operator(problem: WaveProblem, rule: QuadratureRule,
 
 
 def plane_wave_data(problem: WaveProblem, rule: QuadratureRule,
-                    direction: np.ndarray) -> BoundaryData:
+                    direction: np.ndarray) -> np.ndarray:
     """Exact impedance data of the plane wave u(x) = exp(i k x.d)."""
     wave = PlaneWave(problem.k, direction)
     return impedance_data(problem.k, rule, wave.samples(rule.points))
 
 
-def add_noise(data: BoundaryData, delta: float, seed: int,
-              rule: QuadratureRule) -> BoundaryData:
+def add_noise(data: np.ndarray, delta: float, seed: int,
+              rule: QuadratureRule) -> np.ndarray:
     """Perturb data with complex Gaussian noise of exact relative size delta.
 
     The perturbation is drawn i.i.d. at the nodes, weighted like the data
     and rescaled so its discrete L2(Gamma) norm equals delta times the
     norm of the data, making the noise level hold with equality.
-    Deterministic per seed.
+    Deterministic per seed; data itself is never written.
     """
     if delta < 0.0 or delta >= 1.0:
         raise ValidationError("delta_out_of_range",
                               f"delta must lie in [0, 1), got {delta}")
     if delta == 0.0:
         return data
-    base = data.norm
+    base = np.linalg.norm(data)
     if base < 1e-300:
         raise NumericalError("degenerate_data",
                              "cannot scale noise relative to zero data")
@@ -219,4 +208,4 @@ def add_noise(data: BoundaryData, delta: float, seed: int,
     draw = rng.standard_normal((rule.size, 2))
     pert = np.sqrt(rule.arc_weights) * (draw[:, 0] + 1j * draw[:, 1])
     pert *= delta * base / np.linalg.norm(pert)
-    return BoundaryData(weighted=data.weighted + pert)
+    return data + pert

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .assembly import (BoundaryData, PlaneWave, WaveProblem, add_noise,
-                       impedance_data, make_problem, trace_operator)
+from .assembly import (PlaneWave, WaveProblem, add_noise, impedance_data,
+                       make_problem, trace_operator)
 from .errors import FbmError, NumericalError, ValidationError
 from .fields import (ErrorReport, InteriorGrid, build_interior_grid,
                      error_norms, error_pass_bytes, evaluate_field)
@@ -139,17 +139,23 @@ def _as_number_list(value, name: str, *, lower=None, upper=None,
     return out
 
 
+def _reject_unknown(raw: dict, known, what: str) -> None:
+    # a misspelt key would otherwise run its default silently
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise ValidationError("unknown_field", f"unknown {what} key(s) "
+                              f"{unknown}; known: {', '.join(known)}")
+
+
 def _parse_curve(spec) -> BoundaryCurve:
     if isinstance(spec, str):
         return named_curve(spec)
     if isinstance(spec, dict):
+        defaults = {"x1_cos": [0.0], "x1_sin": [0.0], "x2_cos": [0.0],
+                    "x2_sin": [0.0], "name": "custom"}
+        _reject_unknown(spec, defaults, "curve")
         try:
-            return BoundaryCurve(
-                x1_cos=spec.get("x1_cos", [0.0]),
-                x1_sin=spec.get("x1_sin", [0.0]),
-                x2_cos=spec.get("x2_cos", [0.0]),
-                x2_sin=spec.get("x2_sin", [0.0]),
-                name=spec.get("name", "custom"))
+            return BoundaryCurve(**{**defaults, **spec})
         except (TypeError, ValueError) as exc:
             raise ValidationError("bad_curve_spec", str(exc)) from exc
     raise ValidationError("bad_curve_spec",
@@ -160,6 +166,8 @@ def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON document into an ExperimentConfig."""
     if not isinstance(raw, dict):
         raise ValidationError("bad_config", "configuration must be a JSON object")
+    _reject_unknown(raw, ("curve", "k", "delta", "eta", "tau0", "seeds", "M_q",
+                          "grid_resolution", "direction", "output_dir"), "configuration")
     for req in ("curve", "k", "delta"):
         if req not in raw:
             raise ValidationError("missing_field", f"configuration needs {req!r}")
@@ -332,17 +340,18 @@ class Cell:
     The basis values of order N + 1 on the boundary are evaluated once, by
     one nested_values call; the cell keeps these rows, and the trace
     operator is formed from them. The plane wave's values and gradients
-    there are sampled once, and the data is formed from them. The grid
-    basis and samples are those of the k's WaveGrid, the basis a view of
-    its leading rows. Each seed then costs noise and a Tikhonov solve, and
-    the seeds share one error pass (fields.error_norms).
+    there are sampled once, and the data, the weighted (M_q,) complex
+    vector that every seed's add_noise reads and none writes, is formed
+    from them. The grid basis and samples are those of the k's WaveGrid,
+    the basis a view of its leading rows. Each seed then costs noise and a
+    Tikhonov solve, and the seeds share one error pass (fields.error_norms).
     """
 
     plan: RegularizationPlan
     problem: WaveProblem
     rule: QuadratureRule
     system: SingularSystem
-    data: BoundaryData
+    data: np.ndarray                 # weighted (M_q,) complex
     exact: PlaneWave
     grid: InteriorGrid
     grid_basis: np.ndarray           # nested values of order N + 1, grid

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .assembly import BoundaryData, assemble_operator, make_problem
+from .assembly import assemble_operator, make_problem
 from .geometry import (BoundaryCurve, DomainRadii, build_quadrature,
                        default_node_count)
 from .special import N_MAX
@@ -103,9 +103,10 @@ def svd(matrix: np.ndarray) -> SingularSystem:
                           right_vectors=vh.conj().T)
 
 
-def tikhonov_solve(system: SingularSystem, rhs: BoundaryData,
+def tikhonov_solve(system: SingularSystem, rhs: np.ndarray,
                    alpha: float) -> CoefficientVector:
-    """Spectral Tikhonov solve; alpha = 0 falls back to plain least squares."""
+    """Spectral Tikhonov solve for the weighted data; alpha = 0 falls back
+    to plain least squares."""
     if alpha < 0.0:
         raise ValidationError("bad_alpha", f"alpha must be >= 0, got {alpha}")
     s = system.singular_values
@@ -113,7 +114,7 @@ def tikhonov_solve(system: SingularSystem, rhs: BoundaryData,
         raise NumericalError(
             "rank_deficient",
             f"mu_min={system.mu_min:.3e} too small for an unregularized solve")
-    projections = system.left_vectors.conj().T @ rhs.weighted     # (K,)
+    projections = system.left_vectors.conj().T @ rhs        # (K,)
     filt = s / (alpha + s * s)
     return CoefficientVector(coeffs=system.right_vectors @ (filt * projections))
 

@@ -263,6 +263,23 @@ class TestConfigValidationExit:
         assert code == 2
         assert [r["error"] for r in records] == ["bad_field"]
 
+    @pytest.mark.parametrize("override, key", [
+        ({"seed": [3]}, "seed"), ({"grid_resolutoin": 64}, "grid_resolutoin"),
+        ({"curve": {"x1_cos": [0.0, 1.0], "x2_sin": [0.0, 1.0],
+                    "x2_sine": [0.0, 2.0]}}, "x2_sine"),
+    ], ids=["seed", "grid_resolution_typo", "curve_key"])
+    def test_unknown_keys_rejected(self, tmp_path, capsys, override, key):
+        # a misspelt key would otherwise run its default silently
+        path = _write_config(tmp_path / "cfg.json",
+                             **{"grid_resolution": 32, **override})
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 2
+        assert [r["error"] for r in records] == ["unknown_field"]
+        assert repr(key) in records[0]["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_basis_over_budget_rejected_before_evaluation(
             self, tmp_path, capsys, monkeypatch, basis_calls):
         # k=1, delta=1e-16 selects N=19 on the kite: 41 rows at 1022
@@ -379,14 +396,18 @@ class TestCellPipeline:
     def test_data_is_the_impedance_data_of_the_boundary_samples(
             self, tmp_path, k, deltas):
         # each cell's data is the shared impedance formula applied to the
-        # exact samples it keeps, bit for bit
+        # exact samples it keeps, bit for bit, and stays so after its seeds,
+        # which all read that one array
         config = load_config(_write_config(tmp_path / "cfg.json", k=k,
-                                           delta=deltas, grid_resolution=32))
+                                           delta=deltas, seeds=[1, 2],
+                                           grid_resolution=32))
         for cell in cli.wavenumber_cells(cli._prepare(config), k, deltas):
             formed = assembly.impedance_data(k, cell.rule, cell.boundary_exact)
-            assert np.array_equal(cell.data.weighted, formed.weighted)
+            assert np.array_equal(cell.data, formed)
             assert np.array_equal(cell.boundary_exact[0],
                                   cell.exact.value(cell.rule.points))
+            cell.solve(config.seeds)
+            assert cell.data.tobytes() == formed.tobytes()
 
     def test_sweep_row_matches_single_solve(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],

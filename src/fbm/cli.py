@@ -9,11 +9,11 @@ wavenumber_cells, which yields one ``Cell`` (or the error that stopped
 it) per (k, delta); solve and plot are its one-k, one-delta case. A cell
 holds everything that does not depend on the noise seed: the plan,
 problem, quadrature rule, SVD, exact data and the basis values of order
-N + 1 on the boundary and on the interior grid, in the real nested form
-(special.nested_values: rows Re phi_0, Re phi_1, Im phi_1, ...), the one
-form in which the basis is evaluated and passed on; the trace operator
-reads the boundary rows as they are. The grid part
-depends on k alone (delta only picks N), so it is a ``WaveGrid``: the
+N + 1 on the boundary, in the real nested form (special.nested_values:
+rows Re phi_0, Re phi_1, Im phi_1, ...), the one form in which the basis
+is evaluated and passed on; the trace operator reads the boundary rows as
+they are. The grid part depends on k alone (delta only picks N), so the
+cell holds its k's ``WaveGrid``: the interior grid, the plane wave, the
 nested grid basis of order N_top + 1 and the exact grid samples,
 evaluated once per k, with N_top the largest order among the k's cells
 that pass validation. A cell's grid basis is the leading 2N + 3 rows of
@@ -56,7 +56,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -276,8 +276,8 @@ def case_metadata(cell: Cell, result: CaseResult,
         "N": plan.N,
         "alpha": plan.alpha,
         "M_q": cell.rule.size,
-        "grid_resolution": cell.grid.resolution,
-        "grid_excluded_fraction": cell.grid.excluded_fraction,
+        "grid_resolution": cell.shared.grid.resolution,
+        "grid_excluded_fraction": cell.shared.grid.excluded_fraction,
         "seed": result.seed,
         "m_overridden": problem.m_overridden,
         "M": problem.M,
@@ -342,8 +342,9 @@ class Cell:
     operator is formed from them. The plane wave's values and gradients
     there are sampled once, and the data, the weighted (M_q,) complex
     vector that every seed's add_noise reads and none writes, is formed
-    from them. The grid basis and samples are those of the k's WaveGrid,
-    the basis a view of its leading rows. Each seed then costs noise and a
+    from them. The cell holds its k's WaveGrid, ``shared``: the grid, the
+    plane wave, and the grid basis and samples, of which the cell reads the
+    basis's leading rows as a view. Each seed then costs noise and a
     Tikhonov solve, and the seeds share one error pass (fields.error_norms).
     """
 
@@ -352,11 +353,8 @@ class Cell:
     rule: QuadratureRule
     system: SingularSystem
     data: np.ndarray                 # weighted (M_q,) complex
-    exact: PlaneWave
-    grid: InteriorGrid
-    grid_basis: np.ndarray           # nested values of order N + 1, grid
+    shared: WaveGrid                 # the k's grid, wave and grid samples
     boundary_basis: np.ndarray       # nested values of order N + 1, nodes
-    grid_exact: tuple                # exact (values, gradients) at grid.points
     boundary_exact: tuple            # exact (values, gradients) at rule.points
 
     def solve(self, seeds: list[int]) -> list[CaseResult]:
@@ -368,9 +366,11 @@ class Cell:
                                  add_noise(self.data, self.plan.delta, seed,
                                            self.rule),
                                  self.plan.alpha) for seed in seeds]
-        reports = error_norms(self.problem.basis, coeffs, self.grid,
-                              self.rule, self.grid_basis, self.boundary_basis,
-                              self.grid_exact, self.boundary_exact)
+        shared = self.shared
+        reports = error_norms(self.problem.basis, coeffs, shared.grid,
+                              self.rule, shared.rows(self.plan.N),
+                              self.boundary_basis, shared.exact,
+                              self.boundary_exact)
         return [CaseResult(seed=seed, coefficients=c, report=report)
                 for seed, c, report in zip(seeds, coeffs, reports)]
 
@@ -407,10 +407,7 @@ def make_cell(config: ExperimentConfig, shared: WaveGrid,
     boundary_exact = shared.wave.samples(rule.points)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
                 data=impedance_data(problem.k, rule, boundary_exact),
-                exact=shared.wave, grid=shared.grid,
-                grid_basis=shared.rows(plan.N),
-                boundary_basis=boundary_basis,
-                grid_exact=shared.exact,
+                shared=shared, boundary_basis=boundary_basis,
                 boundary_exact=boundary_exact)
 
 
@@ -482,38 +479,36 @@ def write_coefficients_csv(path: str, coeffs: CoefficientVector,
     _write_text(path, lines)
 
 
-_SWEEP_COLUMNS = ("row_type,k,delta,seed,N,alpha,M_q,m_overridden,mu_min,"
-                  "rel_l2_interior,rel_h1semi_interior,rel_l2_boundary,"
-                  "rel_l2_normal_derivative,error")
+# the norm columns are ErrorReport's fields, in their order
+_SWEEP_COLUMNS = ",".join(
+    ["row_type,k,delta,seed,N,alpha,M_q,m_overridden,mu_min",
+     *(norm.name for norm in fields(ErrorReport)), "error"])
 
 
 def _sweep_row(cell: Cell, result: CaseResult) -> str:
-    rep = result.report
     return ",".join([
         "cell", repr(cell.problem.k), repr(cell.plan.delta),
         str(result.seed), str(cell.plan.N), repr(cell.plan.alpha),
         str(cell.rule.size), str(int(cell.problem.m_overridden)),
-        repr(cell.system.mu_min), repr(rep.rel_l2_interior),
-        repr(rep.rel_h1semi_interior), repr(rep.rel_l2_boundary),
-        repr(rep.rel_l2_normal_derivative), ""])
+        repr(cell.system.mu_min),
+        *(repr(getattr(result.report, norm.name))
+          for norm in fields(ErrorReport)), ""])
 
 
 def _failed_row(k: float, delta: float, seed: int, code: str) -> str:
-    return ",".join(["cell", repr(k), repr(delta), str(seed)]
-                    + [""] * 9 + [code])
+    # blank N, alpha, M_q, m_overridden, mu_min and the norms
+    blank = [""] * (5 + len(fields(ErrorReport)))
+    return ",".join(["cell", repr(k), repr(delta), str(seed), *blank, code])
 
 
 def _median_row(cell: Cell, group: list[CaseResult]) -> str:
-    med = lambda pick: np.median([pick(r) for r in group])
     return ",".join([
         "median", repr(cell.problem.k), repr(cell.plan.delta), "",
         str(cell.plan.N), repr(cell.plan.alpha), str(cell.rule.size),
         str(int(cell.problem.m_overridden)),
         f"{cell.system.mu_min:.6e}",
-        f"{med(lambda r: r.report.rel_l2_interior):.6e}",
-        f"{med(lambda r: r.report.rel_h1semi_interior):.6e}",
-        f"{med(lambda r: r.report.rel_l2_boundary):.6e}",
-        f"{med(lambda r: r.report.rel_l2_normal_derivative):.6e}", ""])
+        *(f"{np.median([getattr(r.report, norm.name) for r in group]):.6e}"
+          for norm in fields(ErrorReport)), ""])
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +552,7 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     """Solve a single (k, delta) case and write report + coefficients."""
     cell, result = _solve_case(config)
     meta = case_metadata(cell, result, config)
-    report = {**result.report.as_dict(), "metadata": meta}
+    report = {**asdict(result.report), "metadata": meta}
     write_report_json(os.path.join(out_dir, "report.json"), report)
     write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"),
                            result.coefficients, meta)
@@ -650,7 +645,7 @@ def run_trace_plot(config: ExperimentConfig, out_dir: str) -> tuple[str, str]:
     cell, result = _solve_case(config)
     t = 2.0 * np.pi * np.arange(_TRACE_SAMPLES) / _TRACE_SAMPLES
     points = curve_point(config.curve, t)
-    u_exact = np.real(cell.exact.value(points))
+    u_exact = np.real(cell.shared.wave.value(points))
     u_numeric = np.real(evaluate_field(cell.problem, result.coefficients,
                                        points))
     meta = case_metadata(cell, result, config)

@@ -12,11 +12,11 @@ error_norms reports on several coefficient vectors of one problem at
 once, as on a cell's seeds: their coefficient blocks, folded onto the
 real nested basis rows Re phi_0, Re phi_1, Im phi_1, ..., form real row
 blocks of _SEED_BLOCK vectors each, multiplied by the nested basis values
-one vector at a time per point set (the grid's in blocks of _GRID_BLOCK
-points, so that no pass's products span the whole grid or every seed); the
-squared errors of every vector then come from an in-place subtraction and
-a sum per row of each block's products. error_pass_bytes counts what one
-seed block's products hold.
+per point set in one stacked product, which makes one BLAS call per vector
+(the grid's in blocks of _GRID_BLOCK points, so that no pass's products
+span the whole grid or every seed); the squared errors of every vector
+then come from an in-place subtraction and a sum per row of each block's
+products. error_pass_bytes counts what one seed block's products hold.
 """
 
 from __future__ import annotations
@@ -61,20 +61,13 @@ class InteriorGrid:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """The four relative error norms."""
+    """The four relative error norms. Their field order is the order of
+    the norm columns of sweep.csv."""
 
     rel_l2_interior: float
     rel_h1semi_interior: float
     rel_l2_boundary: float
     rel_l2_normal_derivative: float
-
-    def as_dict(self) -> dict:
-        return {
-            "rel_l2_interior": self.rel_l2_interior,
-            "rel_h1semi_interior": self.rel_h1semi_interior,
-            "rel_l2_boundary": self.rel_l2_boundary,
-            "rel_l2_normal_derivative": self.rel_l2_normal_derivative,
-        }
 
 
 def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
@@ -157,18 +150,6 @@ def _real_rows(values: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _product(block: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """block @ values.T for a (S, 6, 2N+3) row block, as (S, 6, P): one
-    product per vector, each of the shape a one-vector pass makes. A BLAS
-    may round a row of one larger product differently as its row count
-    changes (OpenBLAS 0.3.31 does when P is not a multiple of 8), which
-    would make a vector's rows depend on how many others share its pass."""
-    out = np.empty(block.shape[:2] + values.shape[:1])
-    for rows, vector in zip(block, out):
-        np.matmul(rows, values.T, out=vector)
-    return out
-
-
 def error_pass_bytes(vectors: int, grid_points: int, nodes: int) -> int:
     """Bytes of the largest products error_norms holds at once for
     ``vectors`` coefficient vectors: 48 (Re and Im of u_N and its gradient)
@@ -195,14 +176,18 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     The vectors' ladder_coefficients blocks, folded by
     nested_coefficients, form real (S, 6, 2N+3) row blocks of S =
     _SEED_BLOCK vectors at most: Re and Im of u_N, du_N/dx and du_N/dy per
-    vector. Each vector's rows are multiplied by the order-major values
-    per point set in a product of their own (_product), on the grid
+    vector. The rows are multiplied by the order-major values per point
+    set in one stacked product, np.matmul(block, values.T), on the grid
     _GRID_BLOCK points at a time; the exact rows are subtracted in place
-    and each row's squares summed. Every product has the shape of a
-    one-vector pass's and every later step works row by row, so a report
-    does not depend on which others it was computed with;
-    tests/test_cli.py pins this. A degenerate exact norm raises before any
-    product.
+    and each row's squares summed. The stacked product makes one BLAS call
+    per vector, each of the (6, 2N+3) by (2N+3, P) shape a one-vector pass
+    makes. One fused (6S, 2N+3) product would not do: a BLAS may round a
+    row of a larger product differently as its row count changes (OpenBLAS
+    0.3.31 does when P is not a multiple of 8), which would make a
+    vector's rows depend on how many others share its pass. Every later
+    step works row by row, so a report does not depend on which others it
+    was computed with; tests/test_cli.py pins this. A degenerate exact norm
+    raises before any product.
     """
     u_ex, g_ex = grid_exact
     ub_ex, gb_ex = boundary_exact
@@ -225,11 +210,11 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
             basis, np.stack([c.coeffs for c in vectors])))
         for start in range(0, grid_rows.shape[1], _GRID_BLOCK):
             points = slice(start, start + _GRID_BLOCK)
-            on_grid = _product(block, grid_values[points])
+            on_grid = np.matmul(block, grid_values[points].T)
             on_grid -= grid_rows[:, points]
             on_grid *= on_grid
             grid_sq[group] += on_grid.sum(axis=-1)
-        on_boundary = _product(block, boundary_values)
+        on_boundary = np.matmul(block, boundary_values.T)
         on_boundary -= boundary_rows
         traces = np.concatenate([on_boundary[:, :2],        # Re, Im of u_N - u
                                  on_boundary[:, 2:4] * nx   # and of its normal

@@ -124,7 +124,7 @@ def select_parameters(k: float, delta: float, eta: float, radii: DomainRadii,
     """Pick N and alpha from (k, delta) by the two-branch selection rule.
     An order the basis cannot resolve, N >= N_MAX, is a ValidationError
     order_cap_reached; on a disc-like domain (tau_min = 1) every k > 1
-    selects one."""
+    selects one. An alpha below the float range is 0.0 on either branch."""
     if not 0.0 <= delta < 1.0:
         raise ValidationError("delta_out_of_range",
                               f"delta must lie in [0, 1), got {delta}")
@@ -163,7 +163,12 @@ def select_parameters(k: float, delta: float, eta: float, radii: DomainRadii,
     if branch == "small_k":
         alpha = k * k * delta_eff * tau0 ** (-2 * n_sel)
     else:
-        alpha = delta_eff / (k * tau0 ** (2 * n_sel))
+        try:
+            alpha = delta_eff / (k * tau0 ** (2 * n_sel))
+        except OverflowError:
+            # tau0^(2N) beyond the float range: alpha is 0.0, as where the
+            # small-k branch's tau0^(-2N) underflows
+            alpha = 0.0
     return RegularizationPlan(delta=delta, delta_eff=delta_eff, eta=eta,
                               tau0=tau0, tau_min=tau_min, branch=branch,
                               N=n_sel, alpha=alpha)

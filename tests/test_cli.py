@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -166,6 +167,30 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip())
         assert code == 2
         assert record["error"] == "tau0_too_small"
+
+    def test_tau0_whose_alpha_overflows(self, tmp_path, capsys):
+        # tau0^(2N) beyond the float range on the large-k branch gives
+        # alpha = 0, and the unregularized solve is rank deficient
+        path = _write_config(tmp_path / "cfg.json", k=5.0, delta=0.01,
+                             tau0=1e10, grid_resolution=32)
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        [record] = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("{")]
+        assert code == 3
+        assert record["error"] == "rank_deficient"
+
+    def test_sweep_marks_the_cell_whose_alpha_overflows(self, tmp_path,
+                                                        capsys):
+        path = _write_config(tmp_path / "cfg.json", k=[1.0, 5.0], delta=0.01,
+                             tau0=1e10, seeds=[1, 2], grid_resolution=32)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert code == 0
+        rows = _data_rows(tmp_path / "o" / "sweep.csv")
+        assert rows[0].startswith("cell,1.0,0.01,1,")
+        assert rows[2].startswith("median,1.0,0.01,")
+        assert rows[3:] == [cli._failed_row(5.0, 0.01, seed, "rank_deficient")
+                            for seed in (1, 2)]
 
     def test_unreadable_config(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "missing.json")])
@@ -405,7 +430,7 @@ class TestCellPipeline:
             formed = assembly.impedance_data(k, cell.rule, cell.boundary_exact)
             assert np.array_equal(cell.data, formed)
             assert np.array_equal(cell.boundary_exact[0],
-                                  cell.exact.value(cell.rule.points))
+                                  cell.shared.wave.value(cell.rule.points))
             cell.solve(config.seeds)
             assert cell.data.tobytes() == formed.tobytes()
 
@@ -437,11 +462,12 @@ class TestWaveGrid:
         grid = setup.grid
         cells = list(cli.wavenumber_cells(setup, k, deltas))
         top = max(cell.plan.N for cell in cells)
-        shared = cells[0].grid_basis.base    # the k's (2 N_top + 3, P) rows
+        # the k's (2 N_top + 3, P) rows
+        shared = cells[0].shared.rows(cells[0].plan.N).base
         assert shared.shape == (2 * top + 3, grid.points.shape[0])
         for cell in cells:
             n = cell.plan.N + 1
-            view = cell.grid_basis
+            view = cell.shared.rows(cell.plan.N)
             assert view.base is shared
             assert view.T.flags.c_contiguous
             assert np.array_equal(view, nested_values(cell.problem.basis, n,
@@ -581,7 +607,8 @@ class TestBatchedSeeds:
                                   alone.coefficients.coeffs)
             assert _norms(batched.report) == _norms(alone.report)
             library = error_report(cell.problem, batched.coefficients,
-                                   cell.exact, cell.grid, cell.rule)
+                                   cell.shared.wave, cell.shared.grid,
+                                   cell.rule)
             assert _norms(library) == _norms(batched.report)
 
     @pytest.mark.parametrize("tiny, code", [
@@ -666,8 +693,8 @@ class TestBatchedSeeds:
             grid_resolution=64))
         [cell] = cli.wavenumber_cells(cli._prepare(config), 5.0, [0.01])
         coeffs = [result.coefficients for result in cell.solve(seeds)]
-        args = (cell.grid, cell.rule, cell.grid_basis, cell.boundary_basis,
-                cell.grid_exact, cell.boundary_exact)
+        args = (cell.shared.grid, cell.rule, cell.shared.rows(cell.plan.N),
+                cell.boundary_basis, cell.shared.exact, cell.boundary_exact)
         together = fields.error_norms(cell.problem.basis, coeffs, *args)
         assert len(together) == len(seeds)
         for c, report in zip(coeffs, together):
@@ -715,6 +742,26 @@ class TestRunSweep:
         assert sum(ln.startswith("median,") for ln in lines) == 9
         assert not any(ln.startswith("cell,") and not ln.endswith(",")
                        for ln in lines)  # no marked failures
+
+    def test_every_row_has_the_header_shape(self, tmp_path, capsys):
+        # k = 1e-20 fails (degenerate_exact_norm) and k = 1 solves: every
+        # row, marked, solved or median, has the header's fields
+        path = _write_config(tmp_path / "cfg.json", k=[1e-20, 1.0],
+                             delta=0.01, seeds=[1, 2], grid_resolution=32)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert code == 0
+        lines = [ln for ln in (tmp_path / "o" / "sweep.csv").read_text(
+            encoding="utf-8").splitlines() if not ln.startswith("#")]
+        header = lines[0].split(",")
+        assert len(lines) == 6
+        assert all(len(ln.split(",")) == len(header) for ln in lines[1:])
+        rows = list(csv.DictReader(lines))
+        assert [row["error"] for row in rows] == [
+            "degenerate_exact_norm"] * 2 + [""] * 3
+        for row in rows:
+            assert None not in row
+            assert None not in row.values()
 
     def test_all_cells_failing_is_numerical_failure(self, tmp_path, capsys,
                                                     monkeypatch):

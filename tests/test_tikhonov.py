@@ -222,6 +222,17 @@ class TestSelectParameters:
         with pytest.raises(ValidationError):
             select_parameters(0.0, 0.01, 5.0, kite_radii, 2.2)
 
+    def test_alpha_out_of_float_range_is_zero(self, kite_radii):
+        # tau0^(2N) overflows on the large-k branch and tau0^(-2N)
+        # underflows on the small-k one; either gives alpha = 0
+        plan = select_parameters(5.0, 0.01, 5.0, kite_radii, 1e10)
+        assert (plan.branch, plan.N, plan.alpha) == ("large_k", 20, 0.0)
+        plan = select_parameters(1.0, 0.01, 5.0, kite_radii, 1e30)
+        assert (plan.branch, plan.alpha) == ("small_k", 0.0)
+        # a finite alpha is the formula's, bit for bit
+        plan = select_parameters(5.0, 0.01, 5.0, kite_radii, 1e7)
+        assert plan.alpha == 0.01 / (5.0 * 1e7 ** 40) > 0.0
+
     def test_cap_on_disc_like_domain(self):
         # tau_min = 1 sends the order formula to infinity
         radii = compute_radii(circle_curve(1.0))

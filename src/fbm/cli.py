@@ -16,8 +16,12 @@ they are. The grid part depends on k alone (delta only picks N), so the
 cell holds its k's ``WaveGrid``: the interior grid, the plane wave, the
 nested grid basis of order N_top + 1 and the exact grid samples,
 evaluated once per k, with N_top the largest order among the k's cells
-that pass validation. A cell's grid basis is the leading 2N + 3 rows of
-that array, a view. A seed then costs noise and a Tikhonov solve; the
+that pass validation. It is evaluated after the boundary stages of the
+k's first cell that builds (quadrature, boundary basis, trace operator,
+SVD and data), so the grid basis is not yet allocated while the operator
+and the SVD's workspace are; a k none of whose cells builds evaluates
+none. A cell's grid basis is the leading 2N + 3 rows of that array, a
+view. A seed then costs noise and a Tikhonov solve; the
 error norms of a cell's seeds come from one fields.error_norms pass,
 which takes the seeds and the grid points in fixed blocks. A cell is
 also the unit of failure: no error it can raise depends on the seed, so
@@ -55,7 +59,7 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -313,7 +317,8 @@ class Setup:
 
 @dataclass(frozen=True)
 class WaveGrid:
-    """The interior grid as the cells of one wavenumber see it.
+    """The interior grid as the cells of one wavenumber see it, evaluated
+    after the boundary stages of the k's first cell that builds.
 
     ``values`` are the nested basis values of order N_top + 1 at
     grid.points, as nested_values returns them: the transposed view of an
@@ -344,7 +349,8 @@ class Cell:
     vector that every seed's add_noise reads and none writes, is formed
     from them. The cell holds its k's WaveGrid, ``shared``: the grid, the
     plane wave, and the grid basis and samples, of which the cell reads the
-    basis's leading rows as a view. Each seed then costs noise and a
+    basis's leading rows as a view; the k's first cell evaluates it after
+    its own data. Each seed then costs noise and a
     Tikhonov solve, and the seeds share one error pass (fields.error_norms).
     """
 
@@ -396,18 +402,20 @@ def _plan_cell(setup: Setup, k: float,
     return plan, nodes, make_problem(setup.radii, k, setup.tau0, plan.N)
 
 
-def make_cell(config: ExperimentConfig, shared: WaveGrid,
-              plan: RegularizationPlan, nodes: int,
-              problem: WaveProblem) -> Cell:
+def make_cell(config: ExperimentConfig, wave: PlaneWave,
+              grid_side: Callable[[], WaveGrid], plan: RegularizationPlan,
+              nodes: int, problem: WaveProblem) -> Cell:
     """Quadrature -> boundary basis -> operator -> SVD -> data of a cell
-    planned by _plan_cell, on its k's WaveGrid."""
+    planned by _plan_cell, on its k's plane wave, then its k's WaveGrid
+    from grid_side, which evaluates it on its first call: the grid basis
+    is not allocated under the operator and the SVD."""
     rule = build_quadrature(config.curve, nodes)
     boundary_basis = nested_values(problem.basis, plan.N + 1, rule.points)
     system = svd(trace_operator(problem, rule, boundary_basis))
-    boundary_exact = shared.wave.samples(rule.points)
+    boundary_exact = wave.samples(rule.points)
+    data = impedance_data(problem.k, rule, boundary_exact)
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
-                data=impedance_data(problem.k, rule, boundary_exact),
-                shared=shared, boundary_basis=boundary_basis,
+                data=data, shared=grid_side(), boundary_basis=boundary_basis,
                 boundary_exact=boundary_exact)
 
 
@@ -416,11 +424,12 @@ def wavenumber_cells(setup: Setup, k: float,
     """The cells of k, one Cell or FbmError per delta in order: the path of
     every command to a Cell. Each delta is planned once (_plan_cell); the
     cells that pass share one WaveGrid of the largest order among them,
-    and a delta that fails yields its error without planning again. With
-    no passing delta no basis is evaluated. An error yielded here and one
-    that Cell.solve raises later are alike the cell's one failure. Each
-    cell is built when asked for, after the generator has dropped the one
-    before, so a consumer that drops a cell before asking for the next
+    evaluated when the first of them has finished its boundary stages, and
+    a delta that fails yields its error without planning again. A k none
+    of whose cells builds evaluates no grid basis. An error yielded here
+    and one that Cell.solve raises later are alike the cell's one failure.
+    Each cell is built when asked for, after the generator has dropped the
+    one before, so a consumer that drops a cell before asking for the next
     holds one at a time."""
     plans: list = []
     for delta in deltas:
@@ -429,18 +438,24 @@ def wavenumber_cells(setup: Setup, k: float,
         except FbmError as exc:
             plans.append(exc)
     passed = [p for p in plans if not isinstance(p, FbmError)]
-    if passed:
-        [basis] = {problem.basis for _, _, problem in passed}
-        top = max(plan.N for plan, _, _ in passed)
-        points = setup.grid.points
-        wave = PlaneWave(k=k, direction=setup.config.direction)
-        shared = WaveGrid(grid=setup.grid,
-                          values=nested_values(basis, top + 1, points),
-                          wave=wave, exact=wave.samples(points))
+    wave = PlaneWave(k=k, direction=setup.config.direction)
+    shared: WaveGrid | None = None
+
+    def grid_side() -> WaveGrid:
+        nonlocal shared
+        if shared is None:
+            [basis] = {problem.basis for _, _, problem in passed}
+            top = max(plan.N for plan, _, _ in passed)
+            points = setup.grid.points
+            shared = WaveGrid(grid=setup.grid,
+                              values=nested_values(basis, top + 1, points),
+                              wave=wave, exact=wave.samples(points))
+        return shared
+
     for outcome in plans:
         if not isinstance(outcome, FbmError):
             try:
-                outcome = make_cell(setup.config, shared, *outcome)
+                outcome = make_cell(setup.config, wave, grid_side, *outcome)
             except FbmError as exc:
                 outcome = exc
         yield outcome

@@ -39,6 +39,10 @@ _RANK_TOL = 1e-13
 # an ellipse, k = 0.5..20, 3 ran 2.7-4.0x faster than one SVD per order;
 # 2 took the full eigensystem at up to 53 of 77 orders; 4 cost 30 % more.
 _KRYLOV_DEPTH = 3
+# The decay study fits its slope over the orders whose mu_min exceeds this
+# many eps times the operator's largest column norm c_max; below, mu_min is
+# rounding (on the kite at k = 1 the floor sits near 0.7 eps c_max).
+_FLOOR_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -188,11 +192,17 @@ def mu_min_bound(k: float, r_in: float, r_ex: float, N: int,
 
 @dataclass(frozen=True)
 class DecayStudy:
-    """Smallest singular value as a function of truncation order."""
+    """Smallest singular value as a function of truncation order.
+
+    ``slope`` is the least-squares slope of ln(mu_min) against N over the
+    orders whose mu_min lies above the rounding floor, 100 eps c_max with
+    c_max the operator's largest column norm, and None where fewer than
+    two orders do.
+    """
 
     orders: np.ndarray               # (L,) ints, ascending
     mu_min: np.ndarray               # (L,) positive
-    slope: float | None              # least-squares slope of ln(mu_min) vs N
+    slope: float | None              # d ln(mu_min) / dN above the floor
     node_count: int                  # size of the one quadrature rule used
 
     def bound_products(self, tau0: float) -> np.ndarray:
@@ -256,8 +266,9 @@ def _leading_block_mu_min(r: np.ndarray, sizes) -> np.ndarray:
 def svd_decay_study(curve: BoundaryCurve, radii: DomainRadii, k: float,
                     tau0: float, n_list, node_count: int | None = None) -> DecayStudy:
     """mu_min for each N of n_list, and the slope of ln(mu_min) against N
-    fitted over every one of them (None for one order), those whose mu_min
-    sits on the rounding floor included. One rule (node_count nodes, else
+    fitted over the orders whose mu_min exceeds the rounding floor
+    _FLOOR_FACTOR * eps * c_max, c_max the operator's largest column norm
+    (None where fewer than two do). One rule (node_count nodes, else
     default_node_count of the largest order) and one operator at the
     largest order serve every order: its columns are permuted to n = 0, 1,
     -1, 2, -2, ..., so the leading (2N+1) x (2N+1) block of the R of one
@@ -280,6 +291,10 @@ def svd_decay_study(curve: BoundaryCurve, radii: DomainRadii, k: float,
     nested = np.argsort(2 * np.abs(n) - (n > 0))    # n = 0, 1, -1, 2, -2, ...
     r = np.linalg.qr(assemble_operator(problem, rule)[:, nested], mode="r")
     mus = _leading_block_mu_min(r, 2 * orders + 1)
-    slope = (float(np.polyfit(orders.astype(float), np.log(mus), 1)[0])
-             if orders.size >= 2 else None)
+    # R's column norms are the operator's
+    floor = _FLOOR_FACTOR * np.finfo(float).eps * np.linalg.norm(r, axis=0).max()
+    fitted = mus > floor
+    slope = (float(np.polyfit(orders[fitted].astype(float),
+                              np.log(mus[fitted]), 1)[0])
+             if np.count_nonzero(fitted) >= 2 else None)
     return DecayStudy(orders=orders, mu_min=mus, slope=slope, node_count=rule.size)

@@ -367,18 +367,37 @@ class TestCellPipeline:
         path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], delta=[0.01],
                              seeds=[1, 2, 3], grid_resolution=64)
         run_sweep(load_config(path), str(tmp_path / "sweep"))
-        # N = 8 at both k: per k one grid basis (1022 points), then the
-        # cell's boundary (256 nodes)
-        assert basis_calls == [("nested_values", 9, 1022),
-                               ("nested_values", 9, 256)] * 2
+        # N = 8 at both k: per k the cell's boundary (256 nodes), then one
+        # grid basis (1022 points)
+        assert basis_calls == [("nested_values", 9, 256),
+                               ("nested_values", 9, 1022)] * 2
         basis_calls.clear()
         run_solve(load_config(_write_config(tmp_path / "one.json",
                                             grid_resolution=64)),
                   str(tmp_path / "solve"))
-        # N = 19: one k and one delta of the sweep's path, so the grid
-        # basis first, then the cell's boundary (368 nodes)
-        assert basis_calls == [("nested_values", 20, 1022),
-                               ("nested_values", 20, 368)]
+        # N = 19: one k and one delta of the sweep's path, so the cell's
+        # boundary (368 nodes) first, then the grid basis
+        assert basis_calls == [("nested_values", 20, 368),
+                               ("nested_values", 20, 1022)]
+
+    def test_solve_runs_svd_before_grid_basis(self, tmp_path, monkeypatch,
+                                              basis_calls):
+        # the grid basis is evaluated after the cell's SVD, so it is not
+        # allocated while the trace operator and the SVD's workspace are
+        svd = cli.svd
+
+        def counted(matrix):
+            basis_calls.append(("svd", matrix.shape))
+            return svd(matrix)
+
+        monkeypatch.setattr(cli, "svd", counted)
+        run_solve(load_config(_write_config(tmp_path / "one.json",
+                                            grid_resolution=64)),
+                  str(tmp_path / "solve"))
+        # N = 19: 368 nodes, 39 columns
+        assert basis_calls == [("nested_values", 20, 368),
+                               ("svd", (368, 39)),
+                               ("nested_values", 20, 1022)]
 
     def test_sweep_holds_one_cell_at_a_time(self, tmp_path, monkeypatch):
         # no cell of the sweep is alive while the next one is built
@@ -497,12 +516,12 @@ class TestWaveGrid:
                              delta=[1e-16, 0.01, 0.05], seeds=[1, 2],
                              grid_resolution=64)
         run_sweep(load_config(path), str(tmp_path / "sweep"))
-        # the grid's, then 3 boundaries
-        assert basis_calls == [("nested_values", 20, 1022),
-                               ("nested_values", 20, 368),
+        # the first boundary, the grid's, then the other 2 boundaries
+        assert basis_calls == [("nested_values", 20, 368),
+                               ("nested_values", 20, 1022),
                                ("nested_values", 9, 256),
                                ("nested_values", 7, 256)]
-        assert sampled == [1022, 368, 256, 256]
+        assert sampled == [368, 1022, 256, 256]
 
     @pytest.mark.parametrize("k", [1.0, 5.0])
     def test_multi_delta_rows_match_single_solve(self, tmp_path, k):
@@ -537,9 +556,9 @@ class TestWaveGrid:
         code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         capsys.readouterr()
         assert code == 0
-        # the k = 1 grid, 2 boundaries
-        assert basis_calls == [("nested_values", 45, 1022),
-                               ("nested_values", 45, 768),
+        # the first k = 1 boundary, the k = 1 grid, the second boundary
+        assert basis_calls == [("nested_values", 45, 768),
+                               ("nested_values", 45, 1022),
                                ("nested_values", 21, 384)]
         failed = [row for row in _data_rows(tmp_path / "o" / "sweep.csv")
                   if not row.endswith(",")]
@@ -549,6 +568,36 @@ class TestWaveGrid:
                     (65.0, 0.2, "wavenumber_unresolvable")]
         assert failed == [cli._failed_row(k, d, seed, code)
                           for k, d, code in expected for seed in (1, 2)]
+
+    def test_wavenumber_whose_cells_all_fail_evaluates_no_grid_basis(
+            self, tmp_path, capsys, monkeypatch, basis_calls):
+        # the SVD fails on both k = 1 operators (N = 8 and 6: 17 and 13
+        # columns) and on none of k = 5's, so only k = 5 evaluates a grid
+        svd = cli.svd
+
+        def failing(matrix):
+            if matrix.shape[1] < 20:
+                raise NumericalError("svd_failed", "no convergence")
+            return svd(matrix)
+
+        monkeypatch.setattr(cli, "svd", failing)
+        path = _write_config(tmp_path / "cfg.json", k=[1.0, 5.0],
+                             delta=[0.01, 0.05], seeds=[1, 2],
+                             grid_resolution=64)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert code == 0
+        # the two k = 1 boundaries, then k = 5's first boundary, its grid
+        # and its second boundary
+        assert basis_calls == [("nested_values", 9, 256),
+                               ("nested_values", 7, 256),
+                               ("nested_values", 21, 384),
+                               ("nested_values", 21, 1022),
+                               ("nested_values", 19, 352)]
+        failed = [row for row in _data_rows(tmp_path / "o" / "sweep.csv")
+                  if not row.endswith(",")]
+        assert failed == [cli._failed_row(1.0, d, seed, "svd_failed")
+                          for d in (0.01, 0.05) for seed in (1, 2)]
 
     def test_capped_order_warns_once_per_cell(self, tmp_path, caplog,
                                               monkeypatch):
@@ -797,10 +846,10 @@ class TestRunSweep:
         # one cell fails validation (M_q = 8), the other numerically
         make_cell = cli.make_cell
 
-        def failing(config, shared, plan, nodes, problem):
+        def failing(config, wave, grid_side, plan, nodes, problem):
             if problem.k == 1.0:
                 raise NumericalError("svd_failed", "no convergence")
-            return make_cell(config, shared, plan, nodes, problem)
+            return make_cell(config, wave, grid_side, plan, nodes, problem)
 
         monkeypatch.setattr(cli, "make_cell", failing)
         path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], M_q=8,
@@ -870,6 +919,14 @@ class TestRunSvdStudy:
     def test_single_order_footer(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json")
         out = run_svd_study(load_config(path), str(tmp_path / "out"), [6])
+        assert Path(out).read_text(encoding="utf-8").splitlines()[-1] \
+            == "# fitted_slope=n/a"
+
+    def test_orders_on_the_rounding_floor_footer(self, tmp_path):
+        # mu_min at N = 78 and 80 sits on the floor (~1e-14 at k = 1): no
+        # two orders above it, so no slope
+        path = _write_config(tmp_path / "cfg.json")
+        out = run_svd_study(load_config(path), str(tmp_path / "out"), [78, 80])
         assert Path(out).read_text(encoding="utf-8").splitlines()[-1] \
             == "# fitted_slope=n/a"
 

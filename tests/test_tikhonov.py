@@ -9,7 +9,7 @@ from fbm.assembly import (assemble_operator, boundary_data_from_weighted,
                           make_problem, plane_wave_data)
 from fbm.errors import NumericalError, ValidationError
 from fbm.geometry import (DomainRadii, build_quadrature, circle_curve,
-                          compute_radii, default_node_count)
+                          compute_radii, default_node_count, named_curve)
 from fbm.tikhonov import (_leading_block_mu_min, mu_min_bound,
                           select_parameters, svd, svd_decay_study,
                           tikhonov_solve)
@@ -292,6 +292,39 @@ class TestDecayStudy:
         radii = compute_radii(curve)
         study = svd_decay_study(curve, radii, 1.0, 2.0, range(4, 25, 2))
         assert study.slope == pytest.approx(-math.log(2.0), rel=0.15)
+
+    def test_slope_fitted_above_the_rounding_floor(self, kite, kite_radii):
+        # svd --N 4..80:2 at k = 1: mu_min of the last 13 orders sits near
+        # 1e-14, on the floor; the slope is fitted over the 26 above
+        # 100 eps c_max, c_max the operator's largest column norm
+        orders = range(4, 81, 2)
+        study = svd_decay_study(kite, kite_radii, 1.0, 2.2, orders)
+        rule = build_quadrature(kite, study.node_count)
+        operator = assemble_operator(make_problem(kite_radii, 1.0, 2.2, 80),
+                                     rule)
+        floor = 100 * np.finfo(float).eps * np.linalg.norm(operator,
+                                                           axis=0).max()
+        assert np.count_nonzero(study.mu_min > floor) == 26
+        logs = np.log(study.mu_min)
+        x = study.orders.astype(float)
+        assert study.slope == float(np.polyfit(x[:26], logs[:26], 1)[0])
+        assert study.slope == pytest.approx(-0.550, abs=1e-3)
+        # every order, the floor's included, would read -0.484
+        assert np.polyfit(x, logs, 1)[0] == pytest.approx(-0.484, abs=1e-3)
+        # orders all on the floor leave no slope
+        assert svd_decay_study(kite, kite_radii, 1.0, 2.2,
+                               [78, 80]).slope is None
+
+    @pytest.mark.parametrize("spec, tau0, orders", [
+        ("kite", 2.2, range(4, 25)), ("ellipse:1.5,1", 1.53, range(4, 81, 2))])
+    def test_slope_over_every_order_above_the_floor(self, spec, tau0, orders):
+        # no order reaches the floor: the slope is the fit over all of them
+        # (the ellipse at its "auto" tau0, 1.02 tau_min rounded up)
+        curve = named_curve(spec)
+        radii = compute_radii(curve)
+        study = svd_decay_study(curve, radii, 1.0, tau0, orders)
+        assert study.slope == float(np.polyfit(
+            study.orders.astype(float), np.log(study.mu_min), 1)[0])
 
     def test_values_only_svd_matches_full_svd(self, kite, kite_radii):
         # the study takes singular values without vectors, which LAPACK

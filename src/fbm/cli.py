@@ -5,25 +5,26 @@ measure the domain radii, select (N, alpha) from (k, delta), then solve
 the regularized normal equation and report relative errors.
 
 solve, sweep and plot reach their cells through one function,
-wavenumber_cells, which yields one ``Cell`` (or the error that stopped
-it) per (k, delta); solve and plot are its one-k, one-delta case. A cell
-holds everything that does not depend on the noise seed: the plan,
-problem, quadrature rule, SVD, exact data and the basis values of order
-N + 1 on the boundary, in the real nested form (special.nested_values:
-rows Re phi_0, Re phi_1, Im phi_1, ...), the one form in which the basis
-is evaluated and passed on; the trace operator reads the boundary rows as
-they are. The grid part depends on k alone (delta only picks N), so the
-cell holds its k's ``WaveGrid``: the interior grid, the plane wave, the
-nested grid basis of order N_top + 1 and the exact grid samples,
-evaluated once per k, with N_top the largest order among the k's cells
-that pass validation. It is evaluated after the boundary stages of the
-k's first cell that builds (quadrature, boundary basis, trace operator,
-SVD and data), so the grid basis is not yet allocated while the operator
-and the SVD's workspace are; a k none of whose cells builds evaluates
-none. A cell's grid basis is the leading 2N + 3 rows of that array, a
-view. A seed then costs noise and a Tikhonov solve; the
-error norms of a cell's seeds come from one fields.error_norms pass,
-which takes the seeds and the grid points in fixed blocks. A cell is
+wavenumber_cells, the one owner of a cell's stages: it plans, builds and
+solves each (k, delta) cell and yields the ``Cell`` with its seeds'
+results, or the one error that stopped it; solve and plot are its one-k,
+one-delta case. A cell holds everything that does not depend on the noise
+seed: the plan, problem, quadrature rule, SVD, exact data and the basis
+values of order N + 1 on the boundary, in the real nested form
+(special.nested_values: rows Re phi_0, Re phi_1, Im phi_1, ...), the one
+form in which the basis is evaluated and passed on; the trace operator
+reads the boundary rows as they are. The grid part depends on k alone
+(delta only picks N), so the cell holds its k's ``WaveGrid``: the interior
+grid, the plane wave, the nested grid basis of order N_top + 1 and the
+exact grid samples, evaluated once per k, with N_top the largest order
+among the k's cells that pass validation. It is evaluated after the
+boundary stages of the k's first cell that builds (quadrature, boundary
+basis, trace operator, SVD and data), so the grid basis is not yet
+allocated while the operator and the SVD's workspace are; a k none of
+whose cells builds evaluates none. A cell's grid basis is the leading
+2N + 3 rows of that array, a view. A seed then costs noise and a Tikhonov
+solve; the error norms of a cell's seeds come from one fields.error_norms
+pass, which takes the seeds and the grid points in fixed blocks. A cell is
 also the unit of failure: no error it can raise depends on the seed, so
 it solves every seed or fails as a whole, and a sweep marks every seed
 row of a failed cell with the error's code.
@@ -59,7 +60,7 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -349,8 +350,8 @@ class Cell:
     vector that every seed's add_noise reads and none writes, is formed
     from them. The cell holds its k's WaveGrid, ``shared``: the grid, the
     plane wave, and the grid basis and samples, of which the cell reads the
-    basis's leading rows as a view; the k's first cell evaluates it after
-    its own data. Each seed then costs noise and a
+    basis's leading rows as a view; make_cell evaluates it after the data
+    of the k's first cell that builds. Each seed then costs noise and a
     Tikhonov solve, and the seeds share one error pass (fields.error_norms).
     """
 
@@ -367,7 +368,7 @@ class Cell:
         """Noise -> Tikhonov solve per seed, then one error pass over them
         all. What can fail here depends on delta, alpha, the SVD and the
         exact data, never on the seed, so an FbmError is the cell's and
-        propagates."""
+        propagates to wavenumber_cells."""
         coeffs = [tikhonov_solve(self.system,
                                  add_noise(self.data, self.plan.delta, seed,
                                            self.rule),
@@ -381,8 +382,8 @@ class Cell:
                 for seed, c, report in zip(seeds, coeffs, reports)]
 
 
-def _plan_cell(setup: Setup, k: float,
-               delta: float) -> tuple[RegularizationPlan, int, WaveProblem]:
+def _plan_cell(setup: Setup, k: float, delta: float,
+               seed_count: int) -> tuple[RegularizationPlan, int, WaveProblem]:
     """Plan, quadrature size and problem of a (k, delta) cell, with every
     check that must pass before any of its bases is evaluated."""
     config = setup.config
@@ -391,73 +392,71 @@ def _plan_cell(setup: Setup, k: float,
     grid_points = setup.grid.points.shape[0]
     rows = 2 * plan.N + 3
     needed = (8 * rows * (grid_points + nodes) + 32 * rows * nodes
-              + error_pass_bytes(len(config.seeds), grid_points, nodes))
+              + error_pass_bytes(seed_count, grid_points, nodes))
     if needed > BASIS_BUDGET_BYTES:
         raise ValidationError(
             "problem_too_large",
             f"k={k}, delta={delta} (N={plan.N}, M_q={nodes}, "
-            f"{grid_points} grid points, {len(config.seeds)} seeds) needs "
+            f"{grid_points} grid points, {seed_count} seeds) needs "
             f"{needed} bytes of bases, singular vectors and error-pass "
             f"products, above {BASIS_BUDGET_BYTES}")
     return plan, nodes, make_problem(setup.radii, k, setup.tau0, plan.N)
 
 
-def make_cell(config: ExperimentConfig, wave: PlaneWave,
-              grid_side: Callable[[], WaveGrid], plan: RegularizationPlan,
-              nodes: int, problem: WaveProblem) -> Cell:
+def make_cell(setup: Setup, wave: PlaneWave, shared: WaveGrid | None,
+              top: int, plan: RegularizationPlan, nodes: int,
+              problem: WaveProblem) -> Cell:
     """Quadrature -> boundary basis -> operator -> SVD -> data of a cell
-    planned by _plan_cell, on its k's plane wave, then its k's WaveGrid
-    from grid_side, which evaluates it on its first call: the grid basis
-    is not allocated under the operator and the SVD."""
-    rule = build_quadrature(config.curve, nodes)
+    planned by _plan_cell, on its k's plane wave, then its k's WaveGrid:
+    ``shared``, or, when that is None, a new one of order top + 1 on
+    setup.grid, evaluated only now, so that the grid basis is not allocated
+    under the operator and the SVD."""
+    rule = build_quadrature(setup.config.curve, nodes)
     boundary_basis = nested_values(problem.basis, plan.N + 1, rule.points)
     system = svd(trace_operator(problem, rule, boundary_basis))
     boundary_exact = wave.samples(rule.points)
     data = impedance_data(problem.k, rule, boundary_exact)
+    if shared is None:
+        points = setup.grid.points
+        shared = WaveGrid(grid=setup.grid,
+                          values=nested_values(problem.basis, top + 1, points),
+                          wave=wave, exact=wave.samples(points))
     return Cell(plan=plan, problem=problem, rule=rule, system=system,
-                data=data, shared=grid_side(), boundary_basis=boundary_basis,
+                data=data, shared=shared, boundary_basis=boundary_basis,
                 boundary_exact=boundary_exact)
 
 
-def wavenumber_cells(setup: Setup, k: float,
-                     deltas: list) -> Iterator[Cell | FbmError]:
-    """The cells of k, one Cell or FbmError per delta in order: the path of
-    every command to a Cell. Each delta is planned once (_plan_cell); the
-    cells that pass share one WaveGrid of the largest order among them,
-    evaluated when the first of them has finished its boundary stages, and
-    a delta that fails yields its error without planning again. A k none
-    of whose cells builds evaluates no grid basis. An error yielded here
-    and one that Cell.solve raises later are alike the cell's one failure.
-    Each cell is built when asked for, after the generator has dropped the
-    one before, so a consumer that drops a cell before asking for the next
-    holds one at a time."""
+def wavenumber_cells(setup: Setup, k: float, deltas: list, seeds: list[int]
+                     ) -> Iterator[tuple[Cell, list[CaseResult]] | FbmError]:
+    """The cells of k solved for seeds: per delta in order, the Cell and
+    its results, or the one FbmError that stopped it in planning (once per
+    delta), make_cell or Cell.solve, without the traceback whose frames
+    would keep the cell or the k's WaveGrid alive. The cells that pass
+    planning share one WaveGrid of the largest order among them, evaluated
+    by the first that finishes its boundary stages, so a k none of whose
+    cells builds evaluates no grid basis. Each cell is built when asked
+    for, after the generator has dropped the one before, so a consumer
+    that drops a cell before asking for the next holds one at a time."""
     plans: list = []
     for delta in deltas:
         try:
-            plans.append(_plan_cell(setup, k, delta))
+            plans.append(_plan_cell(setup, k, delta, len(seeds)))
         except FbmError as exc:
-            plans.append(exc)
-    passed = [p for p in plans if not isinstance(p, FbmError)]
+            plans.append(exc.with_traceback(None))
+    top = max((p[0].N for p in plans if not isinstance(p, FbmError)),
+              default=0)
     wave = PlaneWave(k=k, direction=setup.config.direction)
     shared: WaveGrid | None = None
-
-    def grid_side() -> WaveGrid:
-        nonlocal shared
-        if shared is None:
-            [basis] = {problem.basis for _, _, problem in passed}
-            top = max(plan.N for plan, _, _ in passed)
-            points = setup.grid.points
-            shared = WaveGrid(grid=setup.grid,
-                              values=nested_values(basis, top + 1, points),
-                              wave=wave, exact=wave.samples(points))
-        return shared
-
+    # outcome alone names a cell: a second name, even one cleared before the
+    # yield, has made the reference sweep fault its heap in on every call
     for outcome in plans:
         if not isinstance(outcome, FbmError):
             try:
-                outcome = make_cell(setup.config, wave, grid_side, *outcome)
+                outcome = make_cell(setup, wave, shared, top, *outcome)
+                shared = outcome.shared
+                outcome = outcome, outcome.solve(seeds)
             except FbmError as exc:
-                outcome = exc
+                outcome = exc.with_traceback(None)
         yield outcome
 
 
@@ -551,15 +550,16 @@ def _prepare(config: ExperimentConfig) -> Setup:
 
 
 def _solve_case(config: ExperimentConfig) -> tuple[Cell, CaseResult]:
-    """The config's single (k, delta) cell and its result for the first
-    seed, the one-k, one-delta case of wavenumber_cells, which solve and
-    plot run; raises the FbmError of either."""
+    """The config's single (k, delta) cell solved for its first seed, the
+    one-k, one-delta case of wavenumber_cells, which solve and plot run;
+    raises the FbmError that stopped the cell."""
     k = _single(config.k_list, "k")
     delta = _single(config.delta_list, "delta")
-    [cell] = wavenumber_cells(_prepare(config), k, [delta])
-    if isinstance(cell, FbmError):
-        raise cell
-    [result] = cell.solve(config.seeds[:1])
+    [outcome] = wavenumber_cells(_prepare(config), k, [delta],
+                                 config.seeds[:1])
+    if isinstance(outcome, FbmError):
+        raise outcome
+    cell, [result] = outcome
     return cell, result
 
 
@@ -578,18 +578,17 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
 
 
 def _cell_rows(config: ExperimentConfig, k: float, delta: float,
-               cell: Cell | FbmError) -> tuple[list[str], FbmError | None]:
-    """The rows of one (k, delta) cell and its error: a row per seed and a
-    median row, or, where the cell failed (as wavenumber_cells yielded it
-    or in Cell.solve), a row per seed marked with the error's code."""
-    try:
-        if isinstance(cell, FbmError):
-            raise cell
-        results = cell.solve(config.seeds)
-    except FbmError as exc:
-        logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta, exc)
-        return [_failed_row(k, delta, seed, exc.code)
-                for seed in config.seeds], exc
+               outcome: tuple[Cell, list[CaseResult]] | FbmError
+               ) -> tuple[list[str], FbmError | None]:
+    """The rows of one (k, delta) cell as wavenumber_cells yielded it, and
+    its error: a row per seed and a median row, or, where the cell failed,
+    a row per seed marked with the error's code."""
+    if isinstance(outcome, FbmError):
+        logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta,
+                       outcome)
+        return [_failed_row(k, delta, seed, outcome.code)
+                for seed in config.seeds], outcome
+    cell, results = outcome
     return ([_sweep_row(cell, result) for result in results]
             + [_median_row(cell, results)], None)
 
@@ -607,7 +606,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
     for k in config.k_list:
         # next() rather than zip, whose reused result tuple would keep each
         # cell alive while the next one is built
-        cells = wavenumber_cells(setup, k, config.delta_list)
+        cells = wavenumber_cells(setup, k, config.delta_list, config.seeds)
         for delta in config.delta_list:
             rows, error = _cell_rows(config, k, delta, next(cells))
             all_rows += rows

@@ -30,15 +30,13 @@ import numpy as np
 from .assembly import PlaneWave, WaveProblem
 from .errors import NumericalError, ValidationError
 from .geometry import (BoundaryCurve, DomainRadii, QuadratureRule,
-                       grid_boundary_distance, grid_interior_mask)
+                       grid_interior_mask, grid_near_boundary)
 from .special import (BasisContext, ladder_coefficients, nested_coefficients,
                       nested_values)
 from .tikhonov import CoefficientVector
 
 logger = logging.getLogger(__name__)
 
-# edges of the polygon that measures the grid's clearance from the boundary
-_DISTANCE_EDGES = 256
 # Grid points per product and coefficient vectors per pass of the error
 # pass. The grid block is fixed, so that a vector's sums do not depend on how
 # many others share its pass; at ten seeds a pass's products on one grid
@@ -77,7 +75,7 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
     Points closer than one cell diagonal to a 256-edge polygon of the
     boundary are dropped. Each interior point is measured only against the
     edges whose bounding boxes, widened by the clearance plus one grid
-    step, contain it (grid_boundary_distance); a point in no such box is
+    step, contain it (grid_near_boundary); a point in no such box is
     farther than that from every edge and is kept unmeasured. The points,
     their row-major order and ``excluded_fraction`` are those of measuring
     every interior point against every edge.
@@ -89,18 +87,16 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
     step = 2.0 * half / resolution
     centers = -half + step * (np.arange(resolution) + 0.5)
     inside = grid_interior_mask(curve, centers, centers)
-    xx, yy = np.meshgrid(centers, centers)
-    interior_pts = np.column_stack([xx[inside], yy[inside]])
     clearance = step * np.sqrt(2.0)                      # one cell diagonal
     # a step of slack beyond the clearance keeps rounding from deciding
     # whether an edge is measured against a point that it could exclude
-    keep = grid_boundary_distance(curve, centers, centers, inside,
-                                  clearance + step,
-                                  _DISTANCE_EDGES) >= clearance
-    excluded = 1.0 - keep.sum() / max(1, interior_pts.shape[0])
+    keep = inside & ~grid_near_boundary(curve, centers, centers, inside,
+                                        clearance, clearance + step)
+    excluded = 1.0 - keep.sum() / max(1, inside.sum())
     logger.debug("interior grid: %d points, %.2f%% near-boundary cells dropped",
                  int(keep.sum()), 100.0 * excluded)
-    kept = interior_pts[keep]
+    xx, yy = np.meshgrid(centers, centers)
+    kept = np.column_stack([xx[keep], yy[keep]])
     if kept.shape[0] == 0:
         raise NumericalError("empty_interior_grid",
                              "no interior grid points survived masking")

@@ -30,6 +30,7 @@ _MIN_SPEED = 1e-9
 _GOLDEN_TOL = 1e-6
 _PAIR_CHUNK = 2 ** 16            # (cell, edge) pairs per narrow-phase block
 _INTERIOR_EDGES = 2048           # polygon edges of the interior tests
+_DISTANCE_EDGES = 256            # polygon edges of the grid's clearance test
 # Terms per Fourier series of a curve. Curve validation, the quadrature and
 # the boundary polygons each build (samples x terms) tables, so an uncapped
 # list costs memory in proportion to its length; the kite uses 3 terms.
@@ -300,27 +301,27 @@ def grid_interior_mask(curve: BoundaryCurve, xs: np.ndarray,
     return np.cumsum(flips, axis=1, dtype=np.uint8) % 2 == 1
 
 
-def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
-                           ys: np.ndarray, cells: np.ndarray, reach: float,
-                           resolution: int) -> np.ndarray:
-    """Distance from the centres of the marked cells of a tensor grid to
-    the polygon, each measured only against the edges whose bounding
-    boxes, widened by ``reach``, contain it.
+def grid_near_boundary(curve: BoundaryCurve, xs: np.ndarray, ys: np.ndarray,
+                       cells: np.ndarray, clearance: float,
+                       reach: float) -> np.ndarray:
+    """Which marked cells of a tensor grid lie closer than ``clearance`` to
+    the 256-edge polygon, as a (len(ys), len(xs)) bool mask.
 
-    ``cells`` is a (len(ys), len(xs)) bool mask; the result holds one
-    distance per marked cell, in row-major order. The distance to a
-    segment is at least the distance to its bounding box along each axis,
-    so an edge whose widened box misses a centre lies farther than
-    ``reach`` from it, up to the rounding of the box corners. Where the
-    distance is at most ``reach`` it is therefore the distance to the
-    whole polygon, bit for bit (the nearest edge is among the measured
-    ones), and elsewhere it exceeds ``reach``; it is inf where no box
-    contains the centre. Each edge's box is a block of grid rows and
-    columns found by searchsorted, so no centre is tested against an edge
-    far from it; the (centre, edge) pairs are measured _PAIR_CHUNK at a
-    time. xs and ys must be ascending.
+    ``cells`` is a (len(ys), len(xs)) bool mask of the cells to test; an
+    unmarked cell is never near. Each marked centre is measured only
+    against the edges whose bounding boxes, widened by ``reach``, contain
+    it. The distance to a segment is at least the distance to its bounding
+    box along each axis, so an edge whose widened box misses a centre lies
+    farther than ``reach`` from it, up to the rounding of the box corners;
+    with ``reach`` some slack above ``clearance``, a centre closer than
+    that to the polygon is therefore measured against its nearest edge,
+    and the mask is bit for bit that of comparing its whole distance to
+    the polygon with ``clearance``. Each edge's box is a block of grid rows
+    and columns found by searchsorted, so no centre is tested against an
+    edge far from it; the (centre, edge) pairs are measured _PAIR_CHUNK at
+    a time. xs and ys must be ascending.
     """
-    poly = _polygon(curve, resolution)
+    poly = _polygon(curve, _DISTANCE_EDGES)
     ends = np.roll(poly, -1, axis=0)
     lo = np.minimum(poly, ends) - reach                 # widened boxes (E, 2)
     hi = np.maximum(poly, ends) + reach
@@ -332,10 +333,7 @@ def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
     edge = np.repeat(np.arange(poly.shape[0]), height)
     row = r0[edge] + _ramp(height)
     span_width = width[edge]
-    # each marked cell's place in the result, -1 for the others
-    position = np.full(cells.shape, -1)
-    position[cells] = np.arange(np.count_nonzero(cells))
-    best = np.full(np.count_nonzero(cells), np.inf)      # squared distances
+    near = np.zeros(cells.shape, dtype=bool)
     ax, ay = poly[:, 0], poly[:, 1]
     abx, aby = ends[:, 0] - ax, ends[:, 1] - ay
     ab_len2 = np.maximum(abx * abx + aby * aby, 1e-300)  # floored above 0
@@ -344,9 +342,8 @@ def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
                           np.flatnonzero(np.diff(block)) + 1):
         pair = np.repeat(spans, span_width[spans])       # one per (cell, edge)
         col = c0[edge[pair]] + _ramp(span_width[spans])
-        at = position[row[pair], col]
-        marked = at >= 0
-        pair, col, at = pair[marked], col[marked], at[marked]
+        marked = cells[row[pair], col]
+        pair, col = pair[marked], col[marked]
         e = edge[pair]
         px, py = xs[col], ys[row[pair]]
         # s = clip((ap . ab) / |ab|^2, 0, 1), the closest point's parameter,
@@ -360,8 +357,11 @@ def grid_boundary_distance(curve: BoundaryCurve, xs: np.ndarray,
         dx *= dx
         dy *= dy
         dx += dy
-        np.minimum.at(best, at, dx)
-    return np.sqrt(best)
+        # sqrt is monotone, so a centre with some pair below clearance is
+        # one whose smallest distance is
+        hit = np.sqrt(dx) < clearance
+        near[row[pair[hit]], col[hit]] = True
+    return near
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def boundary_distance(curve: BoundaryCurve, points: np.ndarray,
                       resolution: int) -> np.ndarray:
     """Distance from each point to the polygon of ``resolution`` edges,
     measured against every edge, by the formula the library's
-    grid_boundary_distance uses term by term, so the two agree bit for bit
+    grid_near_boundary uses term by term, so the two agree bit for bit
     wherever the latter measures the nearest edge."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     poly = _polygon(curve, resolution)

@@ -168,12 +168,13 @@ class TestExitCodes:
         assert code == 2
         assert record["error"] == "tau0_too_small"
 
-    def test_tau0_whose_alpha_overflows(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "plot"])
+    def test_tau0_whose_alpha_overflows(self, tmp_path, capsys, command):
         # tau0^(2N) beyond the float range on the large-k branch gives
         # alpha = 0, and the unregularized solve is rank deficient
         path = _write_config(tmp_path / "cfg.json", k=5.0, delta=0.01,
                              tau0=1e10, grid_resolution=32)
-        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         [record] = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
                     if ln.startswith("{")]
         assert code == 3
@@ -318,24 +319,29 @@ class TestConfigValidationExit:
         assert [r["error"] for r in records] == ["problem_too_large"]
         assert basis_calls == []
 
-    @pytest.mark.parametrize("spare, status", [(0, 0), (-1, 2)],
-                             ids=["at_limit", "one_byte_over"])
+    @pytest.mark.parametrize("command, solved, spare, status", [
+        ("sweep", 3, 0, 0), ("sweep", 3, -1, 2),
+        ("solve", 1, 0, 0), ("solve", 1, -1, 2)],
+        ids=["at_limit", "one_byte_over", "solve_at_limit",
+             "solve_one_byte_over"])
     def test_basis_budget_counts_values_and_error_pass(
-            self, tmp_path, capsys, monkeypatch, spare, status):
+            self, tmp_path, capsys, monkeypatch, command, solved, spare,
+            status):
         # k=1, delta=0.01 selects N=8 on the kite; grid 64 keeps 1022
         # points and "auto" takes 256 nodes. The cell holds 19 nested rows,
         # 8 bytes per point each, the boundary's complex values and the
         # SVD's left vectors, 16 bytes per node and row each, and one error
-        # pass over the three seeds, 48 bytes per point and seed:
-        # 533,936 bytes in all
+        # pass over the seeds it solves, 48 bytes per point and seed: the
+        # sweep's three seeds take 533,936 bytes in all, solve's first seed
+        # alone 411,248
         rows, grid_points, nodes = 19, 1022, 256
         monkeypatch.setattr(cli, "BASIS_BUDGET_BYTES",
                             8 * rows * (grid_points + nodes)
                             + 2 * 16 * rows * nodes
-                            + 48 * 3 * (grid_points + nodes) + spare)
+                            + 48 * solved * (grid_points + nodes) + spare)
         path = _write_config(tmp_path / "cfg.json", delta=0.01,
                              grid_resolution=64, seeds=[1, 2, 3])
-        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
                    if ln.startswith("{")]
         assert code == status
@@ -417,6 +423,28 @@ class TestCellPipeline:
         run_sweep(load_config(path), str(tmp_path / "sweep"))
         assert alive == [0] * 6
 
+    def test_sweep_holds_no_failed_cell(self, tmp_path, monkeypatch):
+        # the errors a sweep keeps hold neither their cells nor their k's
+        # WaveGrid: delta = 0.01 fails in Cell.solve at k = 1e-20, and
+        # delta = 1e-16 reaches the order cap at every k (eta = 40), so
+        # each make_cell below builds its k's first cell and grid
+        built, alive = [], []
+        make_cell = cli.make_cell
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            cell = make_cell(*args)
+            built.extend([weakref.ref(cell), weakref.ref(cell.shared)])
+            return cell
+
+        monkeypatch.setattr(cli, "make_cell", tracked)
+        path = _write_config(tmp_path / "cfg.json", k=[1e-20, 1.0, 5.0],
+                             delta=[1e-16, 0.01], eta=40.0, seeds=[1, 2],
+                             grid_resolution=64)
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert alive == [0] * 3
+
     def test_exact_solution_sampled_once_per_cell(self, tmp_path, monkeypatch):
         calls = []
         value = PlaneWave.value
@@ -445,7 +473,8 @@ class TestCellPipeline:
         config = load_config(_write_config(tmp_path / "cfg.json", k=k,
                                            delta=deltas, seeds=[1, 2],
                                            grid_resolution=32))
-        for cell in cli.wavenumber_cells(cli._prepare(config), k, deltas):
+        for cell, _ in cli.wavenumber_cells(cli._prepare(config), k, deltas,
+                                            config.seeds):
             formed = assembly.impedance_data(k, cell.rule, cell.boundary_exact)
             assert np.array_equal(cell.data, formed)
             assert np.array_equal(cell.boundary_exact[0],
@@ -479,7 +508,8 @@ class TestWaveGrid:
                                            delta=deltas, grid_resolution=96))
         setup = cli._prepare(config)
         grid = setup.grid
-        cells = list(cli.wavenumber_cells(setup, k, deltas))
+        cells = [cell for cell, _ in cli.wavenumber_cells(setup, k, deltas,
+                                                          config.seeds)]
         top = max(cell.plan.N for cell in cells)
         # the k's (2 N_top + 3, P) rows
         shared = cells[0].shared.rows(cells[0].plan.N).base
@@ -646,10 +676,11 @@ class TestBatchedSeeds:
                                                order):
         config = load_config(_write_config(tmp_path / "cfg.json", k=k,
                                            delta=delta))
-        [cell] = cli.wavenumber_cells(cli._prepare(config), k, [delta])
-        assert cell.plan.N == order
         seeds = [3, 1, 4, 5, 9]
-        for seed, batched in zip(seeds, cell.solve(seeds)):
+        [(cell, results)] = cli.wavenumber_cells(cli._prepare(config), k,
+                                                 [delta], seeds)
+        assert cell.plan.N == order
+        for seed, batched in zip(seeds, results):
             [alone] = cell.solve([seed])
             assert batched.seed == alone.seed == seed
             assert np.array_equal(batched.coefficients.coeffs,
@@ -696,9 +727,10 @@ class TestBatchedSeeds:
         config = load_config(_write_config(
             tmp_path / "cfg.json", k=[1.0], delta=[0.01], seeds=[1, 2, 3],
             grid_resolution=64))
-        [cell] = cli.wavenumber_cells(cli._prepare(config), 1.0, [0.01])
-        rows, error = cli._cell_rows(config, 1.0, 0.01, cell)
+        [outcome] = cli.wavenumber_cells(cli._prepare(config), 1.0, [0.01],
+                                         config.seeds)
         assert calls == [3]                   # one error pass for the cell
+        rows, error = cli._cell_rows(config, 1.0, 0.01, outcome)
         assert rows == [cli._failed_row(1.0, 0.01, seed, "degenerate_exact_norm")
                         for seed in (1, 2, 3)]
         assert error.code == "degenerate_exact_norm"
@@ -740,8 +772,9 @@ class TestBatchedSeeds:
         config = load_config(_write_config(
             tmp_path / "cfg.json", k=[5.0], delta=[0.01], seeds=seeds,
             grid_resolution=64))
-        [cell] = cli.wavenumber_cells(cli._prepare(config), 5.0, [0.01])
-        coeffs = [result.coefficients for result in cell.solve(seeds)]
+        [(cell, results)] = cli.wavenumber_cells(cli._prepare(config), 5.0,
+                                                 [0.01], seeds)
+        coeffs = [result.coefficients for result in results]
         args = (cell.shared.grid, cell.rule, cell.shared.rows(cell.plan.N),
                 cell.boundary_basis, cell.shared.exact, cell.boundary_exact)
         together = fields.error_norms(cell.problem.basis, coeffs, *args)
@@ -846,10 +879,10 @@ class TestRunSweep:
         # one cell fails validation (M_q = 8), the other numerically
         make_cell = cli.make_cell
 
-        def failing(config, wave, grid_side, plan, nodes, problem):
+        def failing(setup, wave, shared, top, plan, nodes, problem):
             if problem.k == 1.0:
                 raise NumericalError("svd_failed", "no convergence")
-            return make_cell(config, wave, grid_side, plan, nodes, problem)
+            return make_cell(setup, wave, shared, top, plan, nodes, problem)
 
         monkeypatch.setattr(cli, "make_cell", failing)
         path = _write_config(tmp_path / "cfg.json", k=[0.5, 1.0], M_q=8,

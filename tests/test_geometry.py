@@ -7,8 +7,8 @@ from fbm.errors import ValidationError
 from fbm.geometry import (BoundaryCurve, build_quadrature, circle_curve,
                           compute_radii, curve_derivative, curve_point,
                           default_node_count, ellipse_curve,
-                          grid_boundary_distance, grid_interior_mask,
-                          kite_curve, named_curve)
+                          grid_interior_mask, grid_near_boundary, kite_curve,
+                          named_curve)
 
 from oracles import (boundary_distance, central_difference, is_interior,
                      outward_normal, rule_length)
@@ -176,22 +176,23 @@ class TestInterior:
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         assert np.array_equal(mask.ravel(), is_interior(curve, pts))
 
-    @pytest.mark.parametrize("reach", [0.0, 0.05, 0.3])
-    def test_near_boundary_marks_every_close_cell(self, kite, reach):
-        # the narrow phase gives every marked centre within reach the full
-        # distance, bit for bit, and every other one a distance beyond
-        # reach; inf where no widened edge box contains the centre
+    @pytest.mark.parametrize("clearance", [0.0, 0.05, 0.3])
+    def test_near_boundary_marks_every_close_cell(self, kite, clearance):
+        # with a grid step of slack in the widened edge boxes, a marked
+        # cell is near exactly where its distance to the whole polygon is
+        # below the clearance, and an unmarked cell is never near
         xs = np.linspace(-2.1, 2.1, 57)
         ys = np.linspace(-1.7, 1.7, 45)
         cells = np.random.default_rng(3).random((45, 57)) < 0.7
-        near = grid_boundary_distance(kite, xs, ys, cells, reach, 256)
+        near = grid_near_boundary(kite, xs, ys, cells, clearance,
+                                  clearance + (xs[1] - xs[0]))
+        assert near.shape == cells.shape
         xx, yy = np.meshgrid(xs, ys)
         dist = boundary_distance(kite, np.column_stack([xx[cells], yy[cells]]),
                                  resolution=256)
-        close = dist <= reach
-        assert np.array_equal(near[close], dist[close])
-        assert np.all(near[~close] > reach)
-        assert np.isfinite(near).any() and not np.isfinite(near).all()
+        assert np.array_equal(near[cells], dist < clearance)
+        assert not near[~cells].any()
+        assert near.any() == (clearance > 0.0)
 
     def test_distance_from_center_of_circle(self, unit_circle):
         d = boundary_distance(unit_circle, np.array([[0.0, 0.0]]), 256)

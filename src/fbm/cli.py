@@ -61,7 +61,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -240,7 +240,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ValidationError("config_unreadable", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise ValidationError("config_not_json", f"{path}: {exc}") from exc
     return build_config(raw)
 
@@ -493,36 +494,12 @@ def write_coefficients_csv(path: str, coeffs: CoefficientVector,
     _write_text(path, lines)
 
 
-# the norm columns are ErrorReport's fields, in their order
-_SWEEP_COLUMNS = ",".join(
-    ["row_type,k,delta,seed,N,alpha,M_q,m_overridden,mu_min",
-     *(norm.name for norm in fields(ErrorReport)), "error"])
-
-
-def _sweep_row(cell: Cell, result: CaseResult) -> str:
-    return ",".join([
-        "cell", repr(cell.problem.k), repr(cell.plan.delta),
-        str(result.seed), str(cell.plan.N), repr(cell.plan.alpha),
-        str(cell.rule.size), str(int(cell.problem.m_overridden)),
-        repr(cell.system.mu_min),
-        *(repr(getattr(result.report, norm.name))
-          for norm in fields(ErrorReport)), ""])
-
-
-def _failed_row(k: float, delta: float, seed: int, code: str) -> str:
-    # blank N, alpha, M_q, m_overridden, mu_min and the norms
-    blank = [""] * (5 + len(fields(ErrorReport)))
-    return ",".join(["cell", repr(k), repr(delta), str(seed), *blank, code])
-
-
-def _median_row(cell: Cell, group: list[CaseResult]) -> str:
-    return ",".join([
-        "median", repr(cell.problem.k), repr(cell.plan.delta), "",
-        str(cell.plan.N), repr(cell.plan.alpha), str(cell.rule.size),
-        str(int(cell.problem.m_overridden)),
-        f"{cell.system.mu_min:.6e}",
-        *(f"{np.median([getattr(r.report, norm.name) for r in group]):.6e}"
-          for norm in fields(ErrorReport)), ""])
+# the columns a failed cell leaves blank; the norm columns are ErrorReport's
+# fields, in their order
+_VALUE_COLUMNS = ("N", "alpha", "M_q", "m_overridden", "mu_min",
+                  *(norm.name for norm in fields(ErrorReport)))
+_SWEEP_COLUMNS = ",".join(["row_type", "k", "delta", "seed", *_VALUE_COLUMNS,
+                           "error"])
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +557,34 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
 def _cell_rows(config: ExperimentConfig, k: float, delta: float,
                outcome: tuple[Cell, list[CaseResult]] | FbmError
                ) -> tuple[list[str], FbmError | None]:
-    """The rows of one (k, delta) cell as wavenumber_cells yielded it, and
-    its error: a row per seed and a median row, or, where the cell failed,
-    a row per seed marked with the error's code."""
+    """The sweep.csv data rows of one (k, delta) cell as wavenumber_cells
+    yielded it, and its error; the one function that formats a data row.
+
+    A cell that solved gives a row per seed, its values as repr, then a
+    median row with a blank seed, mu_min and each norm's median over the
+    seeds as %.6e; both share N, alpha, M_q and m_overridden. A failed cell
+    gives a row per seed with every value column blank and the error's
+    code, and no median row.
+    """
+    lead = f"{k!r},{delta!r}"
     if isinstance(outcome, FbmError):
         logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta,
                        outcome)
-        return [_failed_row(k, delta, seed, outcome.code)
+        blank = "," * len(_VALUE_COLUMNS)
+        return [f"cell,{lead},{seed}{blank},{outcome.code}"
                 for seed in config.seeds], outcome
     cell, results = outcome
-    return ([_sweep_row(cell, result) for result in results]
-            + [_median_row(cell, results)], None)
+    mu_min = cell.system.mu_min
+    shared = (f"{cell.plan.N},{cell.plan.alpha!r},{cell.rule.size},"
+              f"{int(cell.problem.m_overridden)}")
+    norms = [astuple(result.report) for result in results]
+    rows = [f"cell,{lead},{result.seed},{shared},{mu_min!r},"
+            f"{','.join(map(repr, values))},"
+            for result, values in zip(results, norms)]
+    median = np.median(norms, axis=0)
+    rows.append(f"median,{lead},,{shared},{mu_min:.6e},"
+                f"{','.join(f'{value:.6e}' for value in median)},")
+    return rows, None
 
 
 def run_sweep(config: ExperimentConfig, out_dir: str) -> str:

@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+import statistics
 import sys
 import weakref
 from pathlib import Path
@@ -190,19 +191,30 @@ class TestExitCodes:
         rows = _data_rows(tmp_path / "o" / "sweep.csv")
         assert rows[0].startswith("cell,1.0,0.01,1,")
         assert rows[2].startswith("median,1.0,0.01,")
-        assert rows[3:] == [cli._failed_row(5.0, 0.01, seed, "rank_deficient")
-                            for seed in (1, 2)]
+        assert rows[3:] == ["cell,5.0,0.01,1,,,,,,,,,,rank_deficient",
+                            "cell,5.0,0.01,2,,,,,,,,,,rank_deficient"]
 
     def test_unreadable_config(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "missing.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config_unreadable"
 
-    def test_bad_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        b"{not json",
+        # Latin-1, not UTF-8
+        b'{"curve": "kite", "k": 1.0, "delta": 0.01, "grid_resolution": 32, '
+        b'"output_dir": "\xe9"}',
+        # deeper than the decoder's recursion limit
+        b'{"curve": "kite", "k": 1.0, "delta": 0.01, "grid_resolution": 32, '
+        b'"direction": ' + b"[" * 10_000 + b"]" * 10_000 + b"}"],
+        ids=["not_json", "latin1", "deep"])
+    def test_bad_json(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_bytes(text)
         assert main(["solve", "--config", str(path)]) == 2
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "config_not_json"
+        [record] = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("{")]
+        assert record["error"] == "config_not_json"
 
     @pytest.mark.parametrize("command", [
         ["solve"], ["sweep"], ["svd", "--N", "4"],
@@ -596,7 +608,7 @@ class TestWaveGrid:
                     (65.0, 1e-16, "order_cap_reached"),
                     (65.0, 0.05, "wavenumber_unresolvable"),
                     (65.0, 0.2, "wavenumber_unresolvable")]
-        assert failed == [cli._failed_row(k, d, seed, code)
+        assert failed == [f"cell,{k!r},{d!r},{seed},,,,,,,,,,{code}"
                           for k, d, code in expected for seed in (1, 2)]
 
     def test_wavenumber_whose_cells_all_fail_evaluates_no_grid_basis(
@@ -626,8 +638,10 @@ class TestWaveGrid:
                                ("nested_values", 19, 352)]
         failed = [row for row in _data_rows(tmp_path / "o" / "sweep.csv")
                   if not row.endswith(",")]
-        assert failed == [cli._failed_row(1.0, d, seed, "svd_failed")
-                          for d in (0.01, 0.05) for seed in (1, 2)]
+        assert failed == ["cell,1.0,0.01,1,,,,,,,,,,svd_failed",
+                          "cell,1.0,0.01,2,,,,,,,,,,svd_failed",
+                          "cell,1.0,0.05,1,,,,,,,,,,svd_failed",
+                          "cell,1.0,0.05,2,,,,,,,,,,svd_failed"]
 
     def test_capped_order_warns_once_per_cell(self, tmp_path, caplog,
                                               monkeypatch):
@@ -709,7 +723,7 @@ class TestBatchedSeeds:
             assert main(["sweep", "--config", str(path),
                          "--out", str(tmp_path / "with")]) == 0
         rows = _data_rows(tmp_path / "with" / "sweep.csv")
-        assert rows[:2] == [cli._failed_row(tiny, 0.01, seed, code)
+        assert rows[:2] == [f"cell,{tiny!r},0.01,{seed},,,,,,,,,,{code}"
                             for seed in (1, 2)]
         assert rows[2:] == _data_rows(tmp_path / "without" / "sweep.csv")
         assert len([r for r in caplog.records
@@ -731,8 +745,9 @@ class TestBatchedSeeds:
                                          config.seeds)
         assert calls == [3]                   # one error pass for the cell
         rows, error = cli._cell_rows(config, 1.0, 0.01, outcome)
-        assert rows == [cli._failed_row(1.0, 0.01, seed, "degenerate_exact_norm")
-                        for seed in (1, 2, 3)]
+        assert rows == ["cell,1.0,0.01,1,,,,,,,,,,degenerate_exact_norm",
+                        "cell,1.0,0.01,2,,,,,,,,,,degenerate_exact_norm",
+                        "cell,1.0,0.01,3,,,,,,,,,,degenerate_exact_norm"]
         assert error.code == "degenerate_exact_norm"
         path = _write_config(tmp_path / "cfg.json", k=[1.0], delta=[0.01],
                              seeds=[1, 2, 3], grid_resolution=64)
@@ -812,6 +827,23 @@ class TestRunSweep:
                   if ln.startswith("median,")][0].split(",")
         rel_l2_interior = float(median[9])
         assert 1e-4 <= rel_l2_interior <= 1e-1
+
+    def test_median_row_is_the_seed_rows_median(self, tmp_path):
+        # the median row repeats k, delta, N, alpha, M_q and m_overridden of
+        # the seed rows, blanks the seed, and gives mu_min and each norm
+        # column's median over the four seed rows as %.6e
+        path = _write_config(tmp_path / "cfg.json", k=1.0, delta=0.01,
+                             seeds=[1, 2, 3, 4], grid_resolution=32)
+        out = run_sweep(load_config(path), str(tmp_path / "out"))
+        *seeds, median = _data_rows(out)
+        cells = [row.split(",") for row in seeds]
+        assert [cell[3] for cell in cells] == ["1", "2", "3", "4"]
+        first = cells[0]
+        assert all(cell[4:9] == first[4:9] for cell in cells)
+        norms = [f"{statistics.median(float(cell[i]) for cell in cells):.6e}"
+                 for i in range(9, 13)]
+        assert median == ",".join(["median", "1.0", "0.01", "", *first[4:8],
+                                   f"{float(first[8]):.6e}", *norms, ""])
 
     def test_full_reference_lattice_counts(self, tmp_path):
         # the full 3 x 3 x 10 lattice: 90 cell rows plus 9 median rows

@@ -81,8 +81,7 @@ class BoundaryCurve:
         self.x2_cos = _as_coeffs(self.x2_cos)
         self.x2_sin = _as_coeffs(self.x2_sin)
         t = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_GRID, endpoint=False)
-        p = curve_point(self, t)                     # (G, 2)
-        d = curve_derivative(self, t)                # (G, 2)
+        p, d = _curve_eval(self, t, (0, 1))          # (G, 2) each
         speed = np.hypot(d[:, 0], d[:, 1])
         if speed.min() <= _MIN_SPEED:
             raise ValidationError(
@@ -145,32 +144,32 @@ class QuadratureRule:
 # ---------------------------------------------------------------------------
 # Curve evaluation
 # ---------------------------------------------------------------------------
-def _trig_eval(cos_c: np.ndarray, sin_c: np.ndarray, t: np.ndarray,
-               derivative: bool) -> np.ndarray:
-    mc = np.arange(cos_c.size)
-    ms = np.arange(sin_c.size)
-    tc = np.multiply.outer(t, mc)                 # (..., len(cos_c))
-    ts = np.multiply.outer(t, ms)
-    if derivative:
-        return (-np.sin(tc) @ (mc * cos_c)) + (np.cos(ts) @ (ms * sin_c))
-    return (np.cos(tc) @ cos_c) + (np.sin(ts) @ sin_c)
+def _curve_eval(curve: BoundaryCurve, t, orders) -> list[np.ndarray]:
+    """x(t) (order 0) and x'(t) (order 1), a (..., 2) array per order, all
+    from one cos and one sin table of m t, m up to the longest series; each
+    series reads its leading columns, with the bits of a table of its own."""
+    series = ((curve.x1_cos, curve.x1_sin), (curve.x2_cos, curve.x2_sin))
+    m = np.arange(max(c.size for pair in series for c in pair))
+    tm = np.multiply.outer(np.asarray(t, dtype=float), m)   # (..., terms)
+    cos, sin = np.cos(tm), np.sin(tm)
+
+    def sample(order, a, b):
+        if order == 0:
+            return (cos[..., :a.size] @ a) + (sin[..., :b.size] @ b)
+        return ((-sin[..., :a.size] @ (m[:a.size] * a))
+                + (cos[..., :b.size] @ (m[:b.size] * b)))
+    return [np.stack([sample(order, a, b) for a, b in series], axis=-1)
+            for order in orders]
 
 
 def curve_point(curve: BoundaryCurve, t) -> np.ndarray:
     """Boundary point x(t); t may be scalar or an array (periodic)."""
-    t_arr = np.asarray(t, dtype=float)
-    out = np.stack([_trig_eval(curve.x1_cos, curve.x1_sin, t_arr, False),
-                    _trig_eval(curve.x2_cos, curve.x2_sin, t_arr, False)],
-                   axis=-1)
-    return out
+    return _curve_eval(curve, t, (0,))[0]
 
 
 def curve_derivative(curve: BoundaryCurve, t) -> np.ndarray:
     """Parametric derivative x'(t), term-by-term differentiated series."""
-    t_arr = np.asarray(t, dtype=float)
-    return np.stack([_trig_eval(curve.x1_cos, curve.x1_sin, t_arr, True),
-                     _trig_eval(curve.x2_cos, curve.x2_sin, t_arr, True)],
-                    axis=-1)
+    return _curve_eval(curve, t, (1,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +236,7 @@ def build_quadrature(curve: BoundaryCurve, node_count: int) -> QuadratureRule:
                               f"node count must be even and >= 8, got {node_count}")
     t = 2.0 * np.pi * np.arange(node_count) / node_count
     w = np.full(node_count, 2.0 * np.pi / node_count)
-    pts = curve_point(curve, t)
-    d = curve_derivative(curve, t)
+    pts, d = _curve_eval(curve, t, (0, 1))
     speeds = np.hypot(d[:, 0], d[:, 1])
     normals = np.stack([d[:, 1] / speeds, -d[:, 0] / speeds], axis=-1)
     return QuadratureRule(nodes=t, weights=w, points=pts,

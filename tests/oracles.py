@@ -175,6 +175,28 @@ def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return np.array(out)
 
 
+def trig_eval(cos_c: np.ndarray, sin_c: np.ndarray, t: np.ndarray,
+              derivative: bool) -> np.ndarray:
+    """One Fourier series or its derivative at t, from a cos and a sin
+    table of its own: the per-series form whose bits the library's shared
+    table must give."""
+    mc = np.arange(cos_c.size)
+    ms = np.arange(sin_c.size)
+    tc = np.multiply.outer(t, mc)                 # (..., len(cos_c))
+    ts = np.multiply.outer(t, ms)
+    if derivative:
+        return (-np.sin(tc) @ (mc * cos_c)) + (np.cos(ts) @ (ms * sin_c))
+    return (np.cos(tc) @ cos_c) + (np.sin(ts) @ sin_c)
+
+
+def reference_curve(curve: BoundaryCurve, t, derivative: bool) -> np.ndarray:
+    """x(t) or x'(t), shape (..., 2), series by series by trig_eval."""
+    t_arr = np.asarray(t, dtype=float)
+    return np.stack([trig_eval(curve.x1_cos, curve.x1_sin, t_arr, derivative),
+                     trig_eval(curve.x2_cos, curve.x2_sin, t_arr, derivative)],
+                    axis=-1)
+
+
 def outward_normal(curve: BoundaryCurve, t) -> np.ndarray:
     """Outward unit normal nu(t) = (x2'(t), -x1'(t)) / |x'(t)|."""
     d = curve_derivative(curve, t)

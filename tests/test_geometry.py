@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from fbm.errors import ValidationError
-from fbm.geometry import (BoundaryCurve, build_quadrature, circle_curve,
-                          compute_radii, curve_derivative, curve_point,
-                          default_node_count, ellipse_curve,
-                          grid_interior_mask, grid_near_boundary, kite_curve,
-                          named_curve)
+from fbm.geometry import (MAX_FOURIER_TERMS, BoundaryCurve, _polygon,
+                          build_quadrature, circle_curve, compute_radii,
+                          curve_derivative, curve_point, default_node_count,
+                          ellipse_curve, grid_interior_mask,
+                          grid_near_boundary, kite_curve, named_curve)
 
 from oracles import (boundary_distance, central_difference, is_interior,
-                     outward_normal, rule_length)
+                     outward_normal, reference_curve, rule_length)
 
 
 class TestCurveEvaluation:
@@ -42,6 +42,59 @@ class TestCurveEvaluation:
         batch = curve_point(kite, ts)
         for i, t in enumerate(ts):
             assert np.array_equal(batch[i], curve_point(kite, t))
+
+
+def _long_series_curve() -> BoundaryCurve:
+    """An ellipse with a MAX_FOURIER_TERMS-term x1_cos ripple and series of
+    3, 5 and 2 terms, so each series reads a different width of the table."""
+    m = np.arange(MAX_FOURIER_TERMS)
+    x1_cos = 1e-3 * np.sin(m) / np.maximum(m, 1) ** 2
+    x1_cos[1] = 1.2
+    return BoundaryCurve(x1_cos=x1_cos, x1_sin=[0.0, 0.02, 0.01],
+                         x2_cos=[0.0, 0.0, 0.03, 0.0, 0.004],
+                         x2_sin=[0.0, 0.8], name="long")
+
+
+class TestCurveTable:
+    """One cos and one sin table serve every series: each sample keeps the
+    bits of the per-series tables in tests/oracles.py."""
+
+    SPECS = ["kite", "circle:1", "ellipse:1.2,0.8", "long"]
+
+    @staticmethod
+    def curve(spec: str) -> BoundaryCurve:
+        return _long_series_curve() if spec == "long" else named_curve(spec)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_points_and_derivatives(self, spec):
+        curve = self.curve(spec)
+        t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        for ts in (t, 0.0, 1.815, np.float64(np.pi / 3)):
+            assert np.array_equal(curve_point(curve, ts),
+                                  reference_curve(curve, ts, False))
+            assert np.array_equal(curve_derivative(curve, ts),
+                                  reference_curve(curve, ts, True))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_quadrature(self, spec):
+        curve = self.curve(spec)
+        for m_q in (8, 256, 368, 544, 1344, 2112):
+            rule = build_quadrature(curve, m_q)
+            d = reference_curve(curve, rule.nodes, True)
+            speeds = np.hypot(d[:, 0], d[:, 1])
+            assert np.array_equal(rule.points,
+                                  reference_curve(curve, rule.nodes, False))
+            assert np.array_equal(rule.speeds, speeds)
+            assert np.array_equal(rule.normals, np.stack(
+                [d[:, 1] / speeds, -d[:, 0] / speeds], axis=-1))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_polygons(self, spec):
+        curve = self.curve(spec)
+        for resolution in (256, 2048):
+            t = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+            assert np.array_equal(_polygon(curve, resolution),
+                                  reference_curve(curve, t, False))
 
 
 class TestNormals:

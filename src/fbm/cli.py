@@ -9,25 +9,14 @@ wavenumber_cells, the one owner of a cell's stages: it plans, builds and
 solves each (k, delta) cell and yields the ``Cell`` with its seeds'
 results, or the one error that stopped it; solve and plot are its one-k,
 one-delta case. A cell holds everything that does not depend on the noise
-seed: the plan, problem, quadrature rule, SVD, exact data and the basis
-values of order N + 1 on the boundary, in the real nested form
-(special.nested_values: rows Re phi_0, Re phi_1, Im phi_1, ...), the one
-form in which the basis is evaluated and passed on; the trace operator
-reads the boundary rows as they are. The grid part depends on k alone
-(delta only picks N), so the cell holds its k's ``WaveGrid``: the interior
-grid, the plane wave, the nested grid basis of order N_top + 1 and the
-exact grid samples, evaluated once per k, with N_top the largest order
-among the k's cells that pass validation. It is evaluated after the
-boundary stages of the k's first cell that builds (quadrature, boundary
-basis, trace operator, SVD and data), so the grid basis is not yet
-allocated while the operator and the SVD's workspace are; a k none of
-whose cells builds evaluates none. A cell's grid basis is the leading
-2N + 3 rows of that array, a view. A seed then costs noise and a Tikhonov
-solve; the error norms of a cell's seeds come from one fields.error_norms
-pass, which takes the seeds and the grid points in fixed blocks. A cell is
-also the unit of failure: no error it can raise depends on the seed, so
-it solves every seed or fails as a whole, and a sweep marks every seed
-row of a failed cell with the error's code.
+seed, and its k's ``WaveGrid``, the grid part, which depends on k alone
+(delta only picks N). A seed then costs noise and a Tikhonov solve; the
+error norms of a cell's seeds come from one fields.error_norms pass. A
+cell is also the unit of failure: no error it can raise depends on the
+seed, so it solves every seed or fails as a whole, and a sweep marks
+every seed row of a failed cell with the error's code. Every output reads
+a case's values off two records, the cell's ``CellValues`` and the seed's
+``ErrorReport``.
 
 Configuration is a single JSON document::
 
@@ -61,7 +50,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -271,26 +260,14 @@ class CaseResult:
 
 def case_metadata(cell: Cell, result: CaseResult,
                   config: ExperimentConfig) -> dict:
-    plan, problem = cell.plan, cell.problem
+    plan, problem, grid = cell.plan, cell.problem, cell.shared.grid
     return {
-        "k": problem.k,
-        "delta": plan.delta,
-        "eta": plan.eta,
-        "tau0": plan.tau0,
-        "tau_min": plan.tau_min,
-        "branch": plan.branch,
-        "N": plan.N,
-        "alpha": plan.alpha,
-        "M_q": cell.rule.size,
-        "grid_resolution": cell.shared.grid.resolution,
-        "grid_excluded_fraction": cell.shared.grid.excluded_fraction,
-        "seed": result.seed,
-        "m_overridden": problem.m_overridden,
-        "M": problem.M,
-        "r_in": problem.r_in,
-        "r_ex": problem.r_ex,
-        "mu_min": cell.system.mu_min,
-        "curve": config.curve.name,
+        "k": problem.k, "delta": plan.delta, "eta": plan.eta,
+        "tau0": plan.tau0, "tau_min": plan.tau_min, "branch": plan.branch,
+        **asdict(cell.values), "grid_resolution": grid.resolution,
+        "grid_excluded_fraction": grid.excluded_fraction,
+        "seed": result.seed, "M": problem.M, "r_in": problem.r_in,
+        "r_ex": problem.r_ex, "curve": config.curve.name,
         **_run_metadata(config),
     }
 
@@ -341,6 +318,20 @@ class WaveGrid:
 
 
 @dataclass(frozen=True)
+class CellValues:
+    """A solved cell's values, built by Cell.values: sweep.csv's value
+    columns before ErrorReport's, in order, and keys of the case metadata.
+    A median row repeats a planned field as the seed rows write it, and
+    writes a measured one, like each seed field's median, as %.6e."""
+
+    N: int
+    alpha: float
+    M_q: int
+    m_overridden: bool
+    mu_min: float = field(metadata={"measured": True})
+
+
+@dataclass(frozen=True)
 class Cell:
     """The seed-independent half of one (k, delta) case.
 
@@ -364,6 +355,13 @@ class Cell:
     shared: WaveGrid                 # the k's grid, wave and grid samples
     boundary_basis: np.ndarray       # nested values of order N + 1, nodes
     boundary_exact: tuple            # exact (values, gradients) at rule.points
+
+    @property
+    def values(self) -> CellValues:
+        return CellValues(N=self.plan.N, alpha=self.plan.alpha,
+                          M_q=self.rule.size,
+                          m_overridden=self.problem.m_overridden,
+                          mu_min=self.system.mu_min)
 
     def solve(self, seeds: list[int]) -> list[CaseResult]:
         """Noise -> Tikhonov solve per seed, then one error pass over them
@@ -480,10 +478,6 @@ def _write_text(path: str, lines: list[str]) -> None:
                               f"cannot write {path}: {exc}") from exc
 
 
-def write_report_json(path: str, report: dict) -> None:
-    _write_text(path, [json.dumps(report, indent=2, sort_keys=True)])
-
-
 def write_coefficients_csv(path: str, coeffs: CoefficientVector,
                            meta: dict) -> None:
     lines = _meta_lines(meta)
@@ -494,12 +488,15 @@ def write_coefficients_csv(path: str, coeffs: CoefficientVector,
     _write_text(path, lines)
 
 
-# the columns a failed cell leaves blank; the norm columns are ErrorReport's
-# fields, in their order
-_VALUE_COLUMNS = ("N", "alpha", "M_q", "m_overridden", "mu_min",
-                  *(norm.name for norm in fields(ErrorReport)))
-_SWEEP_COLUMNS = ",".join(["row_type", "k", "delta", "seed", *_VALUE_COLUMNS,
-                           "error"])
+def _value_columns() -> list[str]:
+    """sweep.csv's value columns, which a failed cell leaves blank: the
+    fields of the cell record, then of the seed record, in their order."""
+    return [c.name for c in (*fields(CellValues), *fields(ErrorReport))]
+
+
+def _format(value) -> str:
+    """A value as a seed row writes it: a bool as int, all else as repr."""
+    return str(int(value)) if isinstance(value, bool) else repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +542,8 @@ def run_solve(config: ExperimentConfig, out_dir: str) -> dict:
     cell, result = _solve_case(config)
     meta = case_metadata(cell, result, config)
     report = {**asdict(result.report), "metadata": meta}
-    write_report_json(os.path.join(out_dir, "report.json"), report)
+    _write_text(os.path.join(out_dir, "report.json"),
+                [json.dumps(report, indent=2, sort_keys=True)])
     write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"),
                            result.coefficients, meta)
     logger.info("solve: k=%g delta=%g N=%d -> interior %.3e, boundary %.3e",
@@ -559,31 +557,31 @@ def _cell_rows(config: ExperimentConfig, k: float, delta: float,
                ) -> tuple[list[str], FbmError | None]:
     """The sweep.csv data rows of one (k, delta) cell as wavenumber_cells
     yielded it, and its error; the one function that formats a data row.
-
-    A cell that solved gives a row per seed, its values as repr, then a
-    median row with a blank seed, mu_min and each norm's median over the
-    seeds as %.6e; both share N, alpha, M_q and m_overridden. A failed cell
-    gives a row per seed with every value column blank and the error's
-    code, and no median row.
+    A solved cell gives a row per seed, its CellValues and ErrorReport as
+    _format writes them, and a median row with a blank seed by the rule
+    CellValues states. A failed cell gives a row per seed with every value
+    column blank and the error's code, and no median row.
     """
     lead = f"{k!r},{delta!r}"
     if isinstance(outcome, FbmError):
         logger.warning("sweep cell (k=%g, delta=%g) failed: %s", k, delta,
                        outcome)
-        blank = "," * len(_VALUE_COLUMNS)
+        blank = "," * len(_value_columns())
         return [f"cell,{lead},{seed}{blank},{outcome.code}"
                 for seed in config.seeds], outcome
     cell, results = outcome
-    mu_min = cell.system.mu_min
-    shared = (f"{cell.plan.N},{cell.plan.alpha!r},{cell.rule.size},"
-              f"{int(cell.problem.m_overridden)}")
-    norms = [astuple(result.report) for result in results]
-    rows = [f"cell,{lead},{result.seed},{shared},{mu_min!r},"
-            f"{','.join(map(repr, values))},"
-            for result, values in zip(results, norms)]
-    median = np.median(norms, axis=0)
-    rows.append(f"median,{lead},,{shared},{mu_min:.6e},"
-                f"{','.join(f'{value:.6e}' for value in median)},")
+    values = cell.values
+    own = [(getattr(values, column.name), column.metadata.get("measured"))
+           for column in fields(values)]
+    reports = [[getattr(result.report, column.name)
+                for column in fields(result.report)] for result in results]
+    shared = ",".join(_format(value) for value, _ in own)
+    rows = [f"cell,{lead},{result.seed},{shared},{','.join(map(_format, norms))},"
+            for result, norms in zip(results, reports)]
+    median = [f"{value:.6e}" if measured else _format(value)
+              for value, measured in own]
+    median += [f"{value:.6e}" for value in np.median(reports, axis=0)]
+    rows.append(f"median,{lead},,{','.join(median)},")
     return rows, None
 
 
@@ -618,7 +616,9 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
         "seeds": config.seeds, **_run_metadata(config),
     }
     path = os.path.join(out_dir, "sweep.csv")
-    _write_text(path, _meta_lines(meta) + [_SWEEP_COLUMNS] + all_rows)
+    header = ",".join(["row_type", "k", "delta", "seed",
+                       *_value_columns(), "error"])
+    _write_text(path, _meta_lines(meta) + [header] + all_rows)
     logger.info("sweep: wrote %d rows to %s", len(all_rows), path)
     return path
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -876,6 +877,60 @@ class TestRunSweep:
         for row in rows:
             assert None not in row
             assert None not in row.values()
+
+    def test_value_columns_are_the_records_fields(self, tmp_path):
+        # the value columns are the cell record's fields, then the seed
+        # record's, in order, and the header a sweep writes carries them
+        names = [f.name for f in (*dataclasses.fields(cli.CellValues),
+                                  *dataclasses.fields(fields.ErrorReport))]
+        assert names == ["N", "alpha", "M_q", "m_overridden", "mu_min",
+                         "rel_l2_interior", "rel_h1semi_interior",
+                         "rel_l2_boundary", "rel_l2_normal_derivative"]
+        assert cli._value_columns() == names
+        path = _write_config(tmp_path / "cfg.json", k=1.0, delta=0.01,
+                             seeds=[1], grid_resolution=32)
+        out = run_sweep(load_config(path), str(tmp_path / "o"))
+        [header] = [ln for ln in Path(out).read_text(encoding="utf-8")
+                    .splitlines() if ln.startswith("row_type,")]
+        assert header.split(",")[4:-1] == names
+
+    def test_records_drive_every_output(self, tmp_path, monkeypatch):
+        # one more measured field on the cell record, and no other edit,
+        # reaches the sweep.csv header, every seed row as repr, the median
+        # row as %.6e, a failed cell's rows as a blank, report.json's
+        # metadata and the coefficients.csv header; every other column
+        # and key is as without it
+        @dataclasses.dataclass(frozen=True)
+        class Extended(cli.CellValues):
+            extra: float = dataclasses.field(default=0.1,
+                                             metadata={"measured": True})
+
+        sweep = _write_config(tmp_path / "sweep.json", k=[1e-20, 1.0],
+                              delta=0.01, seeds=[1, 2], grid_resolution=32)
+        solve = _write_config(tmp_path / "solve.json", delta=0.01,
+                              grid_resolution=32)
+
+        def outputs(name):
+            out = tmp_path / name
+            assert main(["sweep", "--config", str(sweep), "--out",
+                         str(out)]) == 0
+            report = run_solve(load_config(solve), str(out))
+            lines = (out / "sweep.csv").read_text(encoding="utf-8")
+            header = [ln for ln in (out / "coefficients.csv").read_text(
+                encoding="utf-8").splitlines() if ln.startswith("#")]
+            return ([ln.split(",") for ln in lines.splitlines()
+                     if not ln.startswith("#")], report["metadata"], header)
+
+        rows, meta, header = outputs("plain")
+        monkeypatch.setattr(cli, "CellValues", Extended)
+        extended, extended_meta, extended_header = outputs("extended")
+        # column 9 follows mu_min
+        assert [row[9] for row in extended] == [
+            "extra", "", "", "0.1", "0.1", "1.000000e-01"]
+        assert [row[:9] + row[10:] for row in extended] == rows
+        assert extended_meta == {**meta, "extra": 0.1}
+        assert "# extra=0.1" in extended_header
+        assert [ln for ln in extended_header if ln != "# extra=0.1"] == header
 
     def test_all_cells_failing_is_numerical_failure(self, tmp_path, capsys,
                                                     monkeypatch):

@@ -149,11 +149,10 @@ def trace_operator(problem: WaveProblem, rule: QuadratureRule,
         raise ValidationError(
             "system_not_tall",
             f"need 2N+1={cols} <= node count {rule.size}")
-    rows = nested.T                                 # (2N+3, M_q)
-    phi = np.empty((N + 3, rows.shape[1]), dtype=np.complex128)
-    phi[1] = rows[0]                                # phi[n + 1] = phi_n
-    phi[2:].real = rows[1::2]
-    phi[2:].imag = rows[2::2]
+    phi = np.empty((N + 3, nested.shape[1]), dtype=np.complex128)
+    phi[1] = nested[0]                              # phi[n + 1] = phi_n
+    phi[2:].real = nested[1::2]
+    phi[2:].imag = nested[2::2]
     np.negative(np.conj(phi[2]), out=phi[0])
     a, b = ladder_constants(problem.basis, N)
     root_w = np.sqrt(rule.arc_weights)
@@ -162,7 +161,7 @@ def trace_operator(problem: WaveProblem, rule: QuadratureRule,
     up *= a[N:, None]
     down = half_nu * phi[:-2]                       # B_n
     down *= b[N:, None]
-    trace = np.empty((cols, rows.shape[1]), dtype=np.complex128)
+    trace = np.empty((cols, nested.shape[1]), dtype=np.complex128)
     upper = trace[N:]                               # orders 0..N
     np.multiply(1j * problem.k * root_w, phi[1:-1], out=upper)   # E_n
     # orders -1..-N; trace[N-1::-1] would wrap to the whole array at N = 0

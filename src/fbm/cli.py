@@ -237,12 +237,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 def resolve_tau0(config: ExperimentConfig, radii: DomainRadii) -> float:
     """Numeric tau0; "auto" takes 1.02*tau_min rounded up to two decimals,
-    except for the built-in kite (told by its preset radii, which a config
-    cannot set, unlike its name) whose canonical value is 2.2."""
+    which gives the built-in kite's preset radii their canonical 2.2."""
     if config.tau0 != "auto":
         return float(config.tau0)
-    if config.curve.preset_radii is not None:
-        return 2.2
     return math.ceil(1.02 * radii.tau_min * 100.0) / 100.0
 
 
@@ -300,21 +297,20 @@ class WaveGrid:
     after the boundary stages of the k's first cell that builds.
 
     ``values`` are the nested basis values of order N_top + 1 at
-    grid.points, as nested_values returns them: the transposed view of an
-    order-major (2 N_top + 3, P) float array, with N_top the largest N
+    grid.points, as nested_values returns them, with N_top the largest N
     among the k's cells. The nested values of any order N + 1 <= N_top + 1
     are its leading 2N + 3 rows, so rows(N) hands a cell of order N the
     bits that nested_values(basis, N + 1, grid.points) returns, as a view.
     """
 
     grid: InteriorGrid
-    values: np.ndarray               # (P, 2 N_top + 3)
+    values: np.ndarray               # (2 N_top + 3, P)
     wave: PlaneWave                  # the exact solution at this k
     exact: tuple                     # its (values, gradients) at grid.points
 
     def rows(self, N: int) -> np.ndarray:
-        """The values of order N + 1, shape (P, 2N+3)."""
-        return self.values.T[:2 * N + 3].T
+        """The values of order N + 1, shape (2N+3, P)."""
+        return self.values[:2 * N + 3]
 
 
 @dataclass(frozen=True)

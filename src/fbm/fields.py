@@ -95,7 +95,8 @@ def build_interior_grid(curve: BoundaryCurve, radii: DomainRadii,
     excluded = 1.0 - keep.sum() / max(1, inside.sum())
     logger.debug("interior grid: %d points, %.2f%% near-boundary cells dropped",
                  int(keep.sum()), 100.0 * excluded)
-    xx, yy = np.meshgrid(centers, centers)
+    xx = np.broadcast_to(centers, keep.shape)            # views, not copies
+    yy = np.broadcast_to(centers[:, None], keep.shape)
     kept = np.column_stack([xx[keep], yy[keep]])
     if kept.shape[0] == 0:
         raise NumericalError("empty_interior_grid",
@@ -109,7 +110,7 @@ def evaluate_field(problem: WaveProblem, c: CoefficientVector, points):
     by one real product of the folded coefficients (nested_coefficients)
     with nested_values' rows of order N, as in error_norms."""
     re, im = (nested_coefficients(c.coeffs[:, None])
-              @ nested_values(problem.basis, c.order, points).T)
+              @ nested_values(problem.basis, c.order, points))
     out = re + 1j * im
     if np.ndim(points) == 1:
         return complex(out[0])
@@ -173,7 +174,7 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
     nested_coefficients, form real (S, 6, 2N+3) row blocks of S =
     _SEED_BLOCK vectors at most: Re and Im of u_N, du_N/dx and du_N/dy per
     vector. The rows are multiplied by the order-major values per point
-    set in one stacked product, np.matmul(block, values.T), on the grid
+    set in one stacked product, np.matmul(block, values), on the grid
     _GRID_BLOCK points at a time; the exact rows are subtracted in place
     and each row's squares summed. The stacked product makes one BLAS call
     per vector, each of the (6, 2N+3) by (2N+3, P) shape a one-vector pass
@@ -206,11 +207,11 @@ def error_norms(basis: BasisContext, coefficients: list[CoefficientVector],
             basis, np.stack([c.coeffs for c in vectors])))
         for start in range(0, grid_rows.shape[1], _GRID_BLOCK):
             points = slice(start, start + _GRID_BLOCK)
-            on_grid = np.matmul(block, grid_values[points].T)
+            on_grid = np.matmul(block, grid_values[:, points])
             on_grid -= grid_rows[:, points]
             on_grid *= on_grid
             grid_sq[group] += on_grid.sum(axis=-1)
-        on_boundary = np.matmul(block, boundary_values.T)
+        on_boundary = np.matmul(block, boundary_values)
         on_boundary -= boundary_rows
         traces = np.concatenate([on_boundary[:, :2],        # Re, Im of u_N - u
                                  on_boundary[:, 2:4] * nx   # and of its normal

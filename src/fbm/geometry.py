@@ -83,15 +83,20 @@ class BoundaryCurve:
         t = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_GRID, endpoint=False)
         p, d = _curve_eval(self, t, (0, 1))          # (G, 2) each
         speed = np.hypot(d[:, 0], d[:, 1])
-        if speed.min() <= _MIN_SPEED:
+        # written so that a NaN fails each check
+        if not speed.min() > _MIN_SPEED:
             raise ValidationError(
                 "curve_not_regular",
                 f"min |x'(t)| = {speed.min():.3e} on the validation grid")
-        area = 0.5 * np.mean(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]) * 2.0 * np.pi
-        if area <= 0.0:
+        # the area's sign and the origin test do not change with the scale
+        # of the points; scaled to largest coordinate 1, no product outgrows
+        # |x'|, and the origin test's products stay finite
+        p /= max(p.max(), -p.min())
+        area = np.pi * np.mean(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0])
+        if not area > 0.0:
             raise ValidationError(
                 "curve_not_ccw",
-                f"signed area {area:.3e} is not positive; "
+                f"signed area / max |x_i| = {area:.3e} is not positive; "
                 "parametrization must be counterclockwise")
         if not _encloses_origin(p):
             raise ValidationError("origin_not_interior",

@@ -237,10 +237,9 @@ def ladder_coefficients(ctx: BasisContext, coeffs: np.ndarray) -> np.ndarray:
 def nested_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
     """Basis values phi_n, n = 0..N, at points (P, 2), the one evaluator of
     the basis: the real rows Re phi_0, Re phi_1, Im phi_1, ..., Re phi_N,
-    Im phi_N, shape (P, 2N+1), the transposed view of a C-contiguous
-    (2N+1, P) float array. The form of order N' < N is its leading 2N'+1
-    rows. N may reach N_MAX + 1, so that the ladder can differentiate an
-    expansion of order N_MAX."""
+    Im phi_N, a C-contiguous float array of shape (2N+1, P). The form of
+    order N' < N is its leading 2N'+1 rows. N may reach N_MAX + 1, so that
+    the ladder can differentiate an expansion of order N_MAX."""
     if N < 0 or N > N_MAX + 1:
         raise ValueError(f"basis order N={N} outside [0, {N_MAX + 1}]")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -260,7 +259,7 @@ def nested_values(ctx: BasisContext, N: int, points: np.ndarray) -> np.ndarray:
         phase *= unit
         np.multiply(rows[N + n], phase.real, out=rows[2 * n - 1])
         np.multiply(rows[N + n], phase.imag, out=rows[2 * n])
-    return rows.T
+    return rows
 
 
 def nested_coefficients(coeffs: np.ndarray) -> np.ndarray:

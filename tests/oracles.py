@@ -87,10 +87,10 @@ def basis_gradient_oracle(k: float, M: float, n: int, point) -> np.ndarray:
 
 def complex_values(nested: np.ndarray) -> np.ndarray:
     """phi_n, n = -N..N, read exactly off nested_values' rows ``nested``
-    (P, 2N+1): phi_n = Re phi_n + i Im phi_n for n >= 0, and
+    (2N+1, P): phi_n = Re phi_n + i Im phi_n for n >= 0, and
     phi_{-n} = (-1)^n conj(phi_n). Shape (P, 2N+1), column j holding phi_n
     with n = j - N, the transposed view of a C-contiguous (2N+1, P) array."""
-    rows = nested.T
+    rows = nested
     N = (rows.shape[0] - 1) // 2
     values = np.empty(rows.shape, dtype=np.complex128)
     upper = values[N:]                           # orders 0..N

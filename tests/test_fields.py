@@ -103,6 +103,17 @@ class TestInteriorGridCull:
         assert np.array_equal(grid.points, kite_grid.points)
         assert grid.excluded_fraction == kite_grid.excluded_fraction
 
+    def test_kept_points_read_without_tensor_copies(self, kite, kite_radii):
+        # the kept points are read off broadcast views of the centres; two
+        # meshgrid copies of the whole grid would lift the peak to ~5.9x
+        tracemalloc.start()
+        try:
+            grid = build_interior_grid(kite, kite_radii, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * grid.points.nbytes
+
 
 class TestEvaluateField:
     def test_center_mode_at_origin(self, kite, kite_radii):

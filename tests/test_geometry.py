@@ -310,6 +310,19 @@ class TestConstructionValidation:
                           x2_cos=[0.0], x2_sin=[0.0, -1.0])
         assert err.value.code == "curve_not_ccw"
 
+    def test_clockwise_rejected_where_its_area_overflows(self):
+        # the signed area of these points overflows unscaled (inf - inf is
+        # NaN, which no comparison rejects); scaled, its sign survives
+        with pytest.raises(ValidationError) as err:
+            BoundaryCurve(x1_cos=[0.0, 1e300], x1_sin=[0.0, 1e300],
+                          x2_cos=[0.0], x2_sin=[0.0, -1e300])
+        assert err.value.code == "curve_not_ccw"
+
+    def test_counterclockwise_mirror_of_huge_curve_builds(self):
+        curve = BoundaryCurve(x1_cos=[0.0, 1e300], x1_sin=[0.0, 1e300],
+                              x2_cos=[0.0], x2_sin=[0.0, 1e300])
+        assert curve.name == "custom"
+
     def test_origin_outside_rejected(self):
         with pytest.raises(ValidationError) as err:
             BoundaryCurve(x1_cos=[3.0, 1.0], x1_sin=[0.0],

@@ -144,22 +144,22 @@ class TestBasisValue:
                               np.cumprod(ratios, axis=0))
 
     def test_nested_values_against_composed_oracle(self):
-        # Re phi_0, Re phi_1, Im phi_1, ...: column 2n - 1 holds Re phi_n
-        # and column 2n Im phi_n
+        # Re phi_0, Re phi_1, Im phi_1, ...: row 2n - 1 holds Re phi_n and
+        # row 2n Im phi_n
         ctx = BasisContext(k=2.0, M=2.5)
         rng = np.random.default_rng(8)
         ang = rng.uniform(0, 2 * np.pi, size=6)
         rad = rng.uniform(0.05, 2.4, size=6)
         pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
         nested = nested_values(ctx, 12, pts)
-        assert nested.shape == (6, 25)
-        for p, row in zip(pts, nested):
-            assert row[0] == pytest.approx(
+        assert nested.shape == (25, 6)
+        for p, column in zip(pts, nested.T):
+            assert column[0] == pytest.approx(
                 basis_value_oracle(ctx.k, ctx.M, 0, p).real, abs=1e-12)
             for n in (1, 2, 5, 12):
                 ref = basis_value_oracle(ctx.k, ctx.M, n, p)
-                assert row[2 * n - 1] == pytest.approx(ref.real, abs=1e-12)
-                assert row[2 * n] == pytest.approx(ref.imag, abs=1e-12)
+                assert column[2 * n - 1] == pytest.approx(ref.real, abs=1e-12)
+                assert column[2 * n] == pytest.approx(ref.imag, abs=1e-12)
 
     @pytest.mark.parametrize("n", [64, 100, 128])
     def test_high_order_phases(self, n):
@@ -283,12 +283,13 @@ class TestBatchConsistency:
 
     def test_storage_is_order_major(self):
         # each row is written as one contiguous row, a (2N+1, P) matrix
-        # ready for one BLAS product
+        # ready for one BLAS product, returned as the array it fills
         ctx = BasisContext(k=5.0, M=1.985)
         pts = np.random.default_rng(29).uniform(-1.8, 1.8, size=(30, 2))
         nested = nested_values(ctx, 7, pts)
-        assert nested.shape == (30, 15)
-        assert nested.T.flags.c_contiguous
+        assert nested.shape == (15, 30)
+        assert nested.flags.c_contiguous
+        assert nested.base is None
 
     @pytest.mark.parametrize("N", [1, 2, 7])
     def test_negative_orders_are_conjugates(self, N):
@@ -313,12 +314,12 @@ class TestBatchConsistency:
         ctx = make_problem(kite_radii, k, 2.2, 33).basis
         values = basis_values(ctx, N, kite_grid.points)
         nested = nested_values(ctx, N, kite_grid.points)
-        assert nested.shape == values.shape == (kite_grid.points.shape[0],
-                                                2 * N + 1)
-        assert nested.T.flags.c_contiguous
-        assert np.array_equal(nested[:, 0], values[:, N].real)
-        assert np.array_equal(nested[:, 1::2], values[:, N + 1:].real)
-        assert np.array_equal(nested[:, 2::2], values[:, N + 1:].imag)
+        assert nested.shape == values.T.shape == (2 * N + 1,
+                                                  kite_grid.points.shape[0])
+        assert nested.flags.c_contiguous
+        assert np.array_equal(nested[0], values[:, N].real)
+        assert np.array_equal(nested[1::2], values[:, N + 1:].real.T)
+        assert np.array_equal(nested[2::2], values[:, N + 1:].imag.T)
         read = complex_values(nested)
         assert read.T.flags.c_contiguous
         assert np.array_equal(read, values)
@@ -358,7 +359,7 @@ class TestBatchConsistency:
             assert np.array_equal(block, ladder_coefficients(ctx, c))
             assert np.array_equal(rows, nested_coefficients(block))
             ref = (values @ block).T                     # (3, 40) complex
-            got = rows @ nested.T                        # (6, 40) real
+            got = rows @ nested                          # (6, 40) real
             scale = np.abs(ref).max(axis=1, keepdims=True)
             assert np.all(np.abs(got[0::2] + 1j * got[1::2] - ref)
                           <= 1e-13 * scale)

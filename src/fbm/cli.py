@@ -51,6 +51,7 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -78,9 +79,10 @@ MAX_NODE_COUNT = 65536
 MAX_GRID_RESOLUTION = 2048
 # Memory a cell may spend, counted before any basis is evaluated: its nested
 # basis rows of order N + 1 (8 bytes per point and row, grid and boundary),
-# the trace operator and the SVD's left vectors beside it (at most 16 bytes per
-# node and column each; LAPACK's workspace is not counted), and one error
-# pass's products (fields.error_pass_bytes).
+# the trace operator and the Householder reflectors of its QR beside it, which
+# the SVD keeps in place of its left vectors (at most 16 bytes per node and
+# column each; LAPACK's workspace is not counted), and one error pass's
+# products (fields.error_pass_bytes).
 # A WaveGrid has the order of a cell that passed this check.
 BASIS_BUDGET_BYTES = 2 ** 30
 # boundary parameters at which plot samples the traces
@@ -282,13 +284,19 @@ def _run_metadata(config: ExperimentConfig) -> dict:
 @dataclass(frozen=True)
 class Setup:
     """What every cell of a config shares: the domain radii, the numeric
-    tau0, the interior grid and the quadrature size (None for "auto")."""
+    tau0, the quadrature size (None for "auto") and the interior grid,
+    built when the first cell whose problem make_problem accepts reads it,
+    so a config none of whose wavenumbers it resolves builds no grid."""
 
     config: ExperimentConfig
     radii: DomainRadii
     tau0: float
-    grid: InteriorGrid
     node_count: int | None
+
+    @cached_property
+    def grid(self) -> InteriorGrid:
+        return build_interior_grid(self.config.curve, self.radii,
+                                   self.config.grid_resolution)
 
 
 @dataclass(frozen=True)
@@ -380,9 +388,11 @@ class Cell:
 def _plan_cell(setup: Setup, k: float, delta: float,
                seed_count: int) -> tuple[RegularizationPlan, int, WaveProblem]:
     """Plan, quadrature size and problem of a (k, delta) cell, with every
-    check that must pass before any of its bases is evaluated."""
+    check that must pass before any of its bases is evaluated; the budget
+    check, which counts the interior grid's points, comes last."""
     config = setup.config
     plan = select_parameters(k, delta, config.eta, setup.radii, setup.tau0)
+    problem = make_problem(setup.radii, k, setup.tau0, plan.N)
     nodes = setup.node_count or default_node_count(plan.N)
     grid_points = setup.grid.points.shape[0]
     rows = 2 * plan.N + 3
@@ -395,7 +405,7 @@ def _plan_cell(setup: Setup, k: float, delta: float,
             f"{grid_points} grid points, {seed_count} seeds) needs "
             f"{needed} bytes of bases, singular vectors and error-pass "
             f"products, above {BASIS_BUDGET_BYTES}")
-    return plan, nodes, make_problem(setup.radii, k, setup.tau0, plan.N)
+    return plan, nodes, problem
 
 
 def make_cell(setup: Setup, wave: PlaneWave, shared: WaveGrid | None,
@@ -514,9 +524,7 @@ def _resolve(config: ExperimentConfig) -> tuple[DomainRadii, float, int | None]:
 
 
 def _prepare(config: ExperimentConfig) -> Setup:
-    radii, tau0, node_count = _resolve(config)
-    grid = build_interior_grid(config.curve, radii, config.grid_resolution)
-    return Setup(config, radii, tau0, grid, node_count)
+    return Setup(config, *_resolve(config))
 
 
 def _solve_case(config: ExperimentConfig) -> tuple[Cell, CaseResult]:

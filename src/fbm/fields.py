@@ -141,9 +141,9 @@ def error_report(problem: WaveProblem, c: CoefficientVector, exact,
 
 def _real_rows(values: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     """Re and Im of u, du/dx and du/dy, in that order, as (6, P) rows."""
-    both = np.vstack([values, gradients.T])
-    rows = np.empty((6, both.shape[1]))
-    rows[0::2], rows[1::2] = both.real, both.imag
+    rows = np.empty((6, values.shape[0]))
+    rows[0], rows[1] = values.real, values.imag
+    rows[2::2], rows[3::2] = gradients.real.T, gradients.imag.T
     return rows
 
 

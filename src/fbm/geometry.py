@@ -155,7 +155,10 @@ def _curve_eval(curve: BoundaryCurve, t, orders) -> list[np.ndarray]:
     series reads its leading columns, with the bits of a table of its own."""
     series = ((curve.x1_cos, curve.x1_sin), (curve.x2_cos, curve.x2_sin))
     m = np.arange(max(c.size for pair in series for c in pair))
-    tm = np.multiply.outer(np.asarray(t, dtype=float), m)   # (..., terms)
+    t = np.asarray(t, dtype=float)
+    tm = np.empty(t.shape + m.shape)                        # (..., terms)
+    for j in range(m.size):          # column by column: np.multiply.outer's bits
+        np.multiply(t, m[j], out=tm[..., j])
     cos, sin = np.cos(tm), np.sin(tm)
 
     def sample(order, a, b):

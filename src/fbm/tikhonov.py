@@ -6,7 +6,12 @@ computed spectrally:
     c = sum_j  mu_j / (alpha + mu_j^2) * <f, phi_j> * d_j
 
 with the weighted discrete inner product, so the discrete singular
-system approximates the continuous one of the trace map.
+system approximates the continuous one of the trace map. The system is
+kept factored: A = Q R by Householder QR, with Q in the compact WY form
+I - Y T Y^H of its reflectors (Schreiber & Van Loan 1989), and
+R = U_r diag(mu) V^H. A solve reads <f, phi_j> = (U^H f)_j through the
+reflectors, one (K, M_q) product per data vector, and the (M_q, K) left
+vectors U = Q[:, :K] U_r are formed only on request.
 
 Truncation order and regularization weight follow the two-branch rule
 (eta > 1, delta_eff = max(delta, 1e-16)):
@@ -47,11 +52,36 @@ _FLOOR_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class SingularSystem:
-    """Thin SVD (mu_j, d_j, phi_j) of the discrete trace operator."""
+    """Thin SVD A = U diag(mu) V^H of the discrete trace operator, the
+    triplets (mu_j, d_j, phi_j), with U kept factored.
+
+    A = Q R by Householder QR, Q = H_1 ... H_K = I - Y T Y^H: column j of
+    the (M_q, K) unit lower trapezoidal Y is the reflector v_j of
+    H_j = I - tau_j v_j v_j^H, and T is upper triangular (LAPACK zlarft,
+    forward and columnwise). With R = U_r diag(mu) V^H, the SVD of the
+    K x K triangular factor, U = Q[:, :K] U_r has U^H = [B, -C Y_2^H],
+    where Y_1 = Y[:K], Y_2 = Y[K:], C = U_r^H Y_1 T^H and
+    B = U_r^H - C Y_1^H = U[:K]^H.
+    """
 
     singular_values: np.ndarray      # (K,) descending positive
-    left_vectors: np.ndarray         # (M_q, K), columns phi_j
     right_vectors: np.ndarray        # (2N+1, K), columns d_j
+    head: np.ndarray                 # (K, K) B, in the QR's own array
+    reflectors: np.ndarray           # (K, M_q - K) Y_2^H, the rest of it
+    coupling: np.ndarray             # (K, K) C
+
+    def project(self, data: np.ndarray) -> np.ndarray:
+        """U^H data, the (K,) inner products <data, phi_j>, read through
+        the reflectors one data vector at a time, so its bits are its own."""
+        k = self.head.shape[0]
+        return self.head @ data[:k] - self.coupling @ (self.reflectors @ data[k:])
+
+    @property
+    def left_vectors(self) -> np.ndarray:
+        """U (M_q, K), columns phi_j, formed anew on each request; a solve
+        never reads it."""
+        return np.vstack([self.head.conj().T,
+                          -(self.coupling @ self.reflectors).conj().T])
 
     @property
     def mu_min(self) -> float:
@@ -95,16 +125,39 @@ class RegularizationPlan:
 
 
 def svd(matrix: np.ndarray) -> SingularSystem:
-    """Thin SVD of the weighted collocation matrix."""
+    """Thin SVD of the weighted collocation matrix, factored as
+    SingularSystem keeps it: one Householder QR, the SVD of its triangular
+    factor, and the WY factor T of its reflectors, from their Gram matrix
+    Y^H Y by zlarft's column recurrence; B takes the place of Y_1^H in the
+    QR's array."""
     if matrix.shape[0] < matrix.shape[1]:
         raise ValidationError("system_not_tall",
                               f"matrix shape {matrix.shape} is not tall")
+    k = matrix.shape[1]
     try:
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+        # h is LAPACK's geqrf output transposed, (K, M_q): R^T in the lower
+        # triangle of its first K columns, and reflector j past the
+        # diagonal of row j
+        h, tau = np.linalg.qr(matrix, mode="raw")
+        head = h[:, :k]
+        u_r, s, vh = np.linalg.svd(np.triu(head.T), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("svd_failed", str(exc)) from exc
-    return SingularSystem(singular_values=s, left_vectors=u,
-                          right_vectors=vh.conj().T)
+    # h becomes Y^H in place, and head Y_1^H: row j is v_j^H, 1 at column j
+    # and 0 before it
+    head[np.tril_indices(k, -1)] = 0.0
+    np.fill_diagonal(head, 1.0)
+    np.conjugate(h, out=h)
+    # T column by column: T[:j, j] = -tau_j T[:j, :j] (Y^H Y)[:j, j]
+    gram = h @ h.conj().T
+    t = np.diag(tau)
+    for j in range(1, k):
+        t[:j, j] = -tau[j] * (t[:j, :j] @ gram[:j, j])
+    rotation = u_r.conj().T
+    coupling = rotation @ (t @ head).conj().T           # U_r^H Y_1 T^H
+    head[...] = rotation - coupling @ head              # B over Y_1^H
+    return SingularSystem(singular_values=s, right_vectors=vh.conj().T,
+                          head=head, reflectors=h[:, k:], coupling=coupling)
 
 
 def tikhonov_solve(system: SingularSystem, rhs: np.ndarray,
@@ -118,7 +171,7 @@ def tikhonov_solve(system: SingularSystem, rhs: np.ndarray,
         raise NumericalError(
             "rank_deficient",
             f"mu_min={system.mu_min:.3e} too small for an unregularized solve")
-    projections = system.left_vectors.conj().T @ rhs        # (K,)
+    projections = system.project(rhs)
     filt = s / (alpha + s * s)
     return CoefficientVector(coeffs=system.right_vectors @ (filt * projections))
 

@@ -7,6 +7,7 @@ import os
 import random
 import statistics
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -195,6 +196,25 @@ class TestExitCodes:
         assert rows[3:] == ["cell,5.0,0.01,1,,,,,,,,,,rank_deficient",
                             "cell,5.0,0.01,2,,,,,,,,,,rank_deficient"]
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_unresolvable_curve_builds_no_grid(self, tmp_path, capsys,
+                                               command):
+        # k r_ex_min ~ 1e300 > N_MAX rejects every cell in make_problem,
+        # before the interior grid, whose arithmetic overflows on this curve
+        curve = {"x1_cos": [0, 1e300], "x1_sin": [0, 1e300],
+                 "x2_sin": [0, 1e300]}
+        path = _write_config(tmp_path / "cfg.json", curve=curve, delta=0.01,
+                             tau0="auto", grid_resolution=32)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path),
+                         "--out", str(tmp_path / "o")])
+        records = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()
+                   if ln.startswith("{")]
+        assert code == 2
+        assert [r["error"] for r in records] == ["wavenumber_unresolvable"]
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_unreadable_config(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "missing.json")])
         assert code == 2
@@ -343,10 +363,10 @@ class TestConfigValidationExit:
         # k=1, delta=0.01 selects N=8 on the kite; grid 64 keeps 1022
         # points and "auto" takes 256 nodes. The cell holds 19 nested rows,
         # 8 bytes per point each, the boundary's complex values and the
-        # SVD's left vectors, 16 bytes per node and row each, and one error
-        # pass over the seeds it solves, 48 bytes per point and seed: the
-        # sweep's three seeds take 533,936 bytes in all, solve's first seed
-        # alone 411,248
+        # Householder reflectors the SVD keeps, 16 bytes per node and row
+        # each, and one error pass over the seeds it solves, 48 bytes per
+        # point and seed: the sweep's three seeds take 533,936 bytes in all,
+        # solve's first seed alone 411,248
         rows, grid_points, nodes = 19, 1022, 256
         monkeypatch.setattr(cli, "BASIS_BUDGET_BYTES",
                             8 * rows * (grid_points + nodes)

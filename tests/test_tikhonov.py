@@ -45,6 +45,18 @@ def _disc(k: float, N: int, tau0: float):
     return problem, rule, svd(assemble_operator(problem, rule)), np.array(sigma)
 
 
+def _projection_gap(matrix: np.ndarray, data: np.ndarray) -> float:
+    """Largest gap between the shares d_j <data, phi_j> of svd's projection
+    and of LAPACK's thin SVD U^H data, relative to |data|. A share does not
+    change with the phase LAPACK gives the pair (d_j, phi_j), which the
+    SVD of A itself and that of its R may choose apart."""
+    system = svd(matrix)
+    u, _, vh = np.linalg.svd(matrix, full_matrices=False)
+    got = system.right_vectors * system.project(data)
+    want = vh.conj().T * (u.conj().T @ data)
+    return float(np.abs(got - want).max() / np.linalg.norm(data))
+
+
 @pytest.fixture(scope="module")
 def kite_system(kite, kite_radii):
     prob = make_problem(kite_radii, 1.0, 2.2, 10)
@@ -87,6 +99,57 @@ class TestSvd:
         gram_right = system.right_vectors.conj().T @ system.right_vectors
         assert np.linalg.norm(gram_left - np.eye(21)) <= 1e-10
         assert np.linalg.norm(gram_right - np.eye(21)) <= 1e-10
+
+    @pytest.mark.parametrize("k, delta", [(1.0, 0.01), (5.0, 0.01),
+                                          (20.0, 1e-16)])
+    def test_kite_projection_matches_lapack_svd(self, kite, kite_radii, k,
+                                                delta):
+        # the cells' operators: 256 x 17, 384 x 41 and 704 x 81
+        plan = select_parameters(k, delta, 5.0, kite_radii, 2.2)
+        prob = make_problem(kite_radii, k, 2.2, plan.N)
+        rule = build_quadrature(kite, default_node_count(plan.N))
+        rng = np.random.default_rng(17)
+        data = rng.standard_normal(rule.size) + 1j * rng.standard_normal(rule.size)
+        assert _projection_gap(assemble_operator(prob, rule), data) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(9, 9), (12, 9), (64, 9), (300, 40)])
+    def test_random_projection_matches_lapack_svd(self, shape):
+        rng = np.random.default_rng(shape[0])
+        matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
+        assert _projection_gap(matrix, data) <= 1e-12
+
+    @pytest.mark.parametrize("triangular", [False, True])
+    def test_reflector_with_zero_tau(self, triangular):
+        # a column zero below a real diagonal entry needs no reflection:
+        # LAPACK takes tau = 0 and leaves the reflector e_j, with no entry
+        # below R. Column 0 of a random matrix, or every column of an upper
+        # triangular one, Q = I
+        rng = np.random.default_rng(21)
+        matrix = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
+        matrix[:, 0] = 0.0
+        matrix[0, 0] = 2.0
+        if triangular:
+            matrix = np.triu(matrix)
+            np.fill_diagonal(matrix, [2.0, -1.0, 3.0, 0.5, -4.0, 1.0])
+        system = svd(matrix)
+        unreflected = range(6) if triangular else [0]
+        for j in unreflected:
+            assert not np.any(system.reflectors[j])
+        data = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        assert _projection_gap(matrix, data) <= 1e-12
+        rebuilt = (system.left_vectors * system.singular_values) \
+            @ system.right_vectors.conj().T
+        assert np.linalg.norm(rebuilt - matrix) <= 1e-12 * np.linalg.norm(matrix)
+
+    def test_left_vectors_formed_on_request(self, kite_system):
+        # U = Q[:, :K] U_r from the reflectors: (M_q, K), and U diag(mu) V^H
+        # rebuilds the operator
+        _, rule, op, system = kite_system
+        u = system.left_vectors
+        assert u.shape == (rule.size, 21)
+        rebuilt = (u * system.singular_values) @ system.right_vectors.conj().T
+        assert np.linalg.norm(rebuilt - op) <= 1e-12 * np.linalg.norm(op)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValidationError):
@@ -168,6 +231,22 @@ class TestTikhonovSolve:
             got = tikhonov_solve(system, data, alpha).coeffs
             assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
             assert np.max(np.abs(got - exact)[low] / np.abs(exact[low])) <= 1e-11
+
+    def test_batch_projection_matches_single_solve(self, kite_system):
+        # a cell factors its operator once and projects each seed's data
+        # through the same reflectors, one product per seed: every seed's
+        # coefficients are bitwise those of a fresh factorization solving
+        # that seed alone, and factoring leaves the operator as it was
+        _, rule, op, system = kite_system
+        operator = op.copy()
+        rng = np.random.default_rng(23)
+        batch = [rng.standard_normal(rule.size) + 1j * rng.standard_normal(rule.size)
+                 for _ in range(4)]
+        together = [tikhonov_solve(system, data, 1e-8).coeffs for data in batch]
+        for data, coeffs in zip(batch[::-1], together[::-1]):
+            alone = tikhonov_solve(svd(op), data, 1e-8).coeffs
+            assert np.array_equal(alone, coeffs)
+        assert np.array_equal(op, operator)
 
     def test_rank_guard(self):
         matrix = np.zeros((4, 3), dtype=complex)

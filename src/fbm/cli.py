@@ -283,10 +283,10 @@ def _run_metadata(config: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class Setup:
-    """What every cell of a config shares: the domain radii, the numeric
-    tau0, the quadrature size (None for "auto") and the interior grid,
-    built when the first cell whose problem make_problem accepts reads it,
-    so a config none of whose wavenumbers it resolves builds no grid."""
+    """What every command starts from: the domain radii, the numeric tau0,
+    the quadrature size (None for "auto") and the interior grid, built when
+    the first cell whose problem make_problem accepts reads it, so svd, and
+    a config none of whose wavenumbers it resolves, build no grid."""
 
     config: ExperimentConfig
     radii: DomainRadii
@@ -515,16 +515,11 @@ def _single(values: list, what: str) -> float:
     return values[0]
 
 
-def _resolve(config: ExperimentConfig) -> tuple[DomainRadii, float, int | None]:
-    """The domain radii, numeric tau0 and quadrature size (None for
-    "auto"), which every command needs."""
-    radii = compute_radii(config.curve)
-    return radii, resolve_tau0(config, radii), (
-        None if config.node_count == "auto" else int(config.node_count))
-
-
 def _prepare(config: ExperimentConfig) -> Setup:
-    return Setup(config, *_resolve(config))
+    """The Setup that every command starts from."""
+    radii = compute_radii(config.curve)
+    node_count = None if config.node_count == "auto" else int(config.node_count)
+    return Setup(config, radii, resolve_tau0(config, radii), node_count)
 
 
 def _solve_case(config: ExperimentConfig) -> tuple[Cell, CaseResult]:
@@ -630,13 +625,13 @@ def run_sweep(config: ExperimentConfig, out_dir: str) -> str:
 def run_svd_study(config: ExperimentConfig, out_dir: str, n_list) -> str:
     """Record mu_min against truncation order N, with the fitted slope."""
     k = _single(config.k_list, "k")
-    radii, tau0, node_count = _resolve(config)
-    study = svd_decay_study(config.curve, radii, k, tau0, n_list,
-                            node_count=node_count)
-    products = study.bound_products(tau0)
+    setup = _prepare(config)
+    study = svd_decay_study(config.curve, setup.radii, k, setup.tau0, n_list,
+                            node_count=setup.node_count)
+    products = study.bound_products(setup.tau0)
     meta = {
         "command": "svd", "curve": config.curve.name, "k": k,
-        "eta": config.eta, "tau0": tau0, "tau_min": radii.tau_min,
+        "eta": config.eta, "tau0": setup.tau0, "tau_min": setup.radii.tau_min,
         "M_q": study.node_count, "version": __version__,
     }
     lines = _meta_lines(meta)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,15 +25,15 @@ from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
 
-_VALIDATION_GRID = 4096
+_SAMPLES = 4096                  # x(2 pi j / _SAMPLES), kept by each curve
 _MIN_SPEED = 1e-9
 _GOLDEN_TOL = 1e-6
 _PAIR_CHUNK = 2 ** 16            # (cell, edge) pairs per narrow-phase block
 _INTERIOR_EDGES = 2048           # polygon edges of the interior tests
 _DISTANCE_EDGES = 256            # polygon edges of the grid's clearance test
-# Terms per Fourier series of a curve. Curve validation, the quadrature and
-# the boundary polygons each build (samples x terms) tables, so an uncapped
-# list costs memory in proportion to its length; the kite uses 3 terms.
+# Terms per Fourier series of a curve. Curve validation and the quadrature
+# each build (samples x terms) tables, so an uncapped list costs memory in
+# proportion to its length; the kite uses 3 terms.
 MAX_FOURIER_TERMS = 64
 
 
@@ -66,6 +66,9 @@ class BoundaryCurve:
     radius of 2.0657 (the far point sits near t = 1.815, not at the wing
     tip t = pi/2), which would invalidate that whole configuration, so the
     pinned values take precedence for the preset.
+
+    ``samples`` holds, read-only, the points x(2 pi j / 4096) that validate
+    the curve; the radii scan and the boundary polygons read them.
     """
 
     x1_cos: np.ndarray
@@ -74,14 +77,16 @@ class BoundaryCurve:
     x2_sin: np.ndarray
     name: str = "custom"
     preset_radii: tuple[float, float] | None = None
+    samples: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x1_cos = _as_coeffs(self.x1_cos)
         self.x1_sin = _as_coeffs(self.x1_sin)
         self.x2_cos = _as_coeffs(self.x2_cos)
         self.x2_sin = _as_coeffs(self.x2_sin)
-        t = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_GRID, endpoint=False)
-        p, d = _curve_eval(self, t, (0, 1))          # (G, 2) each
+        t = np.linspace(0.0, 2.0 * np.pi, _SAMPLES, endpoint=False)
+        self.samples, d = _curve_eval(self, t, (0, 1))      # (G, 2) each
+        self.samples.flags.writeable = False
         speed = np.hypot(d[:, 0], d[:, 1])
         # written so that a NaN fails each check
         if not speed.min() > _MIN_SPEED:
@@ -91,7 +96,7 @@ class BoundaryCurve:
         # the area's sign and the origin test do not change with the scale
         # of the points; scaled to largest coordinate 1, no product outgrows
         # |x'|, and the origin test's products stay finite
-        p /= max(p.max(), -p.min())
+        p = self.samples / max(self.samples.max(), -self.samples.min())
         area = np.pi * np.mean(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0])
         if not area > 0.0:
             raise ValidationError(
@@ -152,10 +157,12 @@ class QuadratureRule:
 def _curve_eval(curve: BoundaryCurve, t, orders) -> list[np.ndarray]:
     """x(t) (order 0) and x'(t) (order 1), a (..., 2) array per order, all
     from one cos and one sin table of m t, m up to the longest series; each
-    series reads its leading columns, with the bits of a table of its own."""
+    series reads its leading columns, with the bits of a table of its own;
+    the outputs come first, so a kept one sits below the tables' heap hole."""
     series = ((curve.x1_cos, curve.x1_sin), (curve.x2_cos, curve.x2_sin))
     m = np.arange(max(c.size for pair in series for c in pair))
     t = np.asarray(t, dtype=float)
+    out = [np.empty(t.shape + (2,)) for _ in orders]
     tm = np.empty(t.shape + m.shape)                        # (..., terms)
     for j in range(m.size):          # column by column: np.multiply.outer's bits
         np.multiply(t, m[j], out=tm[..., j])
@@ -166,8 +173,9 @@ def _curve_eval(curve: BoundaryCurve, t, orders) -> list[np.ndarray]:
             return (cos[..., :a.size] @ a) + (sin[..., :b.size] @ b)
         return ((-sin[..., :a.size] @ (m[:a.size] * a))
                 + (cos[..., :b.size] @ (m[:b.size] * b)))
-    return [np.stack([sample(order, a, b) for a, b in series], axis=-1)
-            for order in orders]
+    for order, xy in zip(orders, out):
+        xy[..., 0], xy[..., 1] = (sample(order, a, b) for a, b in series)
+    return out
 
 
 def curve_point(curve: BoundaryCurve, t) -> np.ndarray:
@@ -204,26 +212,21 @@ def _golden_minimize(f, a: float, b: float, tol: float) -> float:
 def compute_radii(curve: BoundaryCurve) -> DomainRadii:
     """Extremal distances from the origin to the curve.
 
-    r_in_max = min_t |x(t)| and r_ex_min = max_t |x(t)|, located on the
-    4096-point parameter grid that also validates curves and refined by
-    golden-section search. Curves with preset radii return those verbatim.
+    r_in_max = min_t |x(t)| and r_ex_min = max_t |x(t)|, located among the
+    curve's samples and refined by golden-section search. Curves with
+    preset radii return those verbatim.
     """
     if curve.preset_radii is not None:
         return DomainRadii(*curve.preset_radii)
 
     def rho(t: float) -> float:
-        p = curve_point(curve, t)
-        return float(np.hypot(p[0], p[1]))
+        return float(np.hypot(*curve_point(curve, t)))
 
-    t = np.linspace(0.0, 2.0 * np.pi, _VALIDATION_GRID, endpoint=False)
-    p = curve_point(curve, t)
-    dist = np.hypot(p[:, 0], p[:, 1])
-    dt = 2.0 * np.pi / _VALIDATION_GRID
-
-    i_min = int(np.argmin(dist))
-    t_min = _golden_minimize(rho, t[i_min] - dt, t[i_min] + dt, _GOLDEN_TOL)
-    i_max = int(np.argmax(dist))
-    t_max = _golden_minimize(lambda s: -rho(s), t[i_max] - dt, t[i_max] + dt,
+    dist = np.hypot(curve.samples[:, 0], curve.samples[:, 1])
+    dt = 2.0 * np.pi / _SAMPLES                 # sample i sits at t = i dt
+    t_in, t_ex = int(np.argmin(dist)) * dt, int(np.argmax(dist)) * dt
+    t_min = _golden_minimize(rho, t_in - dt, t_in + dt, _GOLDEN_TOL)
+    t_max = _golden_minimize(lambda s: -rho(s), t_ex - dt, t_ex + dt,
                              _GOLDEN_TOL)
     return DomainRadii(rho(t_min), rho(t_max))
 
@@ -254,11 +257,13 @@ def build_quadrature(curve: BoundaryCurve, node_count: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 # Interior tests
 # ---------------------------------------------------------------------------
-def _polygon(curve: BoundaryCurve, resolution: int) -> np.ndarray:
-    """Vertices x(2 pi j / resolution) of the polygon that stands in for
-    the curve in the interior and distance tests, shape (resolution, 2)."""
-    return curve_point(curve, np.linspace(0.0, 2.0 * np.pi, resolution,
-                                          endpoint=False))
+def _polygon(curve: BoundaryCurve, edges: int) -> np.ndarray:
+    """x(2 pi j / edges), the polygon that stands in for the curve in the
+    interior and distance tests: a (edges, 2) read-only view of every
+    (4096 / edges)-th sample, and the one check that edges divides 4096."""
+    if _SAMPLES % edges:
+        raise ValueError(f"{edges} edges do not divide {_SAMPLES} samples")
+    return curve.samples[::_SAMPLES // edges]
 
 
 def _encloses_origin(poly: np.ndarray) -> bool:

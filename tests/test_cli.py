@@ -1037,6 +1037,18 @@ class TestRunSvdStudy:
         assert [r["error"] for r in records] == ["svd_failed"]
         assert not (tmp_path / "o" / "svd_study.csv").exists()
 
+    def test_svd_builds_no_interior_grid(self, tmp_path, monkeypatch):
+        # svd starts from the Setup of solve and sweep, whose grid is lazy
+        def no_grid(*args, **kwargs):
+            raise AssertionError("build_interior_grid called")
+
+        monkeypatch.setattr(cli, "build_interior_grid", no_grid)
+        path = _write_config(tmp_path / "cfg.json")
+        code = main(["svd", "--config", str(path), "--N", "4..8:2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert (tmp_path / "o" / "svd_study.csv").stat().st_size > 0
+
     def test_rows_and_slope_footer(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json")
         out = run_svd_study(load_config(path), str(tmp_path / "out"),

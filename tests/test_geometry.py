@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from fbm import geometry
 from fbm.errors import ValidationError
-from fbm.geometry import (MAX_FOURIER_TERMS, BoundaryCurve, _polygon,
-                          build_quadrature, circle_curve, compute_radii,
-                          curve_derivative, curve_point, default_node_count,
-                          ellipse_curve, grid_interior_mask,
-                          grid_near_boundary, kite_curve, named_curve)
+from fbm.fields import build_interior_grid
+from fbm.geometry import (_DISTANCE_EDGES, _INTERIOR_EDGES, MAX_FOURIER_TERMS,
+                          BoundaryCurve, _polygon, build_quadrature,
+                          circle_curve, compute_radii, curve_derivative,
+                          curve_point, default_node_count, ellipse_curve,
+                          grid_interior_mask, grid_near_boundary, kite_curve,
+                          named_curve)
 
 from oracles import (boundary_distance, central_difference, is_interior,
                      outward_normal, reference_curve, rule_length)
@@ -95,6 +98,52 @@ class TestCurveTable:
             t = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
             assert np.array_equal(_polygon(curve, resolution),
                                   reference_curve(curve, t, False))
+
+
+class TestOneSampling:
+    """Set-up evaluates a curve's 4096 equispaced points once, when it
+    validates the curve: the radii scan and both grid polygons read them."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """The shape of the parameters of every curve evaluation."""
+        shapes = []
+        evaluate = geometry._curve_eval
+
+        def counted(curve, t, orders):
+            shapes.append(np.shape(t))
+            return evaluate(curve, t, orders)
+
+        monkeypatch.setattr(geometry, "_curve_eval", counted)
+        return shapes
+
+    @pytest.mark.parametrize("spec", ["kite", "ellipse:1.2,0.8"])
+    def test_grid_evaluates_no_curve(self, shapes, spec):
+        curve = named_curve(spec)
+        assert shapes == [(4096,)]
+        radii = compute_radii(curve)
+        shapes.clear()
+        build_interior_grid(curve, radii, 200)
+        assert shapes == []
+
+    def test_radii_evaluate_only_the_golden_search(self, shapes):
+        curve = named_curve("ellipse:1.2,0.8")
+        shapes.clear()
+        compute_radii(curve)
+        assert shapes and all(shape == () for shape in shapes)
+
+    def test_polygon_is_a_read_only_slice_of_the_samples(self, kite):
+        for edges in (_INTERIOR_EDGES, _DISTANCE_EDGES):
+            assert np.shares_memory(_polygon(kite, edges), kite.samples)
+            assert _polygon(kite, edges).shape == (edges, 2)
+        with pytest.raises(ValueError):
+            _polygon(kite, _DISTANCE_EDGES)[0, 0] = 0.0
+
+    @pytest.mark.parametrize("edges", [3000, 8192])
+    def test_polygon_edges_must_divide_the_samples(self, kite, edges):
+        # a plain slice would return the wrong number of vertices
+        with pytest.raises(ValueError, match="do not divide"):
+            _polygon(kite, edges)
 
 
 class TestNormals:
